@@ -14,6 +14,7 @@ from .analytic import (
 from .channels import KrausSet, kraus_first_order, kraus_multi, perturbative_expansion
 from .fidelity import (
     HaarSampler,
+    agi_dephasing,
     agi_exact,
     agi_kraus,
     agi_monte_carlo,
@@ -31,6 +32,7 @@ from .lindblad import (
     SuperOperator,
     apply_channel,
     choi_matrix,
+    dephasing_exponents,
     liouvillian,
     propagate,
     rk4_propagate,

@@ -26,6 +26,16 @@ EXPERIMENT_COMMANDS = (
 )
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="root random seed")
     parser.add_argument("--out", type=str, default=None, help="CSV output path")
@@ -47,7 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "gate-dependence":
             p.add_argument("--gates", type=int, default=None, help="number of CUE gates")
             p.add_argument("--dims", type=str, default=None, help="comma-separated dimensions")
-            p.add_argument("--workers", type=int, default=1, help="parallel gate workers")
+            p.add_argument(
+                "--workers", type=_positive_int, default=1, help="parallel gate workers (>= 1)"
+            )
         if name == "critical-curve":
             p.add_argument("--qubits", type=str, default=None, help="comma-separated qubit counts")
 

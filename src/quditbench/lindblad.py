@@ -7,6 +7,10 @@ vec(A X B) = (B^T kron A) vec(X).  The generator of
 
 is then L = -i (1 kron H - H^T kron 1) + sum_k gamma_k D_k with
 D_k = conj(L_k) kron L_k - 1/2 (1 kron L_k^dag L_k + (L_k^dag L_k)^T kron 1).
+
+For H = 0 and diagonal L_k this generator is diagonal, and
+``dephasing_exponents`` returns the channel as a d x d Schur multiplier
+instead of a d^2 x d^2 matrix.
 """
 
 from __future__ import annotations
@@ -126,6 +130,31 @@ def dissipator(noise: NoiseModel) -> np.ndarray:
             - 0.5 * (np.kron(eye, ldl) + np.kron(ldl.T, eye))
         )
     return out
+
+
+def dephasing_exponents(noise: NoiseModel) -> np.ndarray | None:
+    """Entrywise decay exponents of a purely dissipative, diagonal noise model.
+
+    With H = 0 and every collapse operator diagonal, L_k = diag(l^k), the
+    channel is the Schur multiplier rho_ij -> rho_ij exp(z_ij t) with
+
+        z_ij = sum_k gamma_k (l_i^k conj(l_j^k) - (|l_i^k|^2 + |l_j^k|^2) / 2),
+
+    i.e. the diagonal of the dissipator reshaped to d x d.  It is evaluated
+    as -|l_i - l_j|^2 / 2 + i Im(l_i conj(l_j)), so Re z <= 0 and z_ii = 0
+    hold exactly.  Returns the d x d complex matrix z, or None if any
+    collapse operator has a nonzero off-diagonal entry.
+    """
+    d = noise.dim
+    z = np.zeros((d, d), dtype=complex)
+    for gamma, op in noise.terms:
+        m = op.entries
+        l = np.diag(m)
+        if np.count_nonzero(m - np.diag(l)):
+            return None
+        z.real -= 0.5 * gamma * np.abs(l[:, None] - l[None, :]) ** 2
+        z.imag += gamma * (np.outer(l.imag, l.real) - np.outer(l.real, l.imag))
+    return z
 
 
 def liouvillian(h: Operator, noise: NoiseModel | None = None) -> SuperOperator:

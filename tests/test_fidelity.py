@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,13 @@ from quditbench import (
     HaarSampler,
     NoiseModel,
     Operator,
+    agi_dephasing,
     agi_exact,
     agi_kraus,
     agi_monte_carlo,
     c_general,
     collapse_variance,
+    dephasing_exponents,
     haar_average_variance,
     haar_unitary,
     haar_variance_monte_carlo,
@@ -18,6 +22,7 @@ from quditbench import (
     kraus_first_order,
     kraus_multi,
     liouvillian,
+    process_fidelity,
     process_from_average,
     propagate,
     spin_plus,
@@ -328,3 +333,66 @@ def test_process_from_average_closed_forms():
 def test_haar_unitary_wrapper():
     op = haar_unitary(HaarSampler(4, seed=11))
     assert op.is_unitary(1e-10)
+
+
+def _dense_agis(noise, grid):
+    d = noise.dim
+    gen = liouvillian(zero_h(d), noise)
+    return np.array([agi_exact(propagate(gen, gt), identity(d)) for gt in grid])
+
+
+def _random_diagonal(rng, d):
+    return Operator(np.diag(rng.standard_normal(d) + 1j * rng.standard_normal(d)))
+
+
+def test_process_fidelity_matches_trace_form():
+    rng = np.random.default_rng(23)
+    for d in (2, 3, 5):
+        kraus = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(3)]
+        s = sum(np.kron(k.conj(), k) for k in kraus) / (3 * d)
+        gate = haar_unitary(HaarSampler(d, seed=d))
+        su = unitary_superoperator(gate).matrix
+        old = np.real(np.trace(su.conj().T @ s)) / d**2
+        new = process_fidelity(SuperOperator(s, d), gate)
+        assert abs(new - old) <= 1e-13 * max(1.0, abs(old))
+
+
+def test_agi_dephasing_matches_dense_oracle():
+    rng = np.random.default_rng(31)
+    grid = np.array([0.0, 1e-4, 1e-3, 1e-2])
+    models = [NoiseModel.single(1.0, spin_z(d)) for d in range(2, 13)]
+    models += [NoiseModel.site_dephasing(n) for n in range(1, 6)]
+    models.append(NoiseModel.single(1.0, _random_diagonal(rng, 5)))
+    unequal = ((0.4, spin_z(6)), (1.3, _random_diagonal(rng, 6)), (2.5, Operator(np.diag(np.arange(6.0)))))
+    models.append(NoiseModel(unequal))
+    for noise in models:
+        fast = agi_dephasing(dephasing_exponents(noise), grid)
+        dense = _dense_agis(noise, grid)
+        assert fast[0] == 0.0
+        assert np.abs(fast[1:] / dense[1:] - 1.0).max() <= 1e-10
+
+
+def test_agi_dephasing_matches_expm1_reference():
+    # real exponents: math.expm1 per entry, exactly summed by math.fsum
+    for noise in (NoiseModel.single(1.0, spin_z(7)), NoiseModel.site_dephasing(3)):
+        z = dephasing_exponents(noise)
+        d = noise.dim
+        for gt in (1e-9, 1e-7, 1e-5, 1e-3, 1e-2):
+            ref = -math.fsum(math.expm1(gt * v) for v in z.real.ravel()) / (d * (d + 1))
+            assert abs(agi_dephasing(z, [gt])[0] / ref - 1.0) <= 1e-14
+
+
+def test_agi_dephasing_matches_mpmath_reference():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(37)
+    d = 4
+    z = dephasing_exponents(NoiseModel.single(1.0, _random_diagonal(rng, d)))
+    with mpmath.workdps(40):
+        for gt in (1e-9, 1e-7, 1e-5, 1e-3, 1e-2):
+            ref = -sum(mpmath.re(mpmath.expm1(gt * mpmath.mpc(v))) for v in z.ravel()) / (d * (d + 1))
+            assert abs(agi_dephasing(z, [gt])[0] / float(ref) - 1.0) <= 1e-14
+
+
+def test_agi_dephasing_zero_is_positive_zero():
+    z = dephasing_exponents(NoiseModel.single(1.0, spin_z(3)))
+    assert math.copysign(1.0, agi_dephasing(z, [0.0])[0]) == 1.0

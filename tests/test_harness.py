@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -121,6 +122,57 @@ def test_critical_curve_methods_and_values():
         r = by_n[n]
         assert abs(r["ratio_simulated"] / r["ratio_analytic"] - 1.0) < 0.01
         assert abs(r["ratio_analytic"] - critical_ratio(2**n)) < 1e-12
+
+
+def test_agi_curve_routes_by_noise_structure():
+    import numpy as np
+    from quditbench import Operator, agi_exact, identity, liouvillian, propagate
+    from quditbench.experiments import agi_curve, collapse_model
+
+    grid = np.linspace(0.0, 1e-3, 6)
+
+    def dense(noise):
+        d = noise.dim
+        gen = liouvillian(Operator(np.zeros((d, d))), noise)
+        return np.array([agi_exact(propagate(gen, gt), identity(d)) for gt in grid])
+
+    # non-diagonal noise keeps the dense path bit for bit
+    jx = collapse_model("Jx", 3)
+    assert np.array_equal(agi_curve(jx, grid), dense(jx))
+    # diagonal noise takes the Schur-multiplier path, equal to the oracle
+    jz = collapse_model("Jz", 3)
+    fast = agi_curve(jz, grid)
+    assert not np.array_equal(fast, dense(jz))
+    assert np.abs(fast[1:] / dense(jz)[1:] - 1.0).max() < 1e-10
+
+
+def test_slopes_qubits_paper_scale():
+    import time
+
+    from quditbench import c_qubits_dephasing
+
+    start = time.monotonic()
+    result = run_experiment(ExperimentSpec("slopes-qubits", (7,), (0.0, 1e-4, 11)))
+    elapsed = time.monotonic() - start
+    fit = result.summary["fits"]["qubit-ensemble-Sz:7"]
+    assert abs(fit["slope"] / c_qubits_dephasing(7) - 1.0) < 1e-3
+    assert elapsed < 10, f"n = 7 took {elapsed:.1f}s"
+
+
+def test_dephasing_csvs_have_no_negative_zero(tmp_path):
+    specs = [
+        ExperimentSpec("slopes-qudit", (2, 5), (0.0, 1e-4, 5)),
+        ExperimentSpec("slopes-qubits", (1, 3, 7), (0.0, 1e-4, 5)),
+        ExperimentSpec("deviation-sweep", (2, 4), (0.0, 5e-2, 5)),
+        ExperimentSpec("channels-compare", (2, 3), (0.0, 1e-4, 5)),
+        ExperimentSpec("critical-curve", (1, 2, 6), (0.0, 1e-4, 5)),
+        ExperimentSpec("gate-dependence", (2, 3), (0.0, 1e-4, 5), n_gates=1),
+    ]
+    for i, spec in enumerate(specs):
+        path = tmp_path / f"{i}.csv"
+        run_experiment(replace(spec, output_path=str(path)))
+        cells = [c for line in path.read_text().splitlines()[1:] for c in line.split(",")]
+        assert "-0.0" not in cells, spec.name
 
 
 def test_gate_dependence_control_case():
@@ -259,6 +311,14 @@ def test_cli_gate_dependence_small(tmp_path, capsys):
     assert code == 0
     assert out.exists()
     assert "d=2" in capsys.readouterr().out
+
+
+def test_cli_rejects_bad_workers(capsys):
+    for value in ("0", "-3", "two"):
+        with pytest.raises(SystemExit) as exc:
+            main(["gate-dependence", "--gates", "1", "--dims", "2", "--workers", value])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
 
 def test_cli_determinism(tmp_path):

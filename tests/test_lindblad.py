@@ -7,6 +7,7 @@ from quditbench import (
     Operator,
     apply_channel,
     choi_matrix,
+    dephasing_exponents,
     liouvillian,
     propagate,
     rk4_propagate,
@@ -14,7 +15,7 @@ from quditbench import (
     spin_z,
     unitary_superoperator,
 )
-from quditbench.lindblad import SuperOperator, unvec, vec
+from quditbench.lindblad import SuperOperator, dissipator, unvec, vec
 
 
 def zero_h(d):
@@ -214,3 +215,22 @@ def test_first_order_agreement():
 def test_dimension_ceiling():
     with pytest.raises(ValueError):
         liouvillian(zero_h(129), None)
+
+
+def test_dephasing_exponents_are_the_dissipator_diagonal():
+    rng = np.random.default_rng(5)
+    d = 4
+    l = Operator(np.diag(rng.standard_normal(d) + 1j * rng.standard_normal(d)))
+    noise = NoiseModel(((0.3, spin_z(d)), (1.7, l)))
+    z = dephasing_exponents(noise)
+    diss = dissipator(noise)
+    assert np.count_nonzero(diss - np.diag(np.diag(diss))) == 0
+    assert np.abs(vec(z) - np.diag(diss)).max() < 1e-14
+    assert np.all(z.real <= 0) and np.all(np.diag(z) == 0)
+
+
+def test_dephasing_exponents_reject_off_diagonal_noise():
+    d = 3
+    assert dephasing_exponents(NoiseModel.single(1.0, spin_xy(d)[0])) is None
+    mixed = NoiseModel(((1.0, spin_z(d)), (0.1, spin_xy(d)[1])))
+    assert dephasing_exponents(mixed) is None
