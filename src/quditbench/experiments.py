@@ -282,6 +282,7 @@ def _gate_workitem(args) -> dict:
         "slope_deviation": relative_deviation(fit.slope_c, c_th),
         "grape_infidelity": res.infidelity,
         "grape_converged": res.converged,
+        "grape_iterations": res.iterations,
     }
 
 
@@ -325,6 +326,7 @@ def gate_dependence_experiment(
                     "slope_deviation": relative_deviation(fit.slope_c, c_qudit_dephasing(d)),
                     "grape_infidelity": 0.0,
                     "grape_converged": True,
+                    "grape_iterations": 0,
                 }
             )
         return GateDependenceResult(rows, {}, 0)
@@ -441,6 +443,9 @@ def _dispatch(spec: ExperimentSpec, workers: int) -> ExperimentResult:
             "grape_infidelity",
             "grape_converged",
         )
+        iterations: dict[str, list[int]] = {}
+        for r in res.rows:
+            iterations.setdefault(str(r["d"]), []).append(r["grape_iterations"])
         summary = {
             "name": spec.name,
             "seed": spec.seed,
@@ -455,6 +460,9 @@ def _dispatch(spec: ExperimentSpec, workers: int) -> ExperimentResult:
                     "percentiles": {str(p): v for p, v in s.percentiles.items()},
                 }
                 for d, s in res.stats.items()
+            },
+            "grape_iterations": {
+                d: {"total": sum(its), "max": max(its)} for d, its in iterations.items()
             },
         }
         return ExperimentResult(spec, fieldnames, res.rows, summary)

@@ -77,8 +77,10 @@ class PulseSchedule:
         arr = np.array(self.amplitudes, dtype=float)
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise ValueError("amplitudes must be a (n_slots, n_controls) matrix")
-        if self.slot_duration <= 0:
-            raise ValueError("slot duration must be positive")
+        if not np.isfinite(arr).all():
+            raise ValueError("amplitudes must be finite")
+        if not (np.isfinite(self.slot_duration) and self.slot_duration > 0):
+            raise ValueError("slot duration must be positive and finite")
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
         object.__setattr__(self, "slot_duration", float(self.slot_duration))
@@ -110,6 +112,8 @@ class PulseSchedule:
     @classmethod
     def from_text(cls, text: str) -> "PulseSchedule":
         lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+        if not lines:
+            raise ValueError("schedule text has no header line")
         n_slots, n_controls, duration = lines[0].split()
         rows = [[float(v) for v in ln.split()] for ln in lines[1 : 1 + int(n_slots)]]
         amps = np.array(rows, dtype=float)
@@ -174,15 +178,14 @@ def infidelity_and_gradient(
         num / np.where(degenerate, 1.0, dw),
     )
 
-    grad = np.empty_like(amps)
+    # d infid / d u_jk = (-2/d) Re(conj(overlap) Tr(G_j H_k)) with
+    # G_j = V_j (V_j^dag W_j V_j * lam_j^T) V_j^dag and
+    # W_j = prefix_j V^dag suffix_j, for all slots in one batched product.
     vdag = v.conj().transpose(0, 2, 1)
-    for j in range(n_slots):
-        wj = prefix[j] @ target.conj().T @ suffix[j]
-        wtilde = vdag[j] @ wj @ v[j]
-        core = wtilde.T * lam[j]
-        m = np.einsum("ia,kij,jb->kab", v[j].conj(), h_stack, v[j])
-        tr = np.einsum("ab,kab->k", core, m)
-        grad[j] = (-2.0 / d) * np.real(np.conj(overlap) * tr)
+    wmat = prefix[:-1] @ target.conj().T @ suffix
+    g = v @ (vdag @ wmat @ v * lam.transpose(0, 2, 1)) @ vdag
+    tr = np.einsum("jba,kab->jk", g, h_stack)
+    grad = (-2.0 / d) * np.real(np.conj(overlap) * tr)
     return float(infid), grad
 
 
@@ -257,7 +260,7 @@ def grape_optimize(
             options={"maxiter": max_iters, "ftol": 1e-18, "gtol": 1e-14},
         )
         total_iters += int(res.nit)
-        infid, _ = infidelity_and_gradient(res.x.reshape(shape), basis, tgt, dt)
+        infid = float(res.fun)
         if infid < best_inf:
             best_inf = infid
             best_amps = res.x.reshape(shape).copy()
@@ -296,9 +299,7 @@ def schedule_to_propagator(
     diss = dissipator(noise)
     eye = np.eye(d)
     hs = np.tensordot(schedule.amplitudes, basis.stack(), axes=(1, 0))
-    gens = np.empty((schedule.n_slots, d * d, d * d), dtype=complex)
-    for j, h in enumerate(hs):
-        gens[j] = -1j * (np.kron(eye, h) - np.kron(h.T, eye)) + diss
+    gens = -1j * (np.kron(eye, hs) - np.kron(hs.transpose(0, 2, 1), eye)) + diss
     slots = expm(gens * schedule.slot_duration)
     total = np.eye(d * d, dtype=complex)
     for s in slots:

@@ -243,7 +243,13 @@ def test_gate_dependence_via_dispatcher(tmp_path):
     assert len(result.rows) == 3
     assert result.summary["n_failures"] == 0
     assert "2" in result.summary["stats"]
-    assert (tmp_path / "gd.csv").exists()
+    header = (tmp_path / "gd.csv").read_text().splitlines()[0]
+    assert header == "d,gate_index,slope,one_minus_r2,slope_deviation,grape_infidelity,grape_converged"
+    iters = [row["grape_iterations"] for row in result.rows]
+    assert all(i >= 1 for i in iters)
+    assert result.summary["grape_iterations"] == {"2": {"total": sum(iters), "max": max(iters)}}
+    saved = json.loads((tmp_path / "gd.json").read_text())
+    assert saved["grape_iterations"] == result.summary["grape_iterations"]
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,39 @@ from quditbench import (
     propagate,
     schedule_to_propagator,
     schedule_unitary,
+    spin_plus,
     spin_z,
     unitary_superoperator,
 )
-from quditbench.pulses import infidelity_and_gradient
+from quditbench.pulses import _DEGENERACY_EPS, _slot_unitaries, infidelity_and_gradient
+
+
+def _gradient_per_slot(amps, basis, target, dt):
+    """Reference: the exact gradient as one contraction per slot."""
+    h_stack = basis.stack()
+    n_slots, d = amps.shape[0], basis.dim
+    xs, w, v, phases = _slot_unitaries(amps, h_stack, dt)
+    prefix = [np.eye(d, dtype=complex)]
+    for x in xs:
+        prefix.append(x @ prefix[-1])
+    suffix = [np.eye(d, dtype=complex)]
+    for x in xs[:0:-1]:
+        suffix.insert(0, suffix[0] @ x)
+    overlap = np.trace(target.conj().T @ prefix[n_slots]) / d
+    grad = np.empty_like(amps)
+    for j in range(n_slots):
+        dw = w[j][:, None] - w[j][None, :]
+        degenerate = np.abs(dw) < _DEGENERACY_EPS
+        lam = np.where(
+            degenerate,
+            -1j * dt * np.broadcast_to(phases[j][:, None], dw.shape),
+            (phases[j][:, None] - phases[j][None, :]) / np.where(degenerate, 1.0, dw),
+        )
+        wtilde = v[j].conj().T @ prefix[j] @ target.conj().T @ suffix[j] @ v[j]
+        m = np.einsum("ia,kij,jb->kab", v[j].conj(), h_stack, v[j])
+        tr = np.einsum("ab,kab->k", wtilde.T * lam, m)
+        grad[j] = (-2.0 / d) * np.real(np.conj(overlap) * tr)
+    return grad
 
 
 def test_ladder_basis_structure():
@@ -52,6 +81,19 @@ def test_gradient_matches_finite_differences():
                 fd[j, k] = (fp - fm) / (2 * eps)
         rel = np.linalg.norm(grad - fd) / np.linalg.norm(fd)
         assert rel < 1e-6, (d, rel)
+
+
+def test_gradient_matches_per_slot_reference():
+    rng = np.random.default_rng(21)
+    for d in (2, 3, 4, 5):
+        basis = ControlBasis.ladder(d)
+        amps = rng.uniform(-2, 2, size=(4 * d, basis.n_controls))
+        amps[1] = 0.0  # H_j = 0: every eigenvalue pair takes the degenerate branch
+        target = HaarSampler(d, seed=10 + d).unitary()
+        dt = 1.0 / amps.shape[0]
+        _, grad = infidelity_and_gradient(amps, basis, target, dt)
+        ref = _gradient_per_slot(amps, basis, target, dt)
+        assert np.linalg.norm(grad - ref) <= 1e-12 * np.linalg.norm(ref), d
 
 
 def test_grape_identity_gate():
@@ -113,6 +155,22 @@ def test_schedule_propagator_trivial_cases():
     assert np.abs(with_noise.matrix - reference.matrix).max() < 1e-12
 
 
+def test_schedule_propagator_matches_slot_products():
+    rng = np.random.default_rng(22)
+    for d in (2, 3, 4, 5):
+        basis = ControlBasis.ladder(d)
+        amps = rng.uniform(-2, 2, size=(3 * d, basis.n_controls))
+        amps[0] = 0.0
+        sched = PulseSchedule(1.0 / amps.shape[0], amps)
+        noise = NoiseModel(((0.3, spin_z(d)), (0.1, spin_plus(d))))
+        expected = np.eye(d * d, dtype=complex)
+        for h in np.tensordot(amps, basis.stack(), axes=(1, 0)):
+            slot = propagate(liouvillian(Operator(h), noise), sched.slot_duration)
+            expected = slot.matrix @ expected
+        got = schedule_to_propagator(sched, basis, noise).matrix
+        assert np.abs(got - expected).max() <= 1e-12, d
+
+
 def test_schedule_propagator_agi_sanity():
     # a synthesized gate under weak dephasing lands near the universal slope
     d = 2
@@ -141,3 +199,15 @@ def test_schedule_validation():
         PulseSchedule(0.0, np.zeros((4, 2)))
     with pytest.raises(ValueError):
         PulseSchedule(0.1, np.zeros(4))
+    with pytest.raises(ValueError):
+        PulseSchedule(float("nan"), np.zeros((4, 2)))
+    with pytest.raises(ValueError):
+        PulseSchedule(float("inf"), np.zeros((4, 2)))
+    for bad in (np.nan, np.inf, -np.inf):
+        amps = np.zeros((4, 2))
+        amps[2, 1] = bad
+        with pytest.raises(ValueError):
+            PulseSchedule(0.1, amps)
+    for text in ("", "# only a comment\n", "\n  \n"):
+        with pytest.raises(ValueError):
+            PulseSchedule.from_text(text)
