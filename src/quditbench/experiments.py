@@ -331,12 +331,13 @@ def gate_dependence_experiment(
             )
         return GateDependenceResult(rows, {}, 0)
 
-    root = np.random.SeedSequence(seed)
+    # Each gate's seeds depend only on (seed, d, g), not on the other
+    # dimensions in the run.
     items = []
     for d in sorted(d_list):
-        children = root.spawn(2 * n_gates)
         for g in range(n_gates):
-            items.append((d, g, children[2 * g], children[2 * g + 1], grid, goal_infidelity))
+            gate_seed, grape_seed = np.random.SeedSequence([seed, d, g]).spawn(2)
+            items.append((d, g, gate_seed, grape_seed, grid, goal_infidelity))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_gate_workitem, items, chunksize=4))

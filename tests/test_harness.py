@@ -229,6 +229,13 @@ def test_gate_dependence_worker_pool_matches_serial():
     assert serial.rows == pooled.rows
 
 
+def test_gate_dependence_rows_do_not_depend_on_other_dims():
+    alone = gate_dependence_experiment((3,), n_gates=2, seed=13)
+    for workers in (1, 2):
+        both = gate_dependence_experiment((2, 3), n_gates=2, seed=13, workers=workers)
+        assert [r for r in both.rows if r["d"] == 3] == alone.rows, workers
+
+
 def test_gate_dependence_via_dispatcher(tmp_path):
     spec = ExperimentSpec(
         "gate-dependence",
