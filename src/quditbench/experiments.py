@@ -252,7 +252,9 @@ def _gate_workitem(args) -> dict:
 
     The AGI is taken relative to the sampled target gate itself, so the
     residual control error of the synthesized pulse is part of the measured
-    deviation (it is bounded by the optimizer goal).
+    deviation (it is bounded by the optimizer goal).  The slope also depends
+    on the path the pulse takes, not only on the gate it reaches: two
+    converged GRAPE runs for one gate can differ in slope by ~1e-4 relative.
     """
     d, index, gate_seed, grape_seed, grid, goal = args
     sampler = HaarSampler(d, gate_seed)

@@ -179,8 +179,9 @@ def infidelity_and_gradient(
     )
 
     # d infid / d u_jk = (-2/d) Re(conj(overlap) Tr(G_j H_k)) with
-    # G_j = V_j (V_j^dag W_j V_j * lam_j^T) V_j^dag and
-    # W_j = prefix_j V^dag suffix_j, for all slots in one batched product.
+    # G_j = V_j (V_j^dag W_j V_j * lam_j^T) V_j^dag, W_j = prefix_j T^dag suffix_j,
+    # V_j the slot eigenvectors and T the target; one batched product covers
+    # every slot.
     vdag = v.conj().transpose(0, 2, 1)
     wmat = prefix[:-1] @ target.conj().T @ suffix
     g = v @ (vdag @ wmat @ v * lam.transpose(0, 2, 1)) @ vdag
