@@ -11,19 +11,9 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from pathlib import Path
 
-from .experiments import default_spec, run_experiment
+from .experiments import EXPERIMENTS, ExperimentSpec, default_spec, run_experiment, write_csv
 from .platforms import load_records, platform_report
-
-EXPERIMENT_COMMANDS = (
-    "slopes-qudit",
-    "slopes-qubits",
-    "deviation-sweep",
-    "gate-dependence",
-    "channels-compare",
-    "critical-curve",
-)
 
 
 def _positive_int(text: str) -> int:
@@ -34,6 +24,13 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _positive_int_list(text: str) -> tuple[int, ...]:
+    values = tuple(_positive_int(v) for v in text.split(",") if v.strip())
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return values
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -51,17 +48,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in EXPERIMENT_COMMANDS:
+    for name in EXPERIMENTS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         _add_common(p)
         if name == "gate-dependence":
-            p.add_argument("--gates", type=int, default=None, help="number of CUE gates")
-            p.add_argument("--dims", type=str, default=None, help="comma-separated dimensions")
+            p.add_argument("--gates", type=_positive_int, default=None, help="number of CUE gates")
+            p.add_argument(
+                "--dims", type=_positive_int_list, default=None, help="comma-separated dimensions"
+            )
             p.add_argument(
                 "--workers", type=_positive_int, default=1, help="parallel gate workers (>= 1)"
             )
         if name == "critical-curve":
-            p.add_argument("--qubits", type=str, default=None, help="comma-separated qubit counts")
+            p.add_argument(
+                "--qubits",
+                type=_positive_int_list,
+                default=None,
+                help="comma-separated qubit counts",
+            )
 
     p = sub.add_parser("platforms", help="qudit-vs-qubit platform advantage report")
     _add_common(p)
@@ -75,45 +79,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v.strip())
-
-
-def _run_named(args: argparse.Namespace) -> int:
+def _spec(args: argparse.Namespace) -> ExperimentSpec:
     spec = default_spec(args.command, scale=args.scale, seed=args.seed)
     if args.command == "gate-dependence":
         if args.gates is not None:
             spec = replace(spec, n_gates=args.gates)
         if args.dims is not None:
-            spec = replace(spec, dims=_parse_int_list(args.dims))
+            spec = replace(spec, dims=args.dims)
     if args.command == "critical-curve" and args.qubits is not None:
-        spec = replace(spec, dims=_parse_int_list(args.qubits))
+        spec = replace(spec, dims=args.qubits)
     if args.out is not None:
         spec = replace(spec, output_path=args.out)
-    workers = getattr(args, "workers", 1)
-    result = run_experiment(spec, workers=workers)
+    return spec
 
-    if args.command in ("slopes-qudit", "slopes-qubits", "channels-compare", "deviation-sweep"):
-        for key, fit in sorted(result.summary["fits"].items()):
-            print(
-                f"{key:>24}: slope {fit['slope']:.8g}  analytic {fit['analytic']:.8g}  "
-                f"rel.err {fit['relative_error']:+.3e}  1-R^2 {fit['one_minus_r2']:.3e}"
-            )
-    elif args.command == "gate-dependence":
-        for d, stats in sorted(result.summary["stats"].items(), key=lambda kv: int(kv[0])):
-            print(
-                f"d={d}: mean {stats['mean']:+.3e}  std {stats['std']:.3e}  "
-                f"range [{stats['min']:+.3e}, {stats['max']:+.3e}]"
-            )
-        if result.summary["n_failures"]:
-            print(f"warning: {result.summary['n_failures']} gate optimizations did not converge")
-    elif args.command == "critical-curve":
-        for row in result.rows:
-            print(
-                f"n={row['n']} d={row['d']}: simulated {row['ratio_simulated']:.6g}  "
-                f"analytic {row['ratio_analytic']:.6g}  naive {row['ratio_naive']:.6g}  "
-                f"[{row['method']}]"
-            )
+
+def _run_named(spec: ExperimentSpec, args: argparse.Namespace) -> int:
+    result = run_experiment(spec, workers=getattr(args, "workers", 1))
+    for line in result.lines:
+        print(line)
     if args.out is not None:
         print(f"wrote {args.out}")
     return 0
@@ -153,23 +136,21 @@ def _run_platforms(args: argparse.Namespace) -> int:
             "source",
             "note",
         )
-        lines = [",".join(fieldnames)]
-        for row in rows:
-            cells = []
-            for k in fieldnames:
-                v = row[k]
-                cells.append("" if v is None else (repr(v) if isinstance(v, float) else str(v)))
-            lines.append(",".join(cells))
-        Path(args.out).write_text("\n".join(lines) + "\n")
+        write_csv(fieldnames, rows, args.out)
         print(f"wrote {args.out}")
     return 0
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "platforms":
         return _run_platforms(args)
-    return _run_named(args)
+    try:
+        spec = _spec(args)
+    except ValueError as exc:
+        parser.error(f"{args.command}: {exc}")
+    return _run_named(spec, args)
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ byte-identical output files.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -16,21 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import c_general, c_qubits_dephasing, c_qudit_dephasing, critical_ratio, naive_ratio
-from .channels import kraus_first_order, kraus_multi
+from .channels import kraus_multi
 from .fidelity import HaarSampler, agi_dephasing, agi_exact, agi_kraus
 from .fitting import DeviationStats, FitResult, deviation_stats, fit_slope, relative_deviation
 from .lindblad import MAX_HILBERT_DIM, dephasing_exponents, liouvillian, propagate
 from .operators import NoiseModel, Operator, spin_plus, spin_xy, spin_z
 from .pulses import ControlBasis, grape_optimize, schedule_to_propagator
-
-EXPERIMENT_NAMES = (
-    "slopes-qudit",
-    "slopes-qubits",
-    "deviation-sweep",
-    "channels-compare",
-    "gate-dependence",
-    "critical-curve",
-)
 
 CHANNEL_KINDS = ("Jz", "Jx", "Jplus", "JxJyJz", "qubit-ensemble-Sz", "custom")
 
@@ -62,7 +54,7 @@ class ExperimentSpec:
     custom_collapse: Operator | None = None
 
     def __post_init__(self) -> None:
-        if self.name not in EXPERIMENT_NAMES:
+        if self.name not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.name!r}")
         lo, hi, n = self.gamma_t_grid
         if not (0 <= lo < hi <= 1.0) or n < 2:
@@ -77,6 +69,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown gate spec {self.gates!r}")
         if self.gates == "cue" and self.n_gates < 1:
             raise ValueError("cue gates need n_gates >= 1")
+        if self.gates == "cue" and min(self.dims) < 2:
+            raise ValueError(f"cue gates need every dimension >= 2, got dims {self.dims}")
 
     def grid(self) -> np.ndarray:
         lo, hi, n = self.gamma_t_grid
@@ -157,28 +151,22 @@ def agi_curve(noise: NoiseModel, grid: np.ndarray) -> np.ndarray:
     return np.array([agi_exact(propagate(gen, gt), ident) for gt in grid])
 
 
-def agi_curve_kraus(kind: str, d: int, grid: np.ndarray) -> np.ndarray:
+def agi_curve_kraus(noise: NoiseModel, grid: np.ndarray) -> np.ndarray:
     """First-order-channel AGI curve (Kraus trace formula); used for the
     critical-curve rows beyond ``EXACT_CHANNEL_DIM_LIMIT``, whose published
     ratios are first-order quantities."""
-    out = np.empty(grid.size)
-    if kind == "qubit-ensemble-Sz":
-        noise = collapse_model(kind, d)
-        for i, gt in enumerate(grid):
-            out[i] = 0.0 if gt == 0 else agi_kraus(kraus_multi(noise, gt))
-    else:
-        l = collapse_model(kind, d).terms[0][1]
-        for i, gt in enumerate(grid):
-            out[i] = 0.0 if gt == 0 else agi_kraus(kraus_first_order(l, gt))
-    return out
+    return np.array([0.0 if gt == 0 else agi_kraus(kraus_multi(noise, gt)) for gt in grid])
 
 
 @dataclass(frozen=True)
 class ExperimentResult:
+    """Row table, JSON summary and console lines of one experiment run."""
+
     spec: ExperimentSpec
     fieldnames: tuple[str, ...]
     rows: list[dict]
     summary: dict
+    lines: tuple[str, ...] = ()
 
 
 def _fit_to_dict(fit: FitResult) -> dict:
@@ -234,8 +222,12 @@ def _slope_scan(spec: ExperimentSpec, channels: tuple[str, ...]) -> ExperimentRe
         "agi_linear_prediction",
         "relative_deviation",
     )
-    summary = {"name": spec.name, "seed": spec.seed, "scale": spec.scale, "fits": fits}
-    return ExperimentResult(spec, fieldnames, rows, summary)
+    lines = tuple(
+        f"{key:>24}: slope {fit['slope']:.8g}  analytic {fit['analytic']:.8g}  "
+        f"rel.err {fit['relative_error']:+.3e}  1-R^2 {fit['one_minus_r2']:.3e}"
+        for key, fit in sorted(fits.items())
+    )
+    return ExperimentResult(spec, fieldnames, rows, {"fits": fits}, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -377,12 +369,9 @@ def critical_curve_experiment(
     for n in sorted(n_list):
         d = 2**n
         method = "exact" if d <= EXACT_CHANNEL_DIM_LIMIT else "kraus1"
-        if method == "exact":
-            qudit_curve = agi_curve(collapse_model("Jz", d), grid)
-            qubit_curve = agi_curve(collapse_model("qubit-ensemble-Sz", n), grid)
-        else:
-            qudit_curve = agi_curve_kraus("Jz", d, grid)
-            qubit_curve = agi_curve_kraus("qubit-ensemble-Sz", n, grid)
+        curve = agi_curve if method == "exact" else agi_curve_kraus
+        qudit_curve = curve(collapse_model("Jz", d), grid)
+        qubit_curve = curve(collapse_model("qubit-ensemble-Sz", n), grid)
         c_d = fit_slope(grid, qudit_curve).slope_c
         c_b = fit_slope(grid, qubit_curve).slope_c
         rows.append(
@@ -401,8 +390,89 @@ def critical_curve_experiment(
 
 
 # ---------------------------------------------------------------------------
-# Dispatcher and output writers
+# Registry and output writers
 # ---------------------------------------------------------------------------
+
+
+def _run_gate_dependence(spec: ExperimentSpec, workers: int) -> ExperimentResult:
+    lo, hi, n_pts = spec.gamma_t_grid
+    res = gate_dependence_experiment(
+        spec.dims,
+        spec.n_gates,
+        gamma_t_range=(lo, hi),
+        n_points=n_pts,
+        seed=spec.seed,
+        pulses=spec.gates == "cue",
+        workers=workers,
+    )
+    fieldnames = (
+        "d",
+        "gate_index",
+        "slope",
+        "one_minus_r2",
+        "slope_deviation",
+        "grape_infidelity",
+        "grape_converged",
+    )
+    iterations: dict[str, list[int]] = {}
+    for r in res.rows:
+        iterations.setdefault(str(r["d"]), []).append(r["grape_iterations"])
+    summary = {
+        "n_failures": res.n_failures,
+        "stats": {
+            str(d): {
+                "mean": s.mean,
+                "std": s.std,
+                "min": s.min,
+                "max": s.max,
+                "percentiles": {str(p): v for p, v in s.percentiles.items()},
+            }
+            for d, s in res.stats.items()
+        },
+        "grape_iterations": {
+            d: {"total": sum(its), "max": max(its)} for d, its in iterations.items()
+        },
+    }
+    lines = [
+        f"d={d}: mean {s.mean:+.3e}  std {s.std:.3e}  range [{s.min:+.3e}, {s.max:+.3e}]"
+        for d, s in sorted(res.stats.items())
+    ]
+    if res.n_failures:
+        lines.append(f"warning: {res.n_failures} gate optimizations did not converge")
+    return ExperimentResult(spec, fieldnames, res.rows, summary, tuple(lines))
+
+
+def _run_critical_curve(spec: ExperimentSpec, workers: int) -> ExperimentResult:
+    rows = critical_curve_experiment(spec.dims, spec.gamma_t_grid)
+    fieldnames = (
+        "n",
+        "d",
+        "c_qudit",
+        "c_qubits",
+        "ratio_simulated",
+        "ratio_analytic",
+        "ratio_naive",
+        "method",
+    )
+    summary = {"rows": {str(r["n"]): r["ratio_simulated"] for r in rows}}
+    lines = tuple(
+        f"n={r['n']} d={r['d']}: simulated {r['ratio_simulated']:.6g}  "
+        f"analytic {r['ratio_analytic']:.6g}  naive {r['ratio_naive']:.6g}  [{r['method']}]"
+        for r in rows
+    )
+    return ExperimentResult(spec, fieldnames, rows, summary, lines)
+
+
+# Experiment name -> runner(spec, workers).  The CLI builds one subcommand per
+# key, in this order.
+EXPERIMENTS: dict[str, Callable[[ExperimentSpec, int], ExperimentResult]] = {
+    "slopes-qudit": lambda spec, workers: _slope_scan(spec, (spec.channel,)),
+    "slopes-qubits": lambda spec, workers: _slope_scan(spec, ("qubit-ensemble-Sz",)),
+    "deviation-sweep": lambda spec, workers: _slope_scan(spec, (spec.channel,)),
+    "gate-dependence": _run_gate_dependence,
+    "channels-compare": lambda spec, workers: _slope_scan(spec, ("Jz", "Jx", "Jplus", "JxJyJz")),
+    "critical-curve": _run_critical_curve,
+}
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
@@ -411,87 +481,19 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     When ``spec.output_path`` is set, the row table goes there as CSV and the
     summary next to it with a .json suffix.
     """
-    result = _dispatch(spec, workers)
+    result = EXPERIMENTS[spec.name](spec, workers)
+    header = {"name": spec.name, "seed": spec.seed, "scale": spec.scale}
+    result = replace(result, summary={**header, **result.summary})
     if spec.output_path is not None:
         path = Path(spec.output_path)
-        write_csv(result, path)
+        write_csv(result.fieldnames, result.rows, path)
         write_summary(result, path.with_suffix(".json"))
     return result
 
 
-def _dispatch(spec: ExperimentSpec, workers: int) -> ExperimentResult:
-    if spec.name in ("slopes-qudit", "deviation-sweep"):
-        return _slope_scan(spec, (spec.channel,))
-    if spec.name == "slopes-qubits":
-        return _slope_scan(replace(spec, channel="qubit-ensemble-Sz"), ("qubit-ensemble-Sz",))
-    if spec.name == "channels-compare":
-        return _slope_scan(spec, ("Jz", "Jx", "Jplus", "JxJyJz"))
-    if spec.name == "gate-dependence":
-        lo, hi, n_pts = spec.gamma_t_grid
-        res = gate_dependence_experiment(
-            spec.dims,
-            spec.n_gates,
-            gamma_t_range=(lo, hi),
-            n_points=n_pts,
-            seed=spec.seed,
-            pulses=spec.gates == "cue",
-            workers=workers,
-        )
-        fieldnames = (
-            "d",
-            "gate_index",
-            "slope",
-            "one_minus_r2",
-            "slope_deviation",
-            "grape_infidelity",
-            "grape_converged",
-        )
-        iterations: dict[str, list[int]] = {}
-        for r in res.rows:
-            iterations.setdefault(str(r["d"]), []).append(r["grape_iterations"])
-        summary = {
-            "name": spec.name,
-            "seed": spec.seed,
-            "scale": spec.scale,
-            "n_failures": res.n_failures,
-            "stats": {
-                str(d): {
-                    "mean": s.mean,
-                    "std": s.std,
-                    "min": s.min,
-                    "max": s.max,
-                    "percentiles": {str(p): v for p, v in s.percentiles.items()},
-                }
-                for d, s in res.stats.items()
-            },
-            "grape_iterations": {
-                d: {"total": sum(its), "max": max(its)} for d, its in iterations.items()
-            },
-        }
-        return ExperimentResult(spec, fieldnames, res.rows, summary)
-    if spec.name == "critical-curve":
-        rows = critical_curve_experiment(spec.dims, spec.gamma_t_grid)
-        fieldnames = (
-            "n",
-            "d",
-            "c_qudit",
-            "c_qubits",
-            "ratio_simulated",
-            "ratio_analytic",
-            "ratio_naive",
-            "method",
-        )
-        summary = {
-            "name": spec.name,
-            "seed": spec.seed,
-            "scale": spec.scale,
-            "rows": {str(r["n"]): r["ratio_simulated"] for r in rows},
-        }
-        return ExperimentResult(spec, fieldnames, rows, summary)
-    raise ValueError(f"unknown experiment {spec.name!r}")
-
-
 def _cell(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
@@ -499,10 +501,11 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_csv(result: ExperimentResult, path) -> None:
-    lines = [",".join(result.fieldnames)]
-    for row in result.rows:
-        lines.append(",".join(_cell(row[k]) for k in result.fieldnames))
+def write_csv(fieldnames, rows, path) -> None:
+    """Write rows (dicts keyed by fieldnames) as CSV; None is an empty cell."""
+    lines = [",".join(fieldnames)]
+    for row in rows:
+        lines.append(",".join(_cell(row[k]) for k in fieldnames))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

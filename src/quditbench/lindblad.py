@@ -20,14 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .operators import NoiseModel, Operator
+from .operators import HERMITICITY_ATOL, NoiseModel, Operator
 
 # Dense superoperators above this Hilbert dimension are impractical
 # (matrices beyond 16384^2); experiments cap out well below.
 MAX_HILBERT_DIM = 128
 
 TRACE_ATOL = 1e-12
-HERMITICITY_ATOL = 1e-12
 POSITIVITY_ATOL = 1e-10
 
 

@@ -19,7 +19,7 @@ from scipy.linalg import expm
 from scipy.optimize import minimize
 
 from .lindblad import SuperOperator, dissipator, unitary_superoperator
-from .operators import NoiseModel, Operator
+from .operators import HERMITICITY_ATOL, NoiseModel, Operator
 
 _DEGENERACY_EPS = 1e-12
 
@@ -36,7 +36,7 @@ class ControlBasis:
         for op in self.controls:
             if op.dim != self.dim:
                 raise ValueError("control dimension mismatch")
-            if np.abs(op.entries - op.entries.conj().T).max() > 1e-12:
+            if np.abs(op.entries - op.entries.conj().T).max() > HERMITICITY_ATOL:
                 raise ValueError("controls must be Hermitian")
         if self.drift.dim != self.dim:
             raise ValueError("drift dimension mismatch")

@@ -5,8 +5,9 @@ from dataclasses import replace
 import pytest
 
 from quditbench import critical_ratio
-from quditbench.cli import main
+from quditbench.cli import build_parser, main
 from quditbench.experiments import (
+    EXPERIMENTS,
     ExperimentSpec,
     critical_curve_experiment,
     default_spec,
@@ -37,6 +38,8 @@ def test_spec_validation():
         ExperimentSpec("slopes-qudit", (2,), (0.0, 1e-4, 11), channel="bogus")
     with pytest.raises(ValueError):
         ExperimentSpec("gate-dependence", (2,), (1e-5, 1e-3, 9), gates="cue", n_gates=0)
+    with pytest.raises(ValueError):
+        ExperimentSpec("gate-dependence", (1, 2), (1e-5, 1e-3, 9), gates="cue", n_gates=1)
 
 
 def test_default_specs():
@@ -122,6 +125,17 @@ def test_critical_curve_methods_and_values():
         r = by_n[n]
         assert abs(r["ratio_simulated"] / r["ratio_analytic"] - 1.0) < 0.01
         assert abs(r["ratio_analytic"] - critical_ratio(2**n)) < 1e-12
+
+
+def test_agi_curve_kraus_matches_single_operator_kraus():
+    import numpy as np
+    from quditbench import agi_kraus, kraus_first_order
+    from quditbench.experiments import agi_curve_kraus, collapse_model
+
+    grid = np.linspace(0.0, 1e-4, 11)
+    noise = collapse_model("Jz", 64)
+    per_point = [0.0] + [agi_kraus(kraus_first_order(noise.terms[0][1], gt)) for gt in grid[1:]]
+    assert np.array_equal(agi_curve_kraus(noise, grid), per_point)
 
 
 def test_agi_curve_routes_by_noise_structure():
@@ -327,11 +341,28 @@ def test_cli_gate_dependence_small(tmp_path, capsys):
 
 
 def test_cli_rejects_bad_workers(capsys):
-    for value in ("0", "-3", "two"):
-        with pytest.raises(SystemExit) as exc:
-            main(["gate-dependence", "--gates", "1", "--dims", "2", "--workers", value])
-        assert exc.value.code == 2
-        assert "--workers" in capsys.readouterr().err
+    bad = {
+        ("gate-dependence", "--workers"): ("0", "-3", "two"),
+        ("gate-dependence", "--dims"): ("2,x", ",", "0"),
+        ("gate-dependence", "--gates"): ("0", "-2", "a"),
+        ("critical-curve", "--qubits"): ("0", "a", ""),
+    }
+    for (command, flag), values in bad.items():
+        for value in values:
+            with pytest.raises(SystemExit) as exc:
+                main([command, flag, value])
+            assert exc.value.code == 2, (flag, value)
+            assert flag in capsys.readouterr().err, (flag, value)
+    # dimension 1 parses but has no CUE gates: rejected before any work starts
+    with pytest.raises(SystemExit) as exc:
+        main(["gate-dependence", "--gates", "1", "--dims", "1,2"])
+    assert exc.value.code == 2
+    assert "dimension >= 2" in capsys.readouterr().err
+
+
+def test_cli_subcommands_follow_registry():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    assert list(sub.choices) == [*EXPERIMENTS, "platforms"]
 
 
 def test_cli_determinism(tmp_path):
@@ -360,14 +391,23 @@ def test_cli_platforms(tmp_path, capsys):
     assert main(["platforms", "--out", str(out)]) == 0
     text = capsys.readouterr().out
     assert "advantageous" in text
-    assert out.exists()
+    header, *lines = [line.split(",") for line in out.read_text().splitlines()]
+    assert lines
+    for cells in lines:
+        assert len(cells) == len(header), cells
+        row = dict(zip(header, cells))
+        for key in ("d", "n", "critical_ratio", "naive_ratio"):
+            float(row[key])
+        for key in ("tau", "tau_ratio", "max_advantageous_d"):  # empty when unknown
+            if row[key]:
+                float(row[key])
     assert main(["platforms", "--reference", "no-such-platform"]) == 2
 
 
 def test_write_helpers(tmp_path):
     spec = ExperimentSpec("critical-curve", (1,), (0.0, 1e-4, 5))
     result = run_experiment(spec)
-    write_csv(result, tmp_path / "x.csv")
+    write_csv(result.fieldnames, result.rows, tmp_path / "x.csv")
     write_summary(result, tmp_path / "x.json")
     header = (tmp_path / "x.csv").read_text().splitlines()[0]
     assert header == "n,d,c_qudit,c_qubits,ratio_simulated,ratio_analytic,ratio_naive,method"
