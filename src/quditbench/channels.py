@@ -15,7 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lindblad import DensityMatrix, SuperOperator, dissipator, unvec, vec
+from .lindblad import (
+    DensityMatrix, SuperOperator, commutator_superoperator, dissipator,
+    unitary_superoperator, unvec, vec,
+)
 from .operators import NoiseModel, Operator
 
 
@@ -59,24 +62,13 @@ class KrausSet:
         return acc
 
     def to_superoperator(self) -> SuperOperator:
-        d = self.hilbert_dim
-        mat = np.zeros((d * d, d * d), dtype=complex)
-        for op in self.ops:
-            mat += np.kron(op.entries.conj(), op.entries)
-        return SuperOperator(mat, d)
+        mat = sum(unitary_superoperator(op).matrix for op in self.ops)
+        return SuperOperator(mat, self.hilbert_dim)
 
 
 def kraus_first_order(collapse: Operator, gamma_t: float) -> KrausSet:
     """First-order Kraus pair for one collapse operator at strength gamma_t."""
-    if gamma_t < 0:
-        raise ValueError(f"gamma_t must be non-negative, got {gamma_t}")
-    d = collapse.dim
-    if gamma_t == 0:
-        return KrausSet((Operator(np.eye(d)),), d)
-    l = collapse.entries
-    e0 = np.eye(d) - (gamma_t / 2) * (l.conj().T @ l)
-    e1 = np.sqrt(gamma_t) * l
-    return KrausSet((Operator(e0), Operator(e1)), d)
+    return kraus_multi(NoiseModel.single(1.0, collapse), gamma_t)
 
 
 def kraus_multi(noise: NoiseModel, t: float) -> KrausSet:
@@ -96,11 +88,6 @@ def kraus_multi(noise: NoiseModel, t: float) -> KrausSet:
         if gamma * t > 0:
             tail.append(Operator(np.sqrt(gamma * t) * l))
     return KrausSet((Operator(e0), *tail), d)
-
-
-def _commutator_superoperator(h: Operator) -> np.ndarray:
-    eye = np.eye(h.dim)
-    return np.kron(eye, h.entries) - np.kron(h.entries.T, eye)
 
 
 def expansion_terms(
@@ -124,7 +111,7 @@ def expansion_terms(
         raise ValueError(f"unsupported expansion order {order}; must be 1, 2 or 3")
     d = h.dim
     diss = dissipator(noise)
-    comm = _commutator_superoperator(h)
+    comm = commutator_superoperator(h.entries)
     zero = np.zeros((d * d, d * d), dtype=complex)
     terms: dict[tuple[int, int], np.ndarray] = {(1, 1): diss}
     for k in range(2, order + 1):

@@ -8,6 +8,7 @@ byte-identical output files.
 
 from __future__ import annotations
 
+import csv
 import json
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
@@ -303,8 +304,6 @@ def gate_dependence_experiment(
     gate, one deviation per dimension (no GRAPE).  GRAPE non-convergence is
     counted and flagged per row, never silently dropped.
     """
-    if n_gates < 1:
-        raise ValueError("n_gates must be >= 1")
     grid = tuple(np.linspace(gamma_t_range[0], gamma_t_range[1], n_points))
     if not pulses:
         rows = []
@@ -325,6 +324,8 @@ def gate_dependence_experiment(
             )
         return GateDependenceResult(rows, {}, 0)
 
+    if n_gates < 1:
+        raise ValueError("n_gates must be >= 1")
     # Each gate's seeds depend only on (seed, d, g), not on the other
     # dimensions in the run.
     items = []
@@ -503,11 +504,10 @@ def _cell(value) -> str:
 
 def write_csv(fieldnames, rows, path) -> None:
     """Write rows (dicts keyed by fieldnames) as CSV; None is an empty cell."""
-    lines = [",".join(fieldnames)]
-    for row in rows:
-        lines.append(",".join(_cell(row[k]) for k in fieldnames))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(fieldnames)
+        writer.writerows([_cell(row[k]) for k in fieldnames] for row in rows)
 
 
 def write_summary(result: ExperimentResult, path) -> None:

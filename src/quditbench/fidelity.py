@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lindblad import DensityMatrix, SuperOperator, unitary_superoperator
-from .operators import Operator
-
-UNITARITY_ATOL = 1e-10
-PURITY_ATOL = 1e-10
+from .lindblad import DensityMatrix, SuperOperator, unitary_superoperator, vec
+from .operators import (
+    PURITY_ATOL, STATE_HERMITICITY_ATOL, STATE_POSITIVITY_ATOL, STATE_TRACE_ATOL,
+    UNITARITY_ATOL, Operator,
+)
 
 
 @dataclass(eq=False)
@@ -87,14 +87,12 @@ def haar_unitary(sampler: HaarSampler) -> Operator:
 
 
 def _check_state(rho: DensityMatrix, name: str) -> None:
-    # loose sanity bounds: near-trace-preserving channel outputs must pass,
-    # garbage must not
     arr = rho.entries
-    if np.abs(arr - arr.conj().T).max() > 1e-10:
+    if np.abs(arr - arr.conj().T).max() > STATE_HERMITICITY_ATOL:
         raise ValueError(f"{name} is not Hermitian")
-    if abs(np.trace(arr) - 1.0) > 1e-6:
+    if abs(np.trace(arr) - 1.0) > STATE_TRACE_ATOL:
         raise ValueError(f"{name} has trace {np.trace(arr):.8f}, expected 1")
-    if np.linalg.eigvalsh(arr).min() < -1e-6:
+    if np.linalg.eigvalsh(arr).min() < -STATE_POSITIVITY_ATOL:
         raise ValueError(f"{name} is not positive semidefinite")
 
 
@@ -260,16 +258,14 @@ def agi_monte_carlo(
     if sampler.dim != channel.hilbert_dim:
         raise ValueError("sampler dimension must match the channel")
     _require_unitary(target_gate)
-    d = channel.hilbert_dim
     su = unitary_superoperator(target_gate).matrix
     samples = np.empty(n_samples)
     done = 0
     while done < n_samples:
         n = min(chunk, n_samples - done)
         psi = sampler.states(n)  # (n, d)
-        # column-stacked projectors: vec|psi><psi|[i + d*j] = psi_i conj(psi_j)
-        outer = psi[:, :, None] * psi.conj()[:, None, :]  # [n, i, j]
-        vecs = outer.transpose(2, 1, 0).reshape(d * d, n)
+        # one column-stacked projector |psi><psi| per column
+        vecs = vec(psi[:, :, None] * psi.conj()[:, None, :]).T
         rho_t = channel.matrix @ vecs
         rho_star = su @ vecs
         fid = np.einsum("kn,kn->n", rho_star.conj(), rho_t).real

@@ -7,6 +7,8 @@ vec(A X B) = (B^T kron A) vec(X).  The generator of
 
 is then L = -i (1 kron H - H^T kron 1) + sum_k gamma_k D_k with
 D_k = conj(L_k) kron L_k - 1/2 (1 kron L_k^dag L_k + (L_k^dag L_k)^T kron 1).
+Only this module spells out the layout; other modules go through ``vec``,
+``commutator_superoperator``, ``unitary_superoperator`` and ``dissipator``.
 
 For H = 0 and diagonal L_k this generator is diagonal, and
 ``dephasing_exponents`` returns the channel as a d x d Schur multiplier
@@ -20,19 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .operators import HERMITICITY_ATOL, NoiseModel, Operator
+from .operators import HERMITICITY_ATOL, POSITIVITY_ATOL, TRACE_ATOL, NoiseModel, Operator
 
 # Dense superoperators above this Hilbert dimension are impractical
 # (matrices beyond 16384^2); experiments cap out well below.
 MAX_HILBERT_DIM = 128
 
-TRACE_ATOL = 1e-12
-POSITIVITY_ATOL = 1e-10
-
 
 def vec(mat: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(mat).reshape(-1, order="F")
+    """Column-stacking vectorization; leading axes of a (..., d, d) stack are a batch."""
+    return np.swapaxes(mat, -1, -2).reshape(*np.shape(mat)[:-2], -1)
 
 
 def unvec(v: np.ndarray) -> np.ndarray:
@@ -112,8 +111,14 @@ class SuperOperator:
 
 
 def unitary_superoperator(u: Operator) -> SuperOperator:
-    """Conjugation channel rho -> U rho U^dag."""
+    """Conjugation channel rho -> U rho U^dag (U need not be unitary)."""
     return SuperOperator(np.kron(u.entries.conj(), u.entries), u.dim)
+
+
+def commutator_superoperator(h: np.ndarray) -> np.ndarray:
+    """X -> [H, X] as the matrix 1 kron H - H^T kron 1; leading axes of h are a batch."""
+    eye = np.eye(h.shape[-1])
+    return np.kron(eye, h) - np.kron(np.swapaxes(h, -1, -2), eye)
 
 
 def dissipator(noise: NoiseModel) -> np.ndarray:
@@ -166,8 +171,7 @@ def liouvillian(h: Operator, noise: NoiseModel | None = None) -> SuperOperator:
         raise ValueError(f"dimension ceiling exceeded: d={d} > {MAX_HILBERT_DIM}")
     if np.abs(h.entries - h.entries.conj().T).max() > HERMITICITY_ATOL:
         raise ValueError("Hamiltonian must be Hermitian within 1e-12")
-    eye = np.eye(d)
-    gen = -1j * (np.kron(eye, h.entries) - np.kron(h.entries.T, eye))
+    gen = -1j * commutator_superoperator(h.entries)
     if noise is not None and len(noise):
         if noise.dim != d:
             raise ValueError(f"noise dimension {noise.dim} != Hamiltonian dimension {d}")

@@ -15,6 +15,15 @@ import numpy as np
 # Construction-time tolerance for claimed Hermiticity; derived numerical
 # identities are checked at 1e-10 (double precision, dimensions <= 256).
 HERMITICITY_ATOL = 1e-12
+TRACE_ATOL = 1e-12  # density matrices, at construction
+POSITIVITY_ATOL = 1e-10  # density matrices, at construction
+UNITARITY_ATOL = 1e-10
+PURITY_ATOL = 1e-10
+# Loose sanity bounds on fidelity inputs: near-trace-preserving channel
+# outputs must pass, garbage must not.
+STATE_HERMITICITY_ATOL = 1e-10
+STATE_TRACE_ATOL = 1e-6
+STATE_POSITIVITY_ATOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,7 +60,7 @@ class Operator:
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
 
-    def is_unitary(self, atol: float = 1e-10) -> bool:
+    def is_unitary(self, atol: float = UNITARITY_ATOL) -> bool:
         d = self.dim
         return bool(np.abs(self.entries.conj().T @ self.entries - np.eye(d)).max() <= atol)
 

@@ -18,19 +18,18 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import minimize
 
-from .lindblad import SuperOperator, dissipator, unitary_superoperator
-from .operators import HERMITICITY_ATOL, NoiseModel, Operator
+from .lindblad import SuperOperator, commutator_superoperator, dissipator, unitary_superoperator
+from .operators import HERMITICITY_ATOL, UNITARITY_ATOL, NoiseModel, Operator
 
 _DEGENERACY_EPS = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
 class ControlBasis:
-    """Hermitian control Hamiltonians plus a (zero) drift for one qudit."""
+    """Hermitian control Hamiltonians for one qudit (no drift)."""
 
     dim: int
     controls: tuple[Operator, ...]
-    drift: Operator
 
     def __post_init__(self) -> None:
         for op in self.controls:
@@ -38,8 +37,6 @@ class ControlBasis:
                 raise ValueError("control dimension mismatch")
             if np.abs(op.entries - op.entries.conj().T).max() > HERMITICITY_ATOL:
                 raise ValueError("controls must be Hermitian")
-        if self.drift.dim != self.dim:
-            raise ValueError("drift dimension mismatch")
 
     @property
     def n_controls(self) -> int:
@@ -47,7 +44,7 @@ class ControlBasis:
 
     @classmethod
     def ladder(cls, d: int) -> "ControlBasis":
-        """One control pair per adjacent-level transition; zero drift."""
+        """One control pair per adjacent-level transition."""
         if d < 2:
             raise ValueError("ladder basis needs d >= 2")
         ops = []
@@ -59,7 +56,7 @@ class ControlBasis:
             y[k + 1, k] = -1j
             ops.append(Operator(x, hermitian=True))
             ops.append(Operator(y, hermitian=True))
-        return cls(d, tuple(ops), Operator(np.zeros((d, d))))
+        return cls(d, tuple(ops))
 
     def stack(self) -> np.ndarray:
         return np.stack([op.entries for op in self.controls])
@@ -225,7 +222,7 @@ def grape_optimize(
         raise ValueError("goal_infidelity must be positive")
     if target.dim != basis.dim:
         raise ValueError("target dimension does not match control basis")
-    if not target.is_unitary(1e-10):
+    if not target.is_unitary(UNITARITY_ATOL):
         raise ValueError("target gate must be unitary within 1e-10")
 
     dt = total_time / n_slots
@@ -297,10 +294,8 @@ def schedule_to_propagator(
         return unitary_superoperator(schedule_unitary(schedule, basis))
     if noise.dim != d:
         raise ValueError("noise dimension does not match the basis")
-    diss = dissipator(noise)
-    eye = np.eye(d)
     hs = np.tensordot(schedule.amplitudes, basis.stack(), axes=(1, 0))
-    gens = -1j * (np.kron(eye, hs) - np.kron(hs.transpose(0, 2, 1), eye)) + diss
+    gens = -1j * commutator_superoperator(hs) + dissipator(noise)
     slots = expm(gens * schedule.slot_duration)
     total = np.eye(d * d, dtype=complex)
     for s in slots:

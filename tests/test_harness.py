@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from dataclasses import replace
@@ -197,6 +198,9 @@ def test_gate_dependence_control_case():
     assert len(res.rows) == 3
     for row in res.rows:
         assert abs(row["slope_deviation"]) < 1e-4, row
+    # the control case samples no gate, so its spec needs no gate count
+    spec = ExperimentSpec("gate-dependence", (2, 3), (1e-5, 1e-3, 9))
+    assert [row["d"] for row in run_experiment(spec).rows] == [2, 3]
 
 
 def test_gate_dependence_small_pulsed_run():
@@ -402,6 +406,22 @@ def test_cli_platforms(tmp_path, capsys):
             if row[key]:
                 float(row[key])
     assert main(["platforms", "--reference", "no-such-platform"]) == 2
+
+
+def test_cli_platforms_quotes_cells(tmp_path):
+    data = tmp_path / "platforms.txt"
+    data.write_text(
+        "superconducting qubits | 2 | 2 | 1e-05 | 6e-08 | ref-a |\n"
+        "ion qudit, variant B | 3 | 1 | 0.1 | 0.0001 | ref-b | note, with comma\n"
+    )
+    out = tmp_path / "platforms.csv"
+    assert main(["platforms", "--data", str(data), "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert len(header) == 11
+    assert [len(row) for row in rows] == [11]
+    row = dict(zip(header, rows[0]))
+    assert (row["label"], row["note"]) == ("ion qudit, variant B", "note, with comma")
 
 
 def test_write_helpers(tmp_path):

@@ -15,7 +15,7 @@ from quditbench import (
     spin_z,
     unitary_superoperator,
 )
-from quditbench.lindblad import SuperOperator, dissipator, unvec, vec
+from quditbench.lindblad import SuperOperator, commutator_superoperator, dissipator, unvec, vec
 
 
 def zero_h(d):
@@ -33,6 +33,23 @@ def test_vec_roundtrip_column_stacking():
     assert np.array_equal(unvec(v), m)
     a, b, x = (np.random.default_rng(i).standard_normal((3, 3)) for i in range(3))
     assert np.allclose(np.kron(b.T, a) @ vec(x), vec(a @ x @ b))
+    stack = np.random.default_rng(3).standard_normal((3, 3, 3))
+    vs = vec(stack)
+    assert vs.shape == (3, 9)
+    for k in range(3):
+        assert np.array_equal(vs[k], vec(stack[k]))
+
+
+def test_commutator_superoperator_batched():
+    rng = np.random.default_rng(4)
+    d = 3
+    hs = rng.standard_normal((4, d, d)) + 1j * rng.standard_normal((4, d, d))
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    batched = commutator_superoperator(hs)
+    assert batched.shape == (4, d * d, d * d)
+    for k, h in enumerate(hs):
+        assert np.array_equal(batched[k], commutator_superoperator(h))
+        assert np.allclose(batched[k] @ vec(x), vec(h @ x - x @ h), atol=1e-13)
 
 
 def test_density_matrix_validation():
