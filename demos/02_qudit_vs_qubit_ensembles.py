@@ -21,7 +21,7 @@ from quditbench import (
     naive_ratio,
     propagate,
 )
-from quditbench.experiments import critical_curve_experiment
+from quditbench.experiments import ExperimentSpec, run_experiment
 
 # --- multiqubit slopes ------------------------------------------------------
 grid = np.linspace(0.0, 1e-4, 11)
@@ -35,7 +35,7 @@ for n in range(1, 6):
 
 # --- critical figure-of-merit ratios ---------------------------------------
 print("\nsimulated vs analytic critical ratios c_qudit / c_qubits:")
-for row in critical_curve_experiment((1, 2, 3, 6)):
+for row in run_experiment(ExperimentSpec("critical-curve", (1, 2, 3, 6), (0.0, 1e-4, 11))).rows:
     print(
         f"  n={row['n']} d={row['d']:2d}: simulated {row['ratio_simulated']:8.3f}  "
         f"analytic {row['ratio_analytic']:8.3f}  [{row['method']}]"

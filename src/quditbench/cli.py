@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .experiments import EXPERIMENTS, ExperimentSpec, default_spec, run_experiment, write_csv
 from .platforms import load_records, platform_report
@@ -35,7 +35,9 @@ def _positive_int_list(text: str) -> tuple[int, ...]:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="root random seed")
-    parser.add_argument("--out", type=str, default=None, help="CSV output path")
+    parser.add_argument(
+        "--out", dest="output_path", metavar="OUT", type=str, default=None, help="CSV output path"
+    )
     parser.add_argument(
         "--scale", choices=("desk", "paper"), default="desk", help="parameter scale"
     )
@@ -52,9 +54,20 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         _add_common(p)
         if name == "gate-dependence":
-            p.add_argument("--gates", type=_positive_int, default=None, help="number of CUE gates")
             p.add_argument(
-                "--dims", type=_positive_int_list, default=None, help="comma-separated dimensions"
+                "--gates",
+                dest="n_gates",
+                metavar="GATES",
+                type=_positive_int,
+                default=None,
+                help="number of CUE gates",
+            )
+            p.add_argument(
+                "--dims",
+                metavar="DIMS",
+                type=_positive_int_list,
+                default=None,
+                help="comma-separated dimensions",
             )
             p.add_argument(
                 "--workers", type=_positive_int, default=1, help="parallel gate workers (>= 1)"
@@ -62,6 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "critical-curve":
             p.add_argument(
                 "--qubits",
+                dest="dims",
+                metavar="QUBITS",
                 type=_positive_int_list,
                 default=None,
                 help="comma-separated qubit counts",
@@ -80,25 +95,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _spec(args: argparse.Namespace) -> ExperimentSpec:
-    spec = default_spec(args.command, scale=args.scale, seed=args.seed)
-    if args.command == "gate-dependence":
-        if args.gates is not None:
-            spec = replace(spec, n_gates=args.gates)
-        if args.dims is not None:
-            spec = replace(spec, dims=args.dims)
-    if args.command == "critical-curve" and args.qubits is not None:
-        spec = replace(spec, dims=args.qubits)
-    if args.out is not None:
-        spec = replace(spec, output_path=args.out)
-    return spec
+    """The registry's default spec with every option given on the command line
+    (an option's dest names the spec field it sets)."""
+    names = {f.name for f in fields(ExperimentSpec)}
+    overrides = {k: v for k, v in vars(args).items() if k in names and v is not None}
+    return replace(default_spec(args.command, scale=args.scale, seed=args.seed), **overrides)
 
 
 def _run_named(spec: ExperimentSpec, args: argparse.Namespace) -> int:
     result = run_experiment(spec, workers=getattr(args, "workers", 1))
     for line in result.lines:
         print(line)
-    if args.out is not None:
-        print(f"wrote {args.out}")
+    if spec.output_path is not None:
+        print(f"wrote {spec.output_path}")
     return 0
 
 
@@ -122,7 +131,7 @@ def _run_platforms(args: argparse.Namespace) -> int:
             f"max adv. d {max_d_txt:>6}  -> {row['verdict']}"
             + (f"  [{row['note']}]" if row["note"] else "")
         )
-    if args.out is not None:
+    if args.output_path is not None:
         fieldnames = (
             "label",
             "d",
@@ -136,8 +145,8 @@ def _run_platforms(args: argparse.Namespace) -> int:
             "source",
             "note",
         )
-        write_csv(fieldnames, rows, args.out)
-        print(f"wrote {args.out}")
+        write_csv(fieldnames, rows, args.output_path)
+        print(f"wrote {args.output_path}")
     return 0
 
 

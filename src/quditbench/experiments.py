@@ -20,8 +20,8 @@ import numpy as np
 from .analytic import c_general, c_qubits_dephasing, c_qudit_dephasing, critical_ratio, naive_ratio
 from .channels import kraus_multi
 from .fidelity import HaarSampler, agi_dephasing, agi_exact, agi_kraus
-from .fitting import DeviationStats, FitResult, deviation_stats, fit_slope, relative_deviation
-from .lindblad import MAX_HILBERT_DIM, dephasing_exponents, liouvillian, propagate
+from .fitting import FitResult, deviation_stats, fit_slope, relative_deviation
+from .lindblad import dephasing_exponents, liouvillian, propagate
 from .operators import NoiseModel, Operator, spin_plus, spin_xy, spin_z
 from .pulses import ControlBasis, grape_optimize, schedule_to_propagator
 
@@ -72,6 +72,8 @@ class ExperimentSpec:
             raise ValueError("cue gates need n_gates >= 1")
         if self.gates == "cue" and min(self.dims) < 2:
             raise ValueError(f"cue gates need every dimension >= 2, got dims {self.dims}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def grid(self) -> np.ndarray:
         lo, hi, n = self.gamma_t_grid
@@ -79,34 +81,15 @@ class ExperimentSpec:
 
 
 def default_spec(name: str, scale: str = "desk", seed: int = 0) -> ExperimentSpec:
-    """Desk-scale specs keep runtimes CI-friendly; paper scale restores the
-    published parameter ranges."""
+    """The registry's spec for ``name``: desk scale keeps runtimes CI-friendly,
+    paper scale restores the published parameter ranges."""
     if scale not in ("desk", "paper"):
         raise ValueError(f"unknown scale {scale!r}")
-    desk = scale == "desk"
-    small = (0.0, 1e-4, 11)
-    if name == "slopes-qudit":
-        dims = tuple(range(2, 13 if desk else 23, 2))
-        return ExperimentSpec(name, dims, small, "Jz", seed=seed, scale=scale)
-    if name == "slopes-qubits":
-        dims = tuple(range(1, 6 if desk else 8))
-        return ExperimentSpec(name, dims, small, "qubit-ensemble-Sz", seed=seed, scale=scale)
-    if name == "deviation-sweep":
-        dims = (2, 4, 8, 12) if desk else tuple(range(2, 23, 2))
-        return ExperimentSpec(name, dims, (5e-4, 5e-2, 12), "Jz", seed=seed, scale=scale)
-    if name == "channels-compare":
-        dims = tuple(range(2, 13 if desk else 23, 2))
-        return ExperimentSpec(name, dims, small, "Jz", seed=seed, scale=scale)
-    if name == "gate-dependence":
-        dims = (2, 3, 4) if desk else tuple(range(2, 9))
-        n_gates = 200 if desk else 5000
-        return ExperimentSpec(
-            name, dims, (1e-5, 1e-3, 9), "Jz", gates="cue", n_gates=n_gates, seed=seed, scale=scale
-        )
-    if name == "critical-curve":
-        dims = (1, 2, 3, 6) if desk else (1, 2, 3, 4, 5, 6)
-        return ExperimentSpec(name, dims, small, "Jz", seed=seed, scale=scale)
-    raise ValueError(f"unknown experiment {name!r}")
+    if name not in EXPERIMENTS:
+        raise ValueError(f"unknown experiment {name!r}")
+    entry = EXPERIMENTS[name]
+    fields = {**entry.desk, **entry.paper} if scale == "paper" else entry.desk
+    return ExperimentSpec(name, seed=seed, scale=scale, **fields)
 
 
 def collapse_model(kind: str, d: int) -> NoiseModel:
@@ -139,14 +122,13 @@ def agi_curve(noise: NoiseModel, grid: np.ndarray) -> np.ndarray:
     """Exact-channel AGI of a purely dissipative evolution over a gamma_t grid.
 
     Diagonal noise is evaluated as a Schur multiplier in O(d^2) per point;
-    any other noise goes through the dense superoperator.
+    any other noise goes through the dense superoperator, whose dimension
+    ``liouvillian`` caps.
     """
-    d = noise.dim
-    if d > MAX_HILBERT_DIM:
-        raise ValueError(f"dimension ceiling exceeded: d={d}")
     z = dephasing_exponents(noise)
     if z is not None:
         return agi_dephasing(z, grid)
+    d = noise.dim
     gen = liouvillian(Operator(np.zeros((d, d))), noise)
     ident = Operator(np.eye(d))
     return np.array([agi_exact(propagate(gen, gt), ident) for gt in grid])
@@ -240,6 +222,20 @@ GATE_TOTAL_TIME = 1.0
 GATE_GOAL_INFIDELITY = 1e-8
 
 
+def _gate_row(d, index, grid, agis, infidelity, converged, iterations) -> dict:
+    fit = fit_slope(grid, agis)
+    return {
+        "d": d,
+        "gate_index": index,
+        "slope": fit.slope_c,
+        "one_minus_r2": fit.one_minus_r2,
+        "slope_deviation": relative_deviation(fit.slope_c, c_qudit_dephasing(d)),
+        "grape_infidelity": infidelity,
+        "grape_converged": converged,
+        "grape_iterations": iterations,
+    }
+
+
 def _gate_workitem(args) -> dict:
     """One CUE gate: synthesize the pulse, fit the AGI slope under dephasing.
 
@@ -249,7 +245,7 @@ def _gate_workitem(args) -> dict:
     on the path the pulse takes, not only on the gate it reaches: two
     converged GRAPE runs for one gate can differ in slope by ~1e-4 relative.
     """
-    d, index, gate_seed, grape_seed, grid, goal = args
+    d, index, gate_seed, grape_seed, grid = args
     sampler = HaarSampler(d, gate_seed)
     target = Operator(sampler.unitary())
     basis = ControlBasis.ladder(d)
@@ -258,7 +254,7 @@ def _gate_workitem(args) -> dict:
         basis,
         n_slots=GATE_SLOTS_PER_LEVEL * d,
         total_time=GATE_TOTAL_TIME,
-        goal_infidelity=goal,
+        goal_infidelity=GATE_GOAL_INFIDELITY,
         seed=grape_seed,
     )
     noise_op = spin_z(d)
@@ -267,86 +263,83 @@ def _gate_workitem(args) -> dict:
         noise = NoiseModel.single(gt / GATE_TOTAL_TIME, noise_op)
         channel = schedule_to_propagator(res.schedule, basis, noise)
         agis[i] = agi_exact(channel, target)
-    fit = fit_slope(np.asarray(grid), agis)
-    c_th = c_qudit_dephasing(d)
-    return {
-        "d": d,
-        "gate_index": index,
-        "slope": fit.slope_c,
-        "one_minus_r2": fit.one_minus_r2,
-        "slope_deviation": relative_deviation(fit.slope_c, c_th),
-        "grape_infidelity": res.infidelity,
-        "grape_converged": res.converged,
-        "grape_iterations": res.iterations,
-    }
+    return _gate_row(d, index, grid, agis, res.infidelity, res.converged, res.iterations)
 
 
-@dataclass(frozen=True)
-class GateDependenceResult:
-    rows: list[dict]
-    stats: dict[int, DeviationStats]
-    n_failures: int
-
-
-def gate_dependence_experiment(
-    d_list,
-    n_gates: int,
-    gamma_t_range: tuple[float, float] = (1e-5, 1e-3),
-    n_points: int = 9,
-    seed: int = 0,
-    pulses: bool = True,
-    goal_infidelity: float = GATE_GOAL_INFIDELITY,
-    workers: int = 1,
-) -> GateDependenceResult:
-    """Distribution of fitted AGI slopes over random CUE gates, per dimension.
-
-    With ``pulses=False`` the control case is run instead: H = 0, identity
-    gate, one deviation per dimension (no GRAPE).  GRAPE non-convergence is
-    counted and flagged per row, never silently dropped.
-    """
-    grid = tuple(np.linspace(gamma_t_range[0], gamma_t_range[1], n_points))
-    if not pulses:
-        rows = []
-        for d in sorted(d_list):
-            curve = agi_curve(collapse_model("Jz", d), np.asarray(grid))
-            fit = fit_slope(np.asarray(grid), curve)
-            rows.append(
-                {
-                    "d": d,
-                    "gate_index": 0,
-                    "slope": fit.slope_c,
-                    "one_minus_r2": fit.one_minus_r2,
-                    "slope_deviation": relative_deviation(fit.slope_c, c_qudit_dephasing(d)),
-                    "grape_infidelity": 0.0,
-                    "grape_converged": True,
-                    "grape_iterations": 0,
-                }
-            )
-        return GateDependenceResult(rows, {}, 0)
-
-    if n_gates < 1:
-        raise ValueError("n_gates must be >= 1")
+def _gate_rows(spec: ExperimentSpec, workers: int) -> list[dict]:
+    """One row per CUE gate, or with identity gates the control case: H = 0,
+    no GRAPE, one row per dimension."""
+    grid = spec.grid()
+    if spec.gates == "identity":
+        return [
+            _gate_row(d, 0, grid, agi_curve(collapse_model("Jz", d), grid), 0.0, True, 0)
+            for d in sorted(spec.dims)
+        ]
     # Each gate's seeds depend only on (seed, d, g), not on the other
     # dimensions in the run.
     items = []
-    for d in sorted(d_list):
-        for g in range(n_gates):
-            gate_seed, grape_seed = np.random.SeedSequence([seed, d, g]).spawn(2)
-            items.append((d, g, gate_seed, grape_seed, grid, goal_infidelity))
+    for d in sorted(spec.dims):
+        for g in range(spec.n_gates):
+            gate_seed, grape_seed = np.random.SeedSequence([spec.seed, d, g]).spawn(2)
+            items.append((d, g, gate_seed, grape_seed, grid))
+    # a fork pool starts every worker at once, so it gets no more than there are items
+    workers = min(workers, len(items))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_gate_workitem, items, chunksize=4))
     else:
         rows = [_gate_workitem(item) for item in items]
-    rows.sort(key=lambda r: (r["d"], r["gate_index"]))
+    return sorted(rows, key=lambda r: (r["d"], r["gate_index"]))
 
+
+def _run_gate_dependence(spec: ExperimentSpec, workers: int) -> ExperimentResult:
+    """Distribution of fitted AGI slopes over random CUE gates, per dimension.
+
+    GRAPE non-convergence is counted and flagged per row, never silently
+    dropped; only converged gates enter the deviation statistics.
+    """
+    rows = _gate_rows(spec, workers)
     stats = {}
-    for d in sorted(d_list):
+    for d in sorted(spec.dims):
         devs = [r["slope_deviation"] for r in rows if r["d"] == d and r["grape_converged"]]
         if len(devs) >= 2:
             stats[d] = deviation_stats(devs)
     n_failures = sum(1 for r in rows if not r["grape_converged"])
-    return GateDependenceResult(rows, stats, n_failures)
+    fieldnames = (
+        "d",
+        "gate_index",
+        "slope",
+        "one_minus_r2",
+        "slope_deviation",
+        "grape_infidelity",
+        "grape_converged",
+    )
+    iterations: dict[str, list[int]] = {}
+    for r in rows:
+        iterations.setdefault(str(r["d"]), []).append(r["grape_iterations"])
+    summary = {
+        "n_failures": n_failures,
+        "stats": {
+            str(d): {
+                "mean": s.mean,
+                "std": s.std,
+                "min": s.min,
+                "max": s.max,
+                "percentiles": {str(p): v for p, v in s.percentiles.items()},
+            }
+            for d, s in stats.items()
+        },
+        "grape_iterations": {
+            d: {"total": sum(its), "max": max(its)} for d, its in iterations.items()
+        },
+    }
+    lines = [
+        f"d={d}: mean {s.mean:+.3e}  std {s.std:.3e}  range [{s.min:+.3e}, {s.max:+.3e}]"
+        for d, s in sorted(stats.items())
+    ]
+    if n_failures:
+        lines.append(f"warning: {n_failures} gate optimizations did not converge")
+    return ExperimentResult(spec, fieldnames, rows, summary, tuple(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +347,7 @@ def gate_dependence_experiment(
 # ---------------------------------------------------------------------------
 
 
-def critical_curve_experiment(
-    n_list, gamma_t_grid: tuple[float, float, int] = (0.0, 1e-4, 11)
-) -> list[dict]:
+def _run_critical_curve(spec: ExperimentSpec, workers: int) -> ExperimentResult:
     """Simulated slope ratio c_qudit / c_qubits per qubit count n (d = 2^n).
 
     Dimensions beyond ``EXACT_CHANNEL_DIM_LIMIT`` use the first-order Kraus
@@ -364,17 +355,14 @@ def critical_curve_experiment(
     one, and the exact slope at d = 64 is 2.2% off it on the [0, 1e-4] grid.
     The ``method`` column records which path produced each row.
     """
-    lo, hi, n_pts = gamma_t_grid
-    grid = np.linspace(lo, hi, n_pts)
+    grid = spec.grid()
     rows = []
-    for n in sorted(n_list):
+    for n in sorted(spec.dims):
         d = 2**n
         method = "exact" if d <= EXACT_CHANNEL_DIM_LIMIT else "kraus1"
         curve = agi_curve if method == "exact" else agi_curve_kraus
-        qudit_curve = curve(collapse_model("Jz", d), grid)
-        qubit_curve = curve(collapse_model("qubit-ensemble-Sz", n), grid)
-        c_d = fit_slope(grid, qudit_curve).slope_c
-        c_b = fit_slope(grid, qubit_curve).slope_c
+        c_d = fit_slope(grid, curve(collapse_model("Jz", d), grid)).slope_c
+        c_b = fit_slope(grid, curve(collapse_model("qubit-ensemble-Sz", n), grid)).slope_c
         rows.append(
             {
                 "n": n,
@@ -387,64 +375,6 @@ def critical_curve_experiment(
                 "method": method,
             }
         )
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Registry and output writers
-# ---------------------------------------------------------------------------
-
-
-def _run_gate_dependence(spec: ExperimentSpec, workers: int) -> ExperimentResult:
-    lo, hi, n_pts = spec.gamma_t_grid
-    res = gate_dependence_experiment(
-        spec.dims,
-        spec.n_gates,
-        gamma_t_range=(lo, hi),
-        n_points=n_pts,
-        seed=spec.seed,
-        pulses=spec.gates == "cue",
-        workers=workers,
-    )
-    fieldnames = (
-        "d",
-        "gate_index",
-        "slope",
-        "one_minus_r2",
-        "slope_deviation",
-        "grape_infidelity",
-        "grape_converged",
-    )
-    iterations: dict[str, list[int]] = {}
-    for r in res.rows:
-        iterations.setdefault(str(r["d"]), []).append(r["grape_iterations"])
-    summary = {
-        "n_failures": res.n_failures,
-        "stats": {
-            str(d): {
-                "mean": s.mean,
-                "std": s.std,
-                "min": s.min,
-                "max": s.max,
-                "percentiles": {str(p): v for p, v in s.percentiles.items()},
-            }
-            for d, s in res.stats.items()
-        },
-        "grape_iterations": {
-            d: {"total": sum(its), "max": max(its)} for d, its in iterations.items()
-        },
-    }
-    lines = [
-        f"d={d}: mean {s.mean:+.3e}  std {s.std:.3e}  range [{s.min:+.3e}, {s.max:+.3e}]"
-        for d, s in sorted(res.stats.items())
-    ]
-    if res.n_failures:
-        lines.append(f"warning: {res.n_failures} gate optimizations did not converge")
-    return ExperimentResult(spec, fieldnames, res.rows, summary, tuple(lines))
-
-
-def _run_critical_curve(spec: ExperimentSpec, workers: int) -> ExperimentResult:
-    rows = critical_curve_experiment(spec.dims, spec.gamma_t_grid)
     fieldnames = (
         "n",
         "d",
@@ -464,15 +394,59 @@ def _run_critical_curve(spec: ExperimentSpec, workers: int) -> ExperimentResult:
     return ExperimentResult(spec, fieldnames, rows, summary, lines)
 
 
-# Experiment name -> runner(spec, workers).  The CLI builds one subcommand per
-# key, in this order.
-EXPERIMENTS: dict[str, Callable[[ExperimentSpec, int], ExperimentResult]] = {
-    "slopes-qudit": lambda spec, workers: _slope_scan(spec, (spec.channel,)),
-    "slopes-qubits": lambda spec, workers: _slope_scan(spec, ("qubit-ensemble-Sz",)),
-    "deviation-sweep": lambda spec, workers: _slope_scan(spec, (spec.channel,)),
-    "gate-dependence": _run_gate_dependence,
-    "channels-compare": lambda spec, workers: _slope_scan(spec, ("Jz", "Jx", "Jplus", "JxJyJz")),
-    "critical-curve": _run_critical_curve,
+# ---------------------------------------------------------------------------
+# Registry and output writers
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """Registry entry: the runner(spec, workers), the spec fields of the desk
+    scale and the fields the paper scale overrides."""
+
+    run: Callable[[ExperimentSpec, int], ExperimentResult]
+    desk: dict
+    paper: dict
+
+
+_SMALL_GRID = (0.0, 1e-4, 11)
+
+# The CLI builds one subcommand per key, in this order.
+EXPERIMENTS: dict[str, Experiment] = {
+    "slopes-qudit": Experiment(
+        lambda spec, workers: _slope_scan(spec, (spec.channel,)),
+        desk={"dims": tuple(range(2, 13, 2)), "gamma_t_grid": _SMALL_GRID},
+        paper={"dims": tuple(range(2, 23, 2))},
+    ),
+    "slopes-qubits": Experiment(
+        lambda spec, workers: _slope_scan(spec, ("qubit-ensemble-Sz",)),
+        desk={
+            "dims": tuple(range(1, 6)),
+            "gamma_t_grid": _SMALL_GRID,
+            "channel": "qubit-ensemble-Sz",
+        },
+        paper={"dims": tuple(range(1, 8))},
+    ),
+    "deviation-sweep": Experiment(
+        lambda spec, workers: _slope_scan(spec, (spec.channel,)),
+        desk={"dims": (2, 4, 8, 12), "gamma_t_grid": (5e-4, 5e-2, 12)},
+        paper={"dims": tuple(range(2, 23, 2))},
+    ),
+    "gate-dependence": Experiment(
+        _run_gate_dependence,
+        desk={"dims": (2, 3, 4), "gamma_t_grid": (1e-5, 1e-3, 9), "gates": "cue", "n_gates": 200},
+        paper={"dims": tuple(range(2, 9)), "n_gates": 5000},
+    ),
+    "channels-compare": Experiment(
+        lambda spec, workers: _slope_scan(spec, ("Jz", "Jx", "Jplus", "JxJyJz")),
+        desk={"dims": tuple(range(2, 13, 2)), "gamma_t_grid": _SMALL_GRID},
+        paper={"dims": tuple(range(2, 23, 2))},
+    ),
+    "critical-curve": Experiment(
+        _run_critical_curve,
+        desk={"dims": (1, 2, 3, 6), "gamma_t_grid": _SMALL_GRID},
+        paper={"dims": (1, 2, 3, 4, 5, 6)},
+    ),
 }
 
 
@@ -482,7 +456,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     When ``spec.output_path`` is set, the row table goes there as CSV and the
     summary next to it with a .json suffix.
     """
-    result = EXPERIMENTS[spec.name](spec, workers)
+    result = EXPERIMENTS[spec.name].run(spec, workers)
     header = {"name": spec.name, "seed": spec.seed, "scale": spec.scale}
     result = replace(result, summary={**header, **result.summary})
     if spec.output_path is not None:

@@ -112,7 +112,7 @@ class PulseSchedule:
         if not lines:
             raise ValueError("schedule text has no header line")
         n_slots, n_controls, duration = lines[0].split()
-        rows = [[float(v) for v in ln.split()] for ln in lines[1 : 1 + int(n_slots)]]
+        rows = [[float(v) for v in ln.split()] for ln in lines[1:]]
         amps = np.array(rows, dtype=float)
         if amps.shape != (int(n_slots), int(n_controls)):
             raise ValueError("schedule text header does not match the amplitude rows")

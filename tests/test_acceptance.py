@@ -45,12 +45,7 @@ from quditbench import (
     spin_z,
 )
 from quditbench.channels import expansion_terms
-from quditbench.experiments import (
-    ExperimentSpec,
-    critical_curve_experiment,
-    gate_dependence_experiment,
-    run_experiment,
-)
+from quditbench.experiments import ExperimentSpec, run_experiment
 from quditbench.lindblad import vec
 from quditbench.platforms import load_records
 from quditbench.pulses import infidelity_and_gradient
@@ -102,7 +97,8 @@ def test_criterion_02_multiqubit_slope_law():
 
 
 def test_criterion_03_critical_ratios():
-    rows = {r["n"]: r for r in critical_curve_experiment((1, 2, 3, 6))}
+    spec = ExperimentSpec("critical-curve", (1, 2, 3, 6), (0.0, 1e-4, 11))
+    rows = {r["n"]: r for r in run_experiment(spec).rows}
     expected = {1: 1.0, 2: 2.5, 3: 7.0, 6: 227.5}
     errs = {n: abs(rows[n]["ratio_simulated"] / expected[n] - 1.0) for n in expected}
     ok = all(e <= 0.01 for e in errs.values()) and rows[6]["method"] == "kraus1"
@@ -213,27 +209,29 @@ def test_criterion_08_deviation_growth():
 @pytest.fixture(scope="module")
 def gate_dependence_run():
     start = time.monotonic()
-    res = gate_dependence_experiment((2, 3, 4), n_gates=200, seed=7)
-    return res, time.monotonic() - start
+    spec = ExperimentSpec("gate-dependence", (2, 3, 4), (1e-5, 1e-3, 9), gates="cue", n_gates=200, seed=7)
+    summary = run_experiment(spec).summary
+    return summary, time.monotonic() - start
 
 
 def test_criterion_09_gate_dependence_band(gate_dependence_run):
-    res, elapsed = gate_dependence_run
-    assert res.n_failures == 0
-    worst = max(max(abs(s.min), abs(s.max)) for s in res.stats.values())
-    narrower = res.stats[4].std < res.stats[2].std
+    summary, elapsed = gate_dependence_run
+    assert summary["n_failures"] == 0
+    stats = summary["stats"]
+    worst = max(max(abs(s["min"]), abs(s["max"])) for s in stats.values())
+    narrower = stats["4"]["std"] < stats["2"]["std"]
     ok = worst <= 0.01 and narrower and elapsed <= 1800
     detail = (
         f"200 CUE gates: worst |slope deviation| {worst:.2e} (<=1%), "
-        f"width d=4 {res.stats[4].std:.2e} < d=2 {res.stats[2].std:.2e}: {narrower}, {elapsed:.0f}s"
+        f"width d=4 {stats['4']['std']:.2e} < d=2 {stats['2']['std']:.2e}: {narrower}, {elapsed:.0f}s"
     )
     _report(9, ok, detail)
 
 
 def test_gate_dependence_width_shrinks_with_dimension(gate_dependence_run):
     # distribution widths narrow monotonically from d=2 through d=4
-    res, _ = gate_dependence_run
-    assert res.stats[4].std < res.stats[3].std < res.stats[2].std
+    stats = gate_dependence_run[0]["stats"]
+    assert stats["4"]["std"] < stats["3"]["std"] < stats["2"]["std"]
 
 
 def test_criterion_10_platform_report():

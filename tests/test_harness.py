@@ -10,9 +10,7 @@ from quditbench.cli import build_parser, main
 from quditbench.experiments import (
     EXPERIMENTS,
     ExperimentSpec,
-    critical_curve_experiment,
     default_spec,
-    gate_dependence_experiment,
     run_experiment,
     write_csv,
     write_summary,
@@ -24,6 +22,8 @@ from quditbench.platforms import (
     platform_report,
     serialize_records,
 )
+
+GATE_GRID = (1e-5, 1e-3, 9)
 
 
 def test_spec_validation():
@@ -41,16 +41,42 @@ def test_spec_validation():
         ExperimentSpec("gate-dependence", (2,), (1e-5, 1e-3, 9), gates="cue", n_gates=0)
     with pytest.raises(ValueError):
         ExperimentSpec("gate-dependence", (1, 2), (1e-5, 1e-3, 9), gates="cue", n_gates=1)
+    for name in EXPERIMENTS:
+        with pytest.raises(ValueError, match="seed"):
+            replace(default_spec(name), seed=-1)
+
+
+SMALL = (0.0, 1e-4, 11)
+EVEN_TO_12, EVEN_TO_22 = (2, 4, 6, 8, 10, 12), (2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22)
+# (name, scale) -> (dims, gamma_t_grid, channel, gates, n_gates)
+DEFAULT_SPECS = {
+    ("slopes-qudit", "desk"): (EVEN_TO_12, SMALL, "Jz", "identity", 0),
+    ("slopes-qudit", "paper"): (EVEN_TO_22, SMALL, "Jz", "identity", 0),
+    ("slopes-qubits", "desk"): ((1, 2, 3, 4, 5), SMALL, "qubit-ensemble-Sz", "identity", 0),
+    ("slopes-qubits", "paper"): ((1, 2, 3, 4, 5, 6, 7), SMALL, "qubit-ensemble-Sz", "identity", 0),
+    ("deviation-sweep", "desk"): ((2, 4, 8, 12), (5e-4, 5e-2, 12), "Jz", "identity", 0),
+    ("deviation-sweep", "paper"): (EVEN_TO_22, (5e-4, 5e-2, 12), "Jz", "identity", 0),
+    ("gate-dependence", "desk"): ((2, 3, 4), (1e-5, 1e-3, 9), "Jz", "cue", 200),
+    ("gate-dependence", "paper"): ((2, 3, 4, 5, 6, 7, 8), (1e-5, 1e-3, 9), "Jz", "cue", 5000),
+    ("channels-compare", "desk"): (EVEN_TO_12, SMALL, "Jz", "identity", 0),
+    ("channels-compare", "paper"): (EVEN_TO_22, SMALL, "Jz", "identity", 0),
+    ("critical-curve", "desk"): ((1, 2, 3, 6), SMALL, "Jz", "identity", 0),
+    ("critical-curve", "paper"): ((1, 2, 3, 4, 5, 6), SMALL, "Jz", "identity", 0),
+}
 
 
 def test_default_specs():
-    desk = default_spec("slopes-qudit")
-    assert desk.dims == (2, 4, 6, 8, 10, 12)
-    paper = default_spec("slopes-qudit", scale="paper")
-    assert paper.dims[-1] == 22
-    assert default_spec("gate-dependence").n_gates == 200
-    with pytest.raises(ValueError):
+    assert {name for name, _ in DEFAULT_SPECS} == set(EXPERIMENTS)
+    for (name, scale), expected in DEFAULT_SPECS.items():
+        spec = default_spec(name, scale=scale, seed=3)
+        got = (spec.dims, spec.gamma_t_grid, spec.channel, spec.gates, spec.n_gates)
+        assert got == expected, (name, scale)
+        assert (spec.name, spec.scale, spec.seed) == (name, scale, 3)
+        assert spec.output_path is None and spec.custom_collapse is None
+    with pytest.raises(ValueError, match="scale"):
         default_spec("slopes-qudit", scale="huge")
+    with pytest.raises(ValueError, match="experiment"):
+        default_spec("nope")
 
 
 def test_slopes_qudit_experiment(tmp_path):
@@ -119,7 +145,7 @@ def test_qubit_ensemble_experiment():
 
 
 def test_critical_curve_methods_and_values():
-    rows = critical_curve_experiment((1, 2, 6))
+    rows = run_experiment(ExperimentSpec("critical-curve", (1, 2, 6), (0.0, 1e-4, 11))).rows
     by_n = {r["n"]: r for r in rows}
     assert by_n[1]["method"] == "exact" and by_n[6]["method"] == "kraus1"
     for n in (1, 2, 6):
@@ -143,6 +169,7 @@ def test_agi_curve_routes_by_noise_structure():
     import numpy as np
     from quditbench import Operator, agi_exact, identity, liouvillian, propagate
     from quditbench.experiments import agi_curve, collapse_model
+    from quditbench.lindblad import MAX_HILBERT_DIM
 
     grid = np.linspace(0.0, 1e-3, 6)
 
@@ -151,9 +178,11 @@ def test_agi_curve_routes_by_noise_structure():
         gen = liouvillian(Operator(np.zeros((d, d))), noise)
         return np.array([agi_exact(propagate(gen, gt), identity(d)) for gt in grid])
 
-    # non-diagonal noise keeps the dense path bit for bit
+    # non-diagonal noise keeps the dense path bit for bit, and its dimension ceiling
     jx = collapse_model("Jx", 3)
     assert np.array_equal(agi_curve(jx, grid), dense(jx))
+    with pytest.raises(ValueError, match="dimension ceiling"):
+        agi_curve(collapse_model("Jx", MAX_HILBERT_DIM + 1), grid)
     # diagonal noise takes the Schur-multiplier path, equal to the oracle
     jz = collapse_model("Jz", 3)
     fast = agi_curve(jz, grid)
@@ -167,11 +196,12 @@ def test_slopes_qubits_paper_scale():
     from quditbench import c_qubits_dephasing
 
     start = time.monotonic()
-    result = run_experiment(ExperimentSpec("slopes-qubits", (7,), (0.0, 1e-4, 11)))
+    result = run_experiment(ExperimentSpec("slopes-qubits", (7, 8), (0.0, 1e-4, 11)))
     elapsed = time.monotonic() - start
-    fit = result.summary["fits"]["qubit-ensemble-Sz:7"]
-    assert abs(fit["slope"] / c_qubits_dephasing(7) - 1.0) < 1e-3
-    assert elapsed < 10, f"n = 7 took {elapsed:.1f}s"
+    for n in (7, 8):
+        fit = result.summary["fits"][f"qubit-ensemble-Sz:{n}"]
+        assert abs(fit["slope"] / c_qubits_dephasing(n) - 1.0) < 1e-3, n
+    assert elapsed < 10, f"n = 7, 8 took {elapsed:.1f}s"
 
 
 def test_dephasing_csvs_have_no_negative_zero(tmp_path):
@@ -190,28 +220,32 @@ def test_dephasing_csvs_have_no_negative_zero(tmp_path):
         assert "-0.0" not in cells, spec.name
 
 
+def _cue_gates(dims, n_gates, seed=0, workers=1):
+    spec = ExperimentSpec("gate-dependence", dims, GATE_GRID, gates="cue", n_gates=n_gates, seed=seed)
+    return run_experiment(spec, workers)
+
+
 def test_gate_dependence_control_case():
     # H = 0, no pulses: fitted slopes sit within 1e-4 of the closed form
-    res = gate_dependence_experiment(
-        (2, 3, 4), n_gates=1, gamma_t_range=(0.0, 1e-4), n_points=11, pulses=False
-    )
+    res = run_experiment(ExperimentSpec("gate-dependence", (2, 3, 4), (0.0, 1e-4, 11)))
     assert len(res.rows) == 3
     for row in res.rows:
         assert abs(row["slope_deviation"]) < 1e-4, row
+    assert res.summary["stats"] == {} and res.summary["n_failures"] == 0
     # the control case samples no gate, so its spec needs no gate count
     spec = ExperimentSpec("gate-dependence", (2, 3), (1e-5, 1e-3, 9))
     assert [row["d"] for row in run_experiment(spec).rows] == [2, 3]
 
 
 def test_gate_dependence_small_pulsed_run():
-    res = gate_dependence_experiment((2,), n_gates=4, seed=5)
+    res = _cue_gates((2,), n_gates=4, seed=5)
     assert len(res.rows) == 4
-    assert res.n_failures == 0
+    assert res.summary["n_failures"] == 0
     for row in res.rows:
         assert row["grape_converged"]
         assert row["grape_infidelity"] <= 1e-8
         assert abs(row["slope_deviation"]) < 1e-2
-    assert 2 in res.stats
+    assert "2" in res.summary["stats"]
 
 
 def test_gate_dependence_flags_failures(monkeypatch):
@@ -225,10 +259,10 @@ def test_gate_dependence_flags_failures(monkeypatch):
         return GrapeResult(sched, 0.5, False, 1)
 
     monkeypatch.setattr(exp, "grape_optimize", stub)
-    res = gate_dependence_experiment((2,), n_gates=3, seed=0)
-    assert res.n_failures == 3
+    res = _cue_gates((2,), n_gates=3, seed=0)
+    assert res.summary["n_failures"] == 3
     assert all(not row["grape_converged"] for row in res.rows)
-    assert res.stats == {}
+    assert res.summary["stats"] == {}
 
 
 def test_rows_deviation_recomputable():
@@ -242,15 +276,41 @@ def test_rows_deviation_recomputable():
 
 
 def test_gate_dependence_worker_pool_matches_serial():
-    serial = gate_dependence_experiment((2,), n_gates=2, seed=13, workers=1)
-    pooled = gate_dependence_experiment((2,), n_gates=2, seed=13, workers=2)
+    serial = _cue_gates((2,), n_gates=2, seed=13, workers=1)
+    pooled = _cue_gates((2,), n_gates=2, seed=13, workers=2)
     assert serial.rows == pooled.rows
 
 
+def test_gate_dependence_pool_is_capped_at_item_count(monkeypatch):
+    import quditbench.experiments as exp
+
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(exp, "ProcessPoolExecutor", RecordingPool)
+    pooled = _cue_gates((2,), n_gates=2, seed=13, workers=64)
+    assert started == [2]
+    assert pooled.rows == _cue_gates((2,), n_gates=2, seed=13).rows
+    _cue_gates((2,), n_gates=1, seed=13, workers=64)
+    assert started == [2], "a single work item runs without a pool"
+
+
 def test_gate_dependence_rows_do_not_depend_on_other_dims():
-    alone = gate_dependence_experiment((3,), n_gates=2, seed=13)
+    alone = _cue_gates((3,), n_gates=2, seed=13)
     for workers in (1, 2):
-        both = gate_dependence_experiment((2, 3), n_gates=2, seed=13, workers=workers)
+        both = _cue_gates((2, 3), n_gates=2, seed=13, workers=workers)
         assert [r for r in both.rows if r["d"] == 3] == alone.rows, workers
 
 
@@ -357,6 +417,12 @@ def test_cli_rejects_bad_workers(capsys):
                 main([command, flag, value])
             assert exc.value.code == 2, (flag, value)
             assert flag in capsys.readouterr().err, (flag, value)
+    # a negative seed parses but SeedSequence refuses it: rejected for every experiment
+    for command in EXPERIMENTS:
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "-1"])
+        assert exc.value.code == 2, command
+        assert "seed" in capsys.readouterr().err, command
     # dimension 1 parses but has no CUE gates: rejected before any work starts
     with pytest.raises(SystemExit) as exc:
         main(["gate-dependence", "--gates", "1", "--dims", "1,2"])

@@ -207,6 +207,7 @@ def test_schedule_validation():
         amps[2, 1] = bad
         with pytest.raises(ValueError):
             PulseSchedule(0.1, amps)
-    for text in ("", "# only a comment\n", "\n  \n"):
+    # surplus amplitude rows after the header's slot count
+    for text in ("", "# only a comment\n", "\n  \n", "1 2 0.5\n1 2\n3 4\n"):
         with pytest.raises(ValueError):
             PulseSchedule.from_text(text)
