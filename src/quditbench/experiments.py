@@ -9,6 +9,7 @@ byte-identical output files.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
@@ -21,7 +22,7 @@ from .analytic import c_general, c_qubits_dephasing, c_qudit_dephasing, critical
 from .channels import kraus_multi
 from .fidelity import HaarSampler, agi_dephasing, agi_exact, agi_kraus
 from .fitting import FitResult, deviation_stats, fit_slope, relative_deviation
-from .lindblad import dephasing_exponents, liouvillian, propagate
+from .lindblad import dephasing_exponents, liouvillian
 from .operators import NoiseModel, Operator, spin_plus, spin_xy, spin_z
 from .pulses import ControlBasis, grape_optimize, schedule_to_propagator
 
@@ -92,8 +93,12 @@ def default_spec(name: str, scale: str = "desk", seed: int = 0) -> ExperimentSpe
     return ExperimentSpec(name, seed=seed, scale=scale, **fields)
 
 
+@functools.cache
 def collapse_model(kind: str, d: int) -> NoiseModel:
-    """Noise model for a channel kind at unit rate (gamma folded into gamma_t)."""
+    """Noise model for a channel kind at unit rate (gamma folded into gamma_t).
+
+    Cached: the model is immutable, and a slope scan asks for it twice (the
+    curve and its analytic slope)."""
     if kind == "Jz":
         return NoiseModel.single(1.0, spin_z(d))
     if kind == "Jx":
@@ -121,17 +126,21 @@ def analytic_slope(kind: str, d: int) -> float:
 def agi_curve(noise: NoiseModel, grid: np.ndarray) -> np.ndarray:
     """Exact-channel AGI of a purely dissipative evolution over a gamma_t grid.
 
-    Diagonal noise is evaluated as a Schur multiplier in O(d^2) per point;
-    any other noise goes through the dense superoperator, whose dimension
-    ``liouvillian`` caps.
+    With H = 0 and the identity as target, the process fidelity is
+    Tr exp(gamma_t L) / d^2 = sum_lambda exp(gamma_t lambda) / d^2 over the
+    spectrum of the unit-rate generator L, so ``agi_dephasing`` evaluates
+    every point from that spectrum alone.  Diagonal noise reads it off
+    ``dephasing_exponents`` in O(d^2); any other noise takes it from one
+    eigenvalue solve of the dense generator, whose dimension ``liouvillian``
+    caps.  The trace identity holds for defective generators too (J_+), and
+    sum f(eigenvalues) is backward stable, so the eigenvalue scatter of a
+    repeated eigenvalue cancels in the sum.
     """
     z = dephasing_exponents(noise)
-    if z is not None:
-        return agi_dephasing(z, grid)
-    d = noise.dim
-    gen = liouvillian(Operator(np.zeros((d, d))), noise)
-    ident = Operator(np.eye(d))
-    return np.array([agi_exact(propagate(gen, gt), ident) for gt in grid])
+    if z is None:
+        d = noise.dim
+        z = np.linalg.eigvals(liouvillian(Operator(np.zeros((d, d))), noise).matrix)
+    return agi_dephasing(z, grid)
 
 
 def agi_curve_kraus(noise: NoiseModel, grid: np.ndarray) -> np.ndarray:
@@ -282,11 +291,15 @@ def _gate_rows(spec: ExperimentSpec, workers: int) -> list[dict]:
         for g in range(spec.n_gates):
             gate_seed, grape_seed = np.random.SeedSequence([spec.seed, d, g]).spawn(2)
             items.append((d, g, gate_seed, grape_seed, grid))
-    # a fork pool starts every worker at once, so it gets no more than there are items
+    # A fork pool starts every worker at once, so it gets no more than there
+    # are items, and chunks small enough that each worker gets some.  Chunks
+    # stay at most 4 items long: the items are sorted by d, so the last
+    # chunks are the costliest and a long one leaves the other workers idle.
     workers = min(workers, len(items))
     if workers > 1:
+        chunksize = min(4, max(1, len(items) // (4 * workers)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_gate_workitem, items, chunksize=4))
+            rows = list(pool.map(_gate_workitem, items, chunksize=chunksize))
     else:
         rows = [_gate_workitem(item) for item in items]
     return sorted(rows, key=lambda r: (r["d"], r["gate_index"]))

@@ -7,13 +7,16 @@ Four routes are provided and cross-checked against each other:
 * ``agi_kraus``  -- trace formula (d + sum_k |Tr E_k|^2) / (d (d+1)),
 * ``agi_exact``  -- deterministic, via the process fidelity of the dense
   superoperator (general channels, and the oracle for the fast path),
-* ``agi_dephasing`` -- closed form for diagonal (dephasing-type) noise from
-  the Schur-multiplier exponents, O(d^2) per point and free of cancellation,
+* ``agi_dephasing`` -- identity gate under a purely dissipative generator,
+  from the generator's spectrum (the Schur-multiplier exponents of diagonal
+  noise, or one eigenvalue solve otherwise), O(d^2) per point once the
+  spectrum is known, and free of cancellation,
 * ``agi_monte_carlo`` -- direct Haar-measure sampling (independent oracle).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,20 +215,24 @@ def agi_exact(channel: SuperOperator, target_gate: Operator) -> float:
 
 
 def agi_dephasing(z: np.ndarray, gamma_t_grid) -> np.ndarray:
-    """AGI of the identity gate under the Schur-multiplier channel
-    rho_ij -> rho_ij exp(z_ij gamma_t), for every gamma_t of a grid.
+    """AGI of the identity gate under the channel exp(gamma_t L), for every
+    gamma_t of a grid, from the spectrum ``z`` of the unit-rate generator L.
 
-    ``z`` comes from ``lindblad.dephasing_exponents`` at unit rate.  The
-    process fidelity is sum_ij exp(z_ij gamma_t) / d^2, so with
+    ``z`` holds the d^2 eigenvalues of L in any shape.  Diagonal noise gives
+    them as the d x d Schur-multiplier exponents of
+    ``lindblad.dephasing_exponents``; any other purely dissipative generator
+    as ``np.linalg.eigvals`` of its matrix.  The process fidelity is
+    Tr exp(gamma_t L) / d^2 = sum exp(gamma_t z) / d^2, so with
     F_bar = (d F_p + 1) / (d + 1)
 
-        AGI = -Re sum_ij expm1(z_ij gamma_t) / (d (d + 1)).
+        AGI = -Re sum expm1(gamma_t z) / (d (d + 1)),
 
-    Every term is non-negative (Re z_ij <= 0), and expm1 keeps the digits
-    that 1 - F_bar loses at small gamma_t.
+    whose first-order term -Re sum z / (d (d + 1)) = -Tr L / (d (d + 1)) is
+    ``analytic.c_general``.  expm1 keeps the digits that 1 - F_bar loses at
+    small gamma_t; for dephasing every term is non-negative (Re z <= 0).
     """
     z = np.asarray(z)
-    d = z.shape[0]
+    d = math.isqrt(z.size)
     sums = np.array([np.expm1(gt * z).real.sum() for gt in np.asarray(gamma_t_grid, dtype=float)])
     # 0.0 - x rather than -x: gamma_t = 0 gives +0.0, not -0.0
     return 0.0 - sums / (d * (d + 1))

@@ -8,6 +8,7 @@ every decay rate gamma by a factor 4.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +66,9 @@ class Operator:
         return bool(np.abs(self.entries.conj().T @ self.entries - np.eye(d)).max() <= atol)
 
 
+@functools.cache
 def identity(d: int) -> Operator:
-    """Identity operator on a d-level system."""
+    """Identity operator on a d-level system (cached: operators are immutable)."""
     if d < 1:
         raise ValueError("invalid dimension: d must be >= 1")
     return Operator(np.eye(d), hermitian=True)

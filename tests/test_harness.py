@@ -165,29 +165,96 @@ def test_agi_curve_kraus_matches_single_operator_kraus():
     assert np.array_equal(agi_curve_kraus(noise, grid), per_point)
 
 
-def test_agi_curve_routes_by_noise_structure():
+def _dense_agi_curve(noise, grid):
+    """The dense oracle: one expm of the generator per point, then agi_exact."""
     import numpy as np
     from quditbench import Operator, agi_exact, identity, liouvillian, propagate
+
+    d = noise.dim
+    gen = liouvillian(Operator(np.zeros((d, d))), noise)
+    return np.array([agi_exact(propagate(gen, gt), identity(d)) for gt in grid])
+
+
+def _assert_matches_dense(noise, grid, rtol=1e-10):
+    import numpy as np
+    from quditbench.experiments import agi_curve
+
+    fast, dense = agi_curve(noise, grid), _dense_agi_curve(noise, grid)
+    nonzero = grid > 0
+    assert np.all(fast[~nonzero] == 0.0)
+    assert np.abs(fast[nonzero] / dense[nonzero] - 1.0).max() <= rtol, noise.dim
+
+
+def test_agi_curve_routes_by_noise_structure():
+    import numpy as np
+    from quditbench import Operator, agi_dephasing, dephasing_exponents, liouvillian
     from quditbench.experiments import agi_curve, collapse_model
     from quditbench.lindblad import MAX_HILBERT_DIM
 
     grid = np.linspace(0.0, 1e-3, 6)
-
-    def dense(noise):
-        d = noise.dim
-        gen = liouvillian(Operator(np.zeros((d, d))), noise)
-        return np.array([agi_exact(propagate(gen, gt), identity(d)) for gt in grid])
-
-    # non-diagonal noise keeps the dense path bit for bit, and its dimension ceiling
-    jx = collapse_model("Jx", 3)
-    assert np.array_equal(agi_curve(jx, grid), dense(jx))
+    # non-diagonal noise takes the spectrum of the dense generator, whose
+    # dimension ceiling stays, and agrees with the dense oracle
+    for kind in ("Jx", "Jplus", "JxJyJz"):
+        for d in (2, 3, 7, 12):
+            noise = collapse_model(kind, d)
+            gen = liouvillian(Operator(np.zeros((d, d))), noise).matrix
+            assert np.array_equal(agi_curve(noise, grid), agi_dephasing(np.linalg.eigvals(gen), grid))
+            _assert_matches_dense(noise, grid)
     with pytest.raises(ValueError, match="dimension ceiling"):
         agi_curve(collapse_model("Jx", MAX_HILBERT_DIM + 1), grid)
-    # diagonal noise takes the Schur-multiplier path, equal to the oracle
+    # diagonal noise reads its spectrum off the Schur-multiplier exponents
     jz = collapse_model("Jz", 3)
     fast = agi_curve(jz, grid)
-    assert not np.array_equal(fast, dense(jz))
-    assert np.abs(fast[1:] / dense(jz)[1:] - 1.0).max() < 1e-10
+    assert np.array_equal(fast, agi_dephasing(dephasing_exponents(jz), grid))
+    assert not np.array_equal(fast, _dense_agi_curve(jz, grid))
+    _assert_matches_dense(jz, grid)
+
+
+def test_agi_curve_spectral_path_matches_dense_oracle():
+    import numpy as np
+    from quditbench import NoiseModel, Operator, spin_plus, spin_xy
+
+    rng = np.random.default_rng(41)
+    d = 5
+    random_l = Operator(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    two_terms = NoiseModel(((0.7, spin_xy(6)[1]), (1.9, spin_plus(6))))
+    for noise in (NoiseModel.single(1.0, random_l), two_terms):
+        for grid in (np.linspace(0.0, 1e-4, 11), np.linspace(5e-4, 5e-2, 12)):
+            _assert_matches_dense(noise, grid)
+
+
+def test_agi_curve_jplus_equals_triangular_closed_form():
+    # J+ has a triangular generator: its spectrum is the dissipator diagonal
+    import numpy as np
+    from quditbench.lindblad import dissipator
+    from quditbench.experiments import agi_curve, collapse_model
+
+    grid = np.array([1e-9, 1e-6, 1e-4, 1e-3, 5e-2])
+    for d in (2, 3, 6, 12, 18):
+        noise = collapse_model("Jplus", d)
+        diag = np.diag(dissipator(noise))
+        assert np.all(diag.imag == 0.0)
+        ref = [-math.fsum(math.expm1(gt * v) for v in diag.real) / (d * (d + 1)) for gt in grid]
+        assert np.abs(agi_curve(noise, grid) / ref - 1.0).max() <= 1e-13, d
+
+
+def test_agi_curve_spectral_zero_and_slope():
+    import numpy as np
+    from quditbench import Operator, c_general, fit_slope, liouvillian
+    from quditbench.experiments import agi_curve, collapse_model
+
+    grid = np.linspace(0.0, 1e-4, 11)
+    for kind in ("Jx", "Jplus", "JxJyJz"):
+        for d in (2, 4, 8, 12):
+            noise = collapse_model(kind, d)
+            c = c_general(noise.terms[0][1])
+            curve = agi_curve(noise, grid)
+            assert math.copysign(1.0, curve[0]) == 1.0 and curve[0] == 0.0
+            # the fit carries the second-order term, the spectrum's sum is exact
+            assert abs(fit_slope(grid, curve).slope_c / c - 1.0) <= 1e-2, (kind, d)
+            gen = liouvillian(Operator(np.zeros((d, d))), noise).matrix
+            first_order = -np.linalg.eigvals(gen).real.sum() / (d * (d + 1))
+            assert abs(first_order / c - 1.0) <= 1e-12, (kind, d)
 
 
 def test_slopes_qubits_paper_scale():
@@ -297,11 +364,14 @@ def test_gate_dependence_pool_is_capped_at_item_count(monkeypatch):
             return False
 
         def map(self, fn, items, chunksize=1):
+            chunks.append(chunksize)
             return map(fn, items)
 
+    chunks = []
     monkeypatch.setattr(exp, "ProcessPoolExecutor", RecordingPool)
     pooled = _cue_gates((2,), n_gates=2, seed=13, workers=64)
     assert started == [2]
+    assert chunks == [1], "each started worker gets one of the two gates"
     assert pooled.rows == _cue_gates((2,), n_gates=2, seed=13).rows
     _cue_gates((2,), n_gates=1, seed=13, workers=64)
     assert started == [2], "a single work item runs without a pool"
