@@ -3,7 +3,7 @@
 For one pure state the first-order infidelity is gamma*t times the variance
 of the collapse operator in that state.  Averaging the variance over the
 Fubini-Study measure has the closed form Tr(L^dag L)/(d+1) - |Tr L|^2/(d(d+1)),
-recovering the gate-averaged slope from the state picture.  Monte Carlo
+which is the gate-averaged slope ``c_general``: the state picture recovers it.  Monte Carlo
 sampling over Haar-random states confirms both.
 """
 
@@ -13,8 +13,8 @@ from quditbench import (
     DensityMatrix,
     HaarSampler,
     agi_monte_carlo,
+    c_general,
     collapse_variance,
-    haar_average_variance,
     haar_variance_monte_carlo,
     identity,
     liouvillian,
@@ -36,7 +36,7 @@ for label, vec in [
     rho = DensityMatrix.pure(np.array(vec, dtype=float))
     print(f"  {label:>22}: {collapse_variance(rho, jz):.4f}")
 
-closed = haar_average_variance(jz)
+closed = c_general(jz)
 mc, se = haar_variance_monte_carlo(jz, 100_000, HaarSampler(d, seed=1))
 print(f"\nHaar average of the variance: closed form {closed:.6f}, Monte Carlo {mc:.6f} +- {se:.1e}")
 

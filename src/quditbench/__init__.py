@@ -19,7 +19,6 @@ from .fidelity import (
     agi_kraus,
     agi_monte_carlo,
     collapse_variance,
-    haar_average_variance,
     haar_unitary,
     haar_variance_monte_carlo,
     process_fidelity,

@@ -35,13 +35,12 @@ def c_qudit_dephasing(d: int) -> float:
     return d * (d - 1) / 12
 
 
-def c_general(collapse: Operator, d: int | None = None) -> float:
+def c_general(collapse: Operator) -> float:
     """Slope (Tr(L^dag L) - |Tr L|^2 / d) / (d + 1) for an arbitrary collapse
-    operator; reduces to Tr(L^dag L)/(d+1) for traceless L."""
-    if d is None:
-        d = collapse.dim
-    elif d != collapse.dim:
-        raise ValueError(f"dimension {d} != operator dimension {collapse.dim}")
+    operator; reduces to Tr(L^dag L)/(d+1) for traceless L.  It is also the
+    Haar average of ``fidelity.collapse_variance`` over pure states (degree-2
+    Weingarten integrals), the fluctuation-dissipation form of the slope."""
+    d = collapse.dim
     l = collapse.entries
     return float(
         (np.real(np.trace(l.conj().T @ l)) - abs(np.trace(l)) ** 2 / d) / (d + 1)
@@ -115,9 +114,13 @@ def naive_ratio(d: float) -> float:
     return d * d / np.log2(d)
 
 
-def max_advantageous_dimension(
-    tau_ratio: float, d_max: float = 1e6, tol: float = 1e-9
-) -> float:
+# Search bounds of max_advantageous_dimension: the largest dimension it
+# looks at, and the relative width at which bisection stops.
+ADVANTAGE_D_MAX = 1e6
+ADVANTAGE_RTOL = 1e-9
+
+
+def max_advantageous_dimension(tau_ratio: float) -> float:
     """Largest dimension d with critical_ratio(d) <= tau_ratio, by bisection.
 
     ``critical_ratio`` is strictly increasing for d >= 2, so the crossing is
@@ -128,9 +131,9 @@ def max_advantageous_dimension(
     lo, hi = 2.0, 2.0
     while critical_ratio(hi) < tau_ratio:
         hi *= 2
-        if hi > d_max:
-            raise ValueError(f"no crossing below d_max={d_max}")
-    while hi - lo > tol * max(1.0, lo):
+        if hi > ADVANTAGE_D_MAX:
+            raise ValueError(f"no crossing below d_max={ADVANTAGE_D_MAX}")
+    while hi - lo > ADVANTAGE_RTOL * max(1.0, lo):
         mid = (lo + hi) / 2
         if critical_ratio(mid) <= tau_ratio:
             lo = mid

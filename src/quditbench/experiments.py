@@ -26,8 +26,6 @@ from .lindblad import dephasing_exponents, liouvillian
 from .operators import NoiseModel, Operator, spin_plus, spin_xy, spin_z
 from .pulses import ControlBasis, grape_optimize, schedule_to_propagator
 
-CHANNEL_KINDS = ("Jz", "Jx", "Jplus", "JxJyJz", "qubit-ensemble-Sz", "custom")
-
 # Beyond this Hilbert dimension the critical-curve experiment switches from
 # the exact channel to the first-order Kraus channel.  The published ratio
 # 227.5 at n = 6 is a first-order quantity: at d = 64 the exact channel's
@@ -47,13 +45,11 @@ class ExperimentSpec:
     name: str
     dims: tuple[int, ...]
     gamma_t_grid: tuple[float, float, int]
-    channel: str = "Jz"
     gates: str = "identity"  # "identity" or "cue"
     n_gates: int = 0
     seed: int = 0
     scale: str = "desk"
     output_path: str | None = None
-    custom_collapse: Operator | None = None
 
     def __post_init__(self) -> None:
         if self.name not in EXPERIMENTS:
@@ -63,10 +59,6 @@ class ExperimentSpec:
             raise ValueError(f"invalid gamma_t grid {self.gamma_t_grid}")
         if not self.dims or any(d < 1 for d in self.dims):
             raise ValueError(f"invalid dims {self.dims}")
-        if self.channel not in CHANNEL_KINDS:
-            raise ValueError(f"unknown channel kind {self.channel!r}")
-        if self.channel == "custom" and self.custom_collapse is None:
-            raise ValueError("channel 'custom' needs a custom_collapse operator")
         if self.gates not in ("identity", "cue"):
             raise ValueError(f"unknown gate spec {self.gates!r}")
         if self.gates == "cue" and self.n_gates < 1:
@@ -177,16 +169,8 @@ def _slope_scan(spec: ExperimentSpec, channels: tuple[str, ...]) -> ExperimentRe
     fits = {}
     for kind in channels:
         for d in spec.dims:
-            if kind == "custom":
-                if spec.custom_collapse.dim != d:
-                    raise ValueError(
-                        f"custom collapse operator has dimension {spec.custom_collapse.dim}, not {d}"
-                    )
-                noise = NoiseModel.single(1.0, spec.custom_collapse)
-                c_th = c_general(spec.custom_collapse)
-            else:
-                noise = collapse_model(kind, d)
-                c_th = analytic_slope(kind, d)
+            noise = collapse_model(kind, d)
+            c_th = analytic_slope(kind, d)
             curve = agi_curve(noise, grid)
             fit = fit_slope(grid, curve)
             fits[f"{kind}:{d}"] = {
@@ -291,15 +275,10 @@ def _gate_rows(spec: ExperimentSpec, workers: int) -> list[dict]:
         for g in range(spec.n_gates):
             gate_seed, grape_seed = np.random.SeedSequence([spec.seed, d, g]).spawn(2)
             items.append((d, g, gate_seed, grape_seed, grid))
-    # A fork pool starts every worker at once, so it gets no more than there
-    # are items, and chunks small enough that each worker gets some.  Chunks
-    # stay at most 4 items long: the items are sorted by d, so the last
-    # chunks are the costliest and a long one leaves the other workers idle.
     workers = min(workers, len(items))
     if workers > 1:
-        chunksize = min(4, max(1, len(items) // (4 * workers)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_gate_workitem, items, chunksize=chunksize))
+            rows = list(pool.map(_gate_workitem, items))
     else:
         rows = [_gate_workitem(item) for item in items]
     return sorted(rows, key=lambda r: (r["d"], r["gate_index"]))
@@ -427,21 +406,17 @@ _SMALL_GRID = (0.0, 1e-4, 11)
 # The CLI builds one subcommand per key, in this order.
 EXPERIMENTS: dict[str, Experiment] = {
     "slopes-qudit": Experiment(
-        lambda spec, workers: _slope_scan(spec, (spec.channel,)),
+        lambda spec, workers: _slope_scan(spec, ("Jz",)),
         desk={"dims": tuple(range(2, 13, 2)), "gamma_t_grid": _SMALL_GRID},
         paper={"dims": tuple(range(2, 23, 2))},
     ),
     "slopes-qubits": Experiment(
         lambda spec, workers: _slope_scan(spec, ("qubit-ensemble-Sz",)),
-        desk={
-            "dims": tuple(range(1, 6)),
-            "gamma_t_grid": _SMALL_GRID,
-            "channel": "qubit-ensemble-Sz",
-        },
+        desk={"dims": tuple(range(1, 6)), "gamma_t_grid": _SMALL_GRID},
         paper={"dims": tuple(range(1, 8))},
     ),
     "deviation-sweep": Experiment(
-        lambda spec, workers: _slope_scan(spec, (spec.channel,)),
+        lambda spec, workers: _slope_scan(spec, ("Jz",)),
         desk={"dims": (2, 4, 8, 12), "gamma_t_grid": (5e-4, 5e-2, 12)},
         paper={"dims": tuple(range(2, 23, 2))},
     ),

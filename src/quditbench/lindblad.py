@@ -28,6 +28,9 @@ from .operators import HERMITICITY_ATOL, POSITIVITY_ATOL, TRACE_ATOL, NoiseModel
 # (matrices beyond 16384^2); experiments cap out well below.
 MAX_HILBERT_DIM = 128
 
+# rk4_propagate takes steps h with ||L|| h <= this bound.
+RK4_STEP_BOUND = 0.01
+
 
 def vec(mat: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization; leading axes of a (..., d, d) stack are a batch."""
@@ -194,16 +197,16 @@ def propagate(gen: SuperOperator, t: float) -> SuperOperator:
     return SuperOperator(expm(m * t), gen.hilbert_dim)
 
 
-def rk4_propagate(gen: SuperOperator, t: float, step_bound: float = 0.01) -> SuperOperator:
+def rk4_propagate(gen: SuperOperator, t: float) -> SuperOperator:
     """Fixed-step RK4 integration of dS/dt = L S; cross-check oracle for propagate.
 
-    The step h is chosen so that ||L|| h <= step_bound.
+    The step h is chosen so that ||L|| h <= ``RK4_STEP_BOUND``.
     """
     if t < 0:
         raise ValueError(f"propagation time must be non-negative, got {t}")
     m = gen.matrix
     norm = np.linalg.norm(m, ord=2)
-    n_steps = max(1, int(np.ceil(norm * t / step_bound)))
+    n_steps = max(1, int(np.ceil(norm * t / RK4_STEP_BOUND)))
     h = t / n_steps
     s = np.eye(m.shape[0], dtype=complex)
     for _ in range(n_steps):

@@ -61,9 +61,9 @@ class Operator:
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
 
-    def is_unitary(self, atol: float = UNITARITY_ATOL) -> bool:
-        d = self.dim
-        return bool(np.abs(self.entries.conj().T @ self.entries - np.eye(d)).max() <= atol)
+    def is_unitary(self) -> bool:
+        defect = self.entries.conj().T @ self.entries - np.eye(self.dim)
+        return bool(np.abs(defect).max() <= UNITARITY_ATOL)
 
 
 @functools.cache
@@ -166,7 +166,7 @@ class NoiseModel:
         return cls(((gamma, op),))
 
     @classmethod
-    def site_dephasing(cls, n_sites: int, gamma: float = 1.0, local_dim: int = 2) -> "NoiseModel":
-        """Identical per-site dephasing: L_k = 1 x ... x S_z^(k) x ... x 1."""
-        sz = spin_z(local_dim)
+    def site_dephasing(cls, n_sites: int, gamma: float = 1.0) -> "NoiseModel":
+        """Identical per-qubit dephasing: L_k = 1 x ... x S_z^(k) x ... x 1."""
+        sz = spin_z(2)
         return cls(tuple((gamma, embed_site(sz, k, n_sites)) for k in range(1, n_sites + 1)))

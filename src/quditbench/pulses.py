@@ -19,9 +19,14 @@ from scipy.linalg import expm
 from scipy.optimize import minimize
 
 from .lindblad import SuperOperator, commutator_superoperator, dissipator, unitary_superoperator
-from .operators import HERMITICITY_ATOL, UNITARITY_ATOL, NoiseModel, Operator
+from .operators import HERMITICITY_ATOL, NoiseModel, Operator
 
 _DEGENERACY_EPS = 1e-12
+
+# grape_optimize: L-BFGS-B runs per target (the first plus restarts) and the
+# iteration cap of each run.
+GRAPE_RUNS = 3
+GRAPE_MAX_ITERS = 500
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,10 +205,8 @@ def grape_optimize(
     basis: ControlBasis,
     n_slots: int,
     total_time: float,
-    max_iters: int = 500,
     goal_infidelity: float = 1e-6,
     seed: int = 0,
-    n_restarts: int = 3,
 ) -> GrapeResult:
     """Optimize piecewise-constant amplitudes so the composed propagator
     matches the target gate.
@@ -211,8 +214,8 @@ def grape_optimize(
     Quasi-Newton (L-BFGS-B) ascent on the gate fidelity with exact
     gradients; amplitudes start small and random, [-0.1, 0.1]/slot_duration,
     seeded.  Stops once ``goal_infidelity`` is reached; otherwise restarts
-    from a fresh seed up to ``n_restarts`` times and returns the best run
-    with ``converged=False``.
+    from fresh random amplitudes, ``GRAPE_RUNS`` runs in all, and returns the
+    best run with ``converged=False``.
     """
     if n_slots < 1:
         raise ValueError("n_slots must be >= 1")
@@ -222,7 +225,7 @@ def grape_optimize(
         raise ValueError("goal_infidelity must be positive")
     if target.dim != basis.dim:
         raise ValueError("target dimension does not match control basis")
-    if not target.is_unitary(UNITARITY_ATOL):
+    if not target.is_unitary():
         raise ValueError("target gate must be unitary within 1e-10")
 
     dt = total_time / n_slots
@@ -233,7 +236,7 @@ def grape_optimize(
     best_amps = None
     best_inf = np.inf
     total_iters = 0
-    for _ in range(max(1, n_restarts)):
+    for _ in range(GRAPE_RUNS):
         x0 = rng.uniform(-0.1, 0.1, size=shape) / dt
 
         last = {"inf": np.inf}
@@ -255,7 +258,7 @@ def grape_optimize(
             jac=True,
             method="L-BFGS-B",
             callback=callback,
-            options={"maxiter": max_iters, "ftol": 1e-18, "gtol": 1e-14},
+            options={"maxiter": GRAPE_MAX_ITERS, "ftol": 1e-18, "gtol": 1e-14},
         )
         total_iters += int(res.nit)
         infid = float(res.fun)

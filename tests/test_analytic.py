@@ -113,6 +113,9 @@ def test_max_advantageous_dimension():
     # a platform 10x more gate-efficient supports d up to ~10; 100x up to ~40
     assert abs(max_advantageous_dimension(10.0) - 10.0) < 1.0
     assert abs(max_advantageous_dimension(100.0) - 40.0) < 1.0
+    # critical_ratio(1e6) ~ 1.7e10, so this ratio has no crossing in range
+    with pytest.raises(ValueError, match="no crossing"):
+        max_advantageous_dimension(1e11)
 
 
 def test_slope_prediction_type():

@@ -15,7 +15,6 @@ from quditbench import (
     c_general,
     collapse_variance,
     dephasing_exponents,
-    haar_average_variance,
     haar_unitary,
     haar_variance_monte_carlo,
     identity,
@@ -146,14 +145,15 @@ def test_haar_states_normalized():
 
 
 def test_haar_average_variance_closed_forms():
+    # the Haar-averaged collapse variance is the slope c_general.
     # J_z at d=2: Tr(J_z^2)/3 = 1/6; the identity averages to zero
-    assert abs(haar_average_variance(spin_z(2)) - 1 / 6) < 1e-14
-    assert abs(haar_average_variance(identity(5))) < 1e-14
+    assert abs(c_general(spin_z(2)) - 1 / 6) < 1e-14
+    assert abs(c_general(identity(5))) < 1e-14
     # traceless L: Tr(L^dag L)/(d+1)
     for d in (3, 6):
         jp = spin_plus(d)
         tr = np.real(np.trace(jp.entries.conj().T @ jp.entries))
-        assert abs(haar_average_variance(jp) - tr / (d + 1)) < 1e-12
+        assert abs(c_general(jp) - tr / (d + 1)) < 1e-12
 
 
 def test_haar_average_variance_monte_carlo_oracle():
@@ -161,7 +161,7 @@ def test_haar_average_variance_monte_carlo_oracle():
     for d in (2, 4):
         l = Operator(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
         mean, se = haar_variance_monte_carlo(l, 100_000, HaarSampler(d, seed=d))
-        assert abs(mean - haar_average_variance(l)) < 3 * se
+        assert abs(mean - c_general(l)) < 3 * se
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +332,7 @@ def test_process_from_average_closed_forms():
 
 def test_haar_unitary_wrapper():
     op = haar_unitary(HaarSampler(4, seed=11))
-    assert op.is_unitary(1e-10)
+    assert op.is_unitary()
 
 
 def _dense_agis(noise, grid):

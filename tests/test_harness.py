@@ -36,8 +36,6 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ExperimentSpec("slopes-qudit", (), (0.0, 1e-4, 11))
     with pytest.raises(ValueError):
-        ExperimentSpec("slopes-qudit", (2,), (0.0, 1e-4, 11), channel="bogus")
-    with pytest.raises(ValueError):
         ExperimentSpec("gate-dependence", (2,), (1e-5, 1e-3, 9), gates="cue", n_gates=0)
     with pytest.raises(ValueError):
         ExperimentSpec("gate-dependence", (1, 2), (1e-5, 1e-3, 9), gates="cue", n_gates=1)
@@ -48,20 +46,20 @@ def test_spec_validation():
 
 SMALL = (0.0, 1e-4, 11)
 EVEN_TO_12, EVEN_TO_22 = (2, 4, 6, 8, 10, 12), (2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22)
-# (name, scale) -> (dims, gamma_t_grid, channel, gates, n_gates)
+# (name, scale) -> (dims, gamma_t_grid, gates, n_gates)
 DEFAULT_SPECS = {
-    ("slopes-qudit", "desk"): (EVEN_TO_12, SMALL, "Jz", "identity", 0),
-    ("slopes-qudit", "paper"): (EVEN_TO_22, SMALL, "Jz", "identity", 0),
-    ("slopes-qubits", "desk"): ((1, 2, 3, 4, 5), SMALL, "qubit-ensemble-Sz", "identity", 0),
-    ("slopes-qubits", "paper"): ((1, 2, 3, 4, 5, 6, 7), SMALL, "qubit-ensemble-Sz", "identity", 0),
-    ("deviation-sweep", "desk"): ((2, 4, 8, 12), (5e-4, 5e-2, 12), "Jz", "identity", 0),
-    ("deviation-sweep", "paper"): (EVEN_TO_22, (5e-4, 5e-2, 12), "Jz", "identity", 0),
-    ("gate-dependence", "desk"): ((2, 3, 4), (1e-5, 1e-3, 9), "Jz", "cue", 200),
-    ("gate-dependence", "paper"): ((2, 3, 4, 5, 6, 7, 8), (1e-5, 1e-3, 9), "Jz", "cue", 5000),
-    ("channels-compare", "desk"): (EVEN_TO_12, SMALL, "Jz", "identity", 0),
-    ("channels-compare", "paper"): (EVEN_TO_22, SMALL, "Jz", "identity", 0),
-    ("critical-curve", "desk"): ((1, 2, 3, 6), SMALL, "Jz", "identity", 0),
-    ("critical-curve", "paper"): ((1, 2, 3, 4, 5, 6), SMALL, "Jz", "identity", 0),
+    ("slopes-qudit", "desk"): (EVEN_TO_12, SMALL, "identity", 0),
+    ("slopes-qudit", "paper"): (EVEN_TO_22, SMALL, "identity", 0),
+    ("slopes-qubits", "desk"): ((1, 2, 3, 4, 5), SMALL, "identity", 0),
+    ("slopes-qubits", "paper"): ((1, 2, 3, 4, 5, 6, 7), SMALL, "identity", 0),
+    ("deviation-sweep", "desk"): ((2, 4, 8, 12), (5e-4, 5e-2, 12), "identity", 0),
+    ("deviation-sweep", "paper"): (EVEN_TO_22, (5e-4, 5e-2, 12), "identity", 0),
+    ("gate-dependence", "desk"): ((2, 3, 4), (1e-5, 1e-3, 9), "cue", 200),
+    ("gate-dependence", "paper"): ((2, 3, 4, 5, 6, 7, 8), (1e-5, 1e-3, 9), "cue", 5000),
+    ("channels-compare", "desk"): (EVEN_TO_12, SMALL, "identity", 0),
+    ("channels-compare", "paper"): (EVEN_TO_22, SMALL, "identity", 0),
+    ("critical-curve", "desk"): ((1, 2, 3, 6), SMALL, "identity", 0),
+    ("critical-curve", "paper"): ((1, 2, 3, 4, 5, 6), SMALL, "identity", 0),
 }
 
 
@@ -69,10 +67,10 @@ def test_default_specs():
     assert {name for name, _ in DEFAULT_SPECS} == set(EXPERIMENTS)
     for (name, scale), expected in DEFAULT_SPECS.items():
         spec = default_spec(name, scale=scale, seed=3)
-        got = (spec.dims, spec.gamma_t_grid, spec.channel, spec.gates, spec.n_gates)
+        got = (spec.dims, spec.gamma_t_grid, spec.gates, spec.n_gates)
         assert got == expected, (name, scale)
         assert (spec.name, spec.scale, spec.seed) == (name, scale, 3)
-        assert spec.output_path is None and spec.custom_collapse is None
+        assert spec.output_path is None
     with pytest.raises(ValueError, match="scale"):
         default_spec("slopes-qudit", scale="huge")
     with pytest.raises(ValueError, match="experiment"):
@@ -122,18 +120,15 @@ def test_channels_compare_ratios():
 
 def test_custom_collapse_channel():
     import numpy as np
-    from quditbench import Operator, c_general
+    from quditbench import NoiseModel, Operator, c_general, fit_slope
+    from quditbench.experiments import agi_curve
 
     rng = np.random.default_rng(4)
     z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     op = Operator(z)
-    spec = ExperimentSpec(
-        "slopes-qudit", (3,), (0.0, 1e-5, 6), channel="custom", custom_collapse=op
-    )
-    fit = run_experiment(spec).summary["fits"]["custom:3"]
-    assert abs(fit["slope"] / c_general(op) - 1.0) < 1e-3
-    with pytest.raises(ValueError):
-        ExperimentSpec("slopes-qudit", (3,), (0.0, 1e-5, 6), channel="custom")
+    grid = np.linspace(0.0, 1e-5, 6)
+    fit = fit_slope(grid, agi_curve(NoiseModel.single(1.0, op), grid))
+    assert abs(fit.slope_c / c_general(op) - 1.0) < 1e-3
 
 
 def test_qubit_ensemble_experiment():

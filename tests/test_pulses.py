@@ -20,6 +20,7 @@ from quditbench import (
     spin_z,
     unitary_superoperator,
 )
+from quditbench import pulses
 from quditbench.pulses import _DEGENERACY_EPS, _slot_unitaries, infidelity_and_gradient
 
 
@@ -115,10 +116,28 @@ def test_grape_cue_gate_regression():
     # empirical convergence baseline: d=4 CUE gate, 64 slots, within 500 iters
     basis = ControlBasis.ladder(4)
     target = haar_unitary(HaarSampler(4, seed=42))
-    res = grape_optimize(target, basis, n_slots=64, total_time=1.0, goal_infidelity=1e-6, seed=7, max_iters=500)
+    res = grape_optimize(target, basis, n_slots=64, total_time=1.0, goal_infidelity=1e-6, seed=7)
     assert res.converged
     assert res.infidelity <= 1e-6
     assert res.iterations <= 500
+
+
+def test_grape_unreachable_target_keeps_the_best_of_three_runs(monkeypatch):
+    # two slots cannot reach a CUE gate at d = 3: every run ends unconverged
+    runs = []
+    real_minimize = pulses.minimize
+
+    def recording_minimize(*args, **kwargs):
+        runs.append(real_minimize(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(pulses, "minimize", recording_minimize)
+    target = haar_unitary(HaarSampler(3, seed=5))
+    res = grape_optimize(target, ControlBasis.ladder(3), n_slots=2, total_time=1.0, goal_infidelity=1e-300)
+    assert len(runs) == 3
+    assert res.converged is False
+    assert res.infidelity == min(float(r.fun) for r in runs)
+    assert res.iterations == sum(int(r.nit) for r in runs)
 
 
 def test_grape_validation():
