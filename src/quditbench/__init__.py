@@ -1,7 +1,6 @@
 """Average-gate-infidelity scalings of noisy qudits and qubit ensembles."""
 
 from .analytic import (
-    SlopePrediction,
     c_general,
     c_heterogeneous,
     c_qubits_dephasing,

@@ -8,24 +8,11 @@ dimension d beats log2(d) identically dephasing qubits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 
 import numpy as np
 
 from .operators import NoiseModel, Operator
-
-
-@dataclass(frozen=True)
-class SlopePrediction:
-    """Predicted first-order AGI slope for one system/channel combination."""
-
-    system_kind: str  # "qudit(d)", "qubits(n)" or "qudits(d,N)"
-    channel_kind: str  # "dephasing" or "general(L)"
-    slope_c: float
-
-    def __post_init__(self) -> None:
-        if self.slope_c < 0:
-            raise ValueError("slope coefficient must be non-negative")
 
 
 def c_qudit_dephasing(d: int) -> float:
@@ -35,11 +22,15 @@ def c_qudit_dephasing(d: int) -> float:
     return d * (d - 1) / 12
 
 
+@functools.cache
 def c_general(collapse: Operator) -> float:
     """Slope (Tr(L^dag L) - |Tr L|^2 / d) / (d + 1) for an arbitrary collapse
     operator; reduces to Tr(L^dag L)/(d+1) for traceless L.  It is also the
     Haar average of ``fidelity.collapse_variance`` over pure states (degree-2
-    Weingarten integrals), the fluctuation-dissipation form of the slope."""
+    Weingarten integrals), the fluctuation-dissipation form of the slope.
+
+    Cached per operator (operators are immutable): a slope scan and every
+    check of it ask for the slope of the same cached collapse model."""
     d = collapse.dim
     l = collapse.entries
     return float(
@@ -82,10 +73,7 @@ def c_heterogeneous(noise_per_site: list[NoiseModel], d: int, n_qudits: int) -> 
         for gamma, op in noise.terms:
             if op.dim != d:
                 raise ValueError(f"site operator dimension {op.dim} != d={d}")
-            l = op.entries
-            total += gamma * (
-                np.real(np.trace(l.conj().T @ l)) - abs(np.trace(l)) ** 2 / d
-            )
+            total += gamma * (d + 1) * c_general(op)
     dn = float(d) ** n_qudits
     return float(dn / d / (dn + 1) * total)
 

@@ -122,13 +122,21 @@ def agi_curve(noise: NoiseModel, grid: np.ndarray) -> np.ndarray:
     Tr exp(gamma_t L) / d^2 = sum_lambda exp(gamma_t lambda) / d^2 over the
     spectrum of the unit-rate generator L, so ``agi_dephasing`` evaluates
     every point from that spectrum alone.  Diagonal noise reads it off
-    ``dephasing_exponents`` in O(d^2); any other noise takes it from one
-    eigenvalue solve of the dense generator, whose dimension ``liouvillian``
-    caps.  The trace identity holds for defective generators too (J_+), and
+    ``dephasing_exponents`` in O(d^2).  A single Hermitian collapse operator
+    L = V diag(l) V^dag gives a generator unitarily equivalent (by
+    conj(V) kron V) to dephasing with diag(l), so one d x d ``eigvalsh``
+    turns it into the diagonal case, with no generator built (J_x,
+    J_x + J_y + J_z).  Any other noise takes the spectrum from one eigenvalue
+    solve of the dense generator, whose dimension ``liouvillian`` caps.  The
+    trace identity holds for defective generators too (J_+), and
     sum f(eigenvalues) is backward stable, so the eigenvalue scatter of a
     repeated eigenvalue cancels in the sum.
     """
     z = dephasing_exponents(noise)
+    if z is None and len(noise) == 1 and noise.terms[0][1].hermitian:
+        gamma, op = noise.terms[0]
+        spectrum = Operator(np.diag(np.linalg.eigvalsh(op.entries)))
+        z = dephasing_exponents(NoiseModel.single(gamma, spectrum))
     if z is None:
         d = noise.dim
         z = np.linalg.eigvals(liouvillian(Operator(np.zeros((d, d))), noise).matrix)

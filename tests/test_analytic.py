@@ -6,7 +6,6 @@ import pytest
 from quditbench import (
     NoiseModel,
     Operator,
-    SlopePrediction,
     c_general,
     c_heterogeneous,
     c_qubits_dephasing,
@@ -116,10 +115,3 @@ def test_max_advantageous_dimension():
     # critical_ratio(1e6) ~ 1.7e10, so this ratio has no crossing in range
     with pytest.raises(ValueError, match="no crossing"):
         max_advantageous_dimension(1e11)
-
-
-def test_slope_prediction_type():
-    pred = SlopePrediction("qudit(4)", "dephasing", 1.0)
-    assert pred.slope_c == 1.0
-    with pytest.raises(ValueError):
-        SlopePrediction("qudit(4)", "dephasing", -0.5)

@@ -304,6 +304,43 @@ def test_agi_monte_carlo_cross_checks_exact():
     assert abs(mean - agi_exact(chan, identity(d))) < 3 * se
 
 
+def _agi_monte_carlo_two_products(channel, target_gate, n_samples, sampler):
+    """Reference: Re <S_U v, S v> per sample, v = vec(|psi><psi|), drawn in
+    the same chunks as agi_monte_carlo."""
+    from quditbench.fidelity import MONTE_CARLO_CHUNK
+    from quditbench.lindblad import vec
+
+    su = unitary_superoperator(target_gate).matrix
+    samples = []
+    for done in range(0, n_samples, MONTE_CARLO_CHUNK):
+        psi = sampler.states(min(MONTE_CARLO_CHUNK, n_samples - done))
+        vecs = vec(psi[:, :, None] * psi.conj()[:, None, :]).T
+        fid = np.einsum("kn,kn->n", (su @ vecs).conj(), channel.matrix @ vecs).real
+        samples.append(1.0 - fid)
+    samples = np.concatenate(samples)
+    return samples.mean(), samples.std(ddof=1) / np.sqrt(n_samples)
+
+
+def test_agi_monte_carlo_matches_two_product_reference():
+    from quditbench.experiments import collapse_model
+    from quditbench.fidelity import MONTE_CARLO_BLOCK, MONTE_CARLO_CHUNK
+
+    d = 3
+    n = MONTE_CARLO_CHUNK + MONTE_CARLO_BLOCK + 1  # crosses a chunk and a block boundary
+    # complex channel entries and a complex target catch a sign slip in the
+    # imaginary coordinates; a generic complex matrix pins the Re(R) reduction
+    jxyz = propagate(liouvillian(zero_h(d), collapse_model("JxJyJz", d)), 1e-2)
+    rng = np.random.default_rng(12)
+    generic = SuperOperator(rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d)), d)
+    target = Operator(HaarSampler(d, seed=13).unitary())
+    for channel in (jxyz, generic):
+        for gate in (target, identity(d)):
+            mean, se = agi_monte_carlo(channel, gate, n, HaarSampler(d, seed=14))
+            ref_mean, ref_se = _agi_monte_carlo_two_products(channel, gate, n, HaarSampler(d, seed=14))
+            assert abs(mean / ref_mean - 1.0) <= 1e-12
+            assert abs(se / ref_se - 1.0) <= 1e-12
+
+
 def test_agi_monte_carlo_validation():
     with pytest.raises(ValueError):
         agi_monte_carlo(SuperOperator.identity(2), identity(2), 1, HaarSampler(2, seed=0))

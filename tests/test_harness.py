@@ -182,21 +182,36 @@ def _assert_matches_dense(noise, grid, rtol=1e-10):
 
 def test_agi_curve_routes_by_noise_structure():
     import numpy as np
-    from quditbench import Operator, agi_dephasing, dephasing_exponents, liouvillian
+    from quditbench import (
+        NoiseModel, Operator, agi_dephasing, c_general, dephasing_exponents, fit_slope, liouvillian,
+    )
     from quditbench.experiments import agi_curve, collapse_model
     from quditbench.lindblad import MAX_HILBERT_DIM
 
     grid = np.linspace(0.0, 1e-3, 6)
-    # non-diagonal noise takes the spectrum of the dense generator, whose
-    # dimension ceiling stays, and agrees with the dense oracle
-    for kind in ("Jx", "Jplus", "JxJyJz"):
-        for d in (2, 3, 7, 12):
+    for d in (2, 3, 7, 12):
+        # a single Hermitian collapse operator dephases in its eigenbasis:
+        # the spectrum comes from the exponents of its eigenvalues
+        for kind in ("Jx", "JxJyJz"):
             noise = collapse_model(kind, d)
-            gen = liouvillian(Operator(np.zeros((d, d))), noise).matrix
-            assert np.array_equal(agi_curve(noise, grid), agi_dephasing(np.linalg.eigvals(gen), grid))
+            eig = Operator(np.diag(np.linalg.eigvalsh(noise.terms[0][1].entries)))
+            z = dephasing_exponents(NoiseModel.single(1.0, eig))
+            assert np.array_equal(agi_curve(noise, grid), agi_dephasing(z, grid))
             _assert_matches_dense(noise, grid)
+        # other non-diagonal noise takes the spectrum of the dense generator
+        jplus = collapse_model("Jplus", d)
+        gen = liouvillian(Operator(np.zeros((d, d))), jplus).matrix
+        assert np.array_equal(agi_curve(jplus, grid), agi_dephasing(np.linalg.eigvals(gen), grid))
+        _assert_matches_dense(jplus, grid)
+    # the dense route keeps the generator's dimension ceiling; the Hermitian
+    # route builds no generator and runs past it
+    big = MAX_HILBERT_DIM + 1
     with pytest.raises(ValueError, match="dimension ceiling"):
-        agi_curve(collapse_model("Jx", MAX_HILBERT_DIM + 1), grid)
+        agi_curve(collapse_model("Jplus", big), grid)
+    fine = np.linspace(0.0, 1e-8, 11)
+    jx = collapse_model("Jx", big)
+    slope = fit_slope(fine, agi_curve(jx, fine)).slope_c
+    assert abs(slope / c_general(jx.terms[0][1]) - 1.0) <= 1e-4
     # diagonal noise reads its spectrum off the Schur-multiplier exponents
     jz = collapse_model("Jz", 3)
     fast = agi_curve(jz, grid)
