@@ -1,5 +1,7 @@
 """Average-gate-infidelity scalings of noisy qudits and qubit ensembles."""
 
+from types import ModuleType as _ModuleType
+
 from .analytic import (
     c_general,
     c_heterogeneous,
@@ -18,22 +20,18 @@ from .fidelity import (
     agi_kraus,
     agi_monte_carlo,
     collapse_variance,
-    haar_unitary,
     haar_variance_monte_carlo,
     process_fidelity,
     process_from_average,
-    state_fidelity,
 )
 from .fitting import DeviationStats, FitResult, deviation_stats, fit_slope, relative_deviation
 from .lindblad import (
     DensityMatrix,
     SuperOperator,
     apply_channel,
-    choi_matrix,
     dephasing_exponents,
     liouvillian,
     propagate,
-    rk4_propagate,
     unitary_superoperator,
 )
 from .operators import NoiseModel, Operator, embed_site, identity, spin_plus, spin_xy, spin_z
@@ -41,12 +39,11 @@ from .pulses import (
     ControlBasis,
     GrapeResult,
     PulseSchedule,
-    gate_infidelity,
     grape_optimize,
     schedule_to_propagator,
-    schedule_unitary,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imports above also bind their submodules, which are not part of the API
+__all__ = sorted(n for n, v in globals().items() if not n.startswith("_") and not isinstance(v, _ModuleType))
 
 __version__ = "0.1.0"

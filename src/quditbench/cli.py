@@ -153,11 +153,12 @@ def _run_platforms(args: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "platforms":
-        return _run_platforms(args)
+    # bad input from outside the program ends in a usage error, not a traceback
     try:
+        if args.command == "platforms":
+            return _run_platforms(args)
         spec = _spec(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         parser.error(f"{args.command}: {exc}")
     return _run_named(spec, args)
 

@@ -1,4 +1,4 @@
-"""Fidelity metrics: state fidelity, average gate infidelity, Haar averages.
+"""Fidelity metrics: average gate infidelity and Haar averages.
 
 The average gate infidelity (AGI) of a channel E attempting a unitary U is
 1 - F_bar with F_bar the gate fidelity averaged over Haar-random pure inputs.
@@ -25,9 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lindblad import DensityMatrix, SuperOperator, unitary_superoperator, vec
-from .operators import (
-    PURITY_ATOL, STATE_HERMITICITY_ATOL, STATE_POSITIVITY_ATOL, STATE_TRACE_ATOL, Operator,
-)
+from .operators import PURITY_ATOL, Operator
 
 # Input states per Monte Carlo batch.  Each batch draws its real parts, then
 # its imaginary parts, so the chunk fixes the RNG draw order: another value
@@ -42,27 +40,19 @@ MONTE_CARLO_BLOCK = 2_000
 class HaarSampler:
     """Reproducible sampler for the circular unitary ensemble in dimension d.
 
-    Uses a splittable seed sequence, so independent child samplers for
-    parallel tasks come from ``split`` without shared generator state.
+    ``seed`` is an int or a ``np.random.SeedSequence``; an int n draws the
+    same stream as ``SeedSequence(n)``, so spawned child sequences seed
+    independent samplers for parallel tasks.
     """
 
     dim: int
-    seed: int
-    _seq: np.random.SeedSequence = field(init=False, repr=False)
+    seed: int | np.random.SeedSequence
     _rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError("invalid dimension: d must be >= 1")
-        self._seq = (
-            self.seed
-            if isinstance(self.seed, np.random.SeedSequence)
-            else np.random.SeedSequence(self.seed)
-        )
-        self._rng = np.random.Generator(np.random.PCG64(self._seq))
-
-    def split(self, n: int) -> list["HaarSampler"]:
-        return [HaarSampler(self.dim, child) for child in self._seq.spawn(n)]
+        self._rng = np.random.Generator(np.random.PCG64(self.seed))
 
     def unitaries(self, n: int) -> np.ndarray:
         """n Haar-distributed unitaries, shape (n, d, d).
@@ -92,44 +82,6 @@ class HaarSampler:
 
     def state(self) -> np.ndarray:
         return self.states(1)[0]
-
-
-def haar_unitary(sampler: HaarSampler) -> Operator:
-    """One Haar-random unitary as an Operator."""
-    return Operator(sampler.unitary())
-
-
-def _check_state(rho: DensityMatrix, name: str) -> None:
-    arr = rho.entries
-    if np.abs(arr - arr.conj().T).max() > STATE_HERMITICITY_ATOL:
-        raise ValueError(f"{name} is not Hermitian")
-    if abs(np.trace(arr) - 1.0) > STATE_TRACE_ATOL:
-        raise ValueError(f"{name} has trace {np.trace(arr):.8f}, expected 1")
-    if np.linalg.eigvalsh(arr).min() < -STATE_POSITIVITY_ATOL:
-        raise ValueError(f"{name} is not positive semidefinite")
-
-
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(mat)
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-
-
-def state_fidelity(rho: DensityMatrix, target: DensityMatrix) -> float:
-    """Fidelity of ``rho`` against ``target``.
-
-    Pure targets (purity >= 1 - 1e-10) use the fast form Tr(rho target);
-    mixed targets fall back to the Uhlmann formula
-    [Tr sqrt(sqrt(rho) target sqrt(rho))]^2.
-    """
-    if rho.dim != target.dim:
-        raise ValueError(f"dimension mismatch {rho.dim} != {target.dim}")
-    _check_state(rho, "rho")
-    _check_state(target, "target")
-    if target.purity() >= 1 - PURITY_ATOL:
-        return float(np.real(np.trace(rho.entries @ target.entries)))
-    s = _psd_sqrt((rho.entries + rho.entries.conj().T) / 2)
-    inner = _psd_sqrt(s @ target.entries @ s)
-    return float(np.real(np.trace(inner)) ** 2)
 
 
 def collapse_variance(target: DensityMatrix, collapse: Operator) -> float:

@@ -28,9 +28,6 @@ from .operators import HERMITICITY_ATOL, POSITIVITY_ATOL, TRACE_ATOL, NoiseModel
 # (matrices beyond 16384^2); experiments cap out well below.
 MAX_HILBERT_DIM = 128
 
-# rk4_propagate takes steps h with ||L|| h <= this bound.
-RK4_STEP_BOUND = 0.01
-
 
 def vec(mat: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization; leading axes of a (..., d, d) stack are a batch."""
@@ -197,27 +194,6 @@ def propagate(gen: SuperOperator, t: float) -> SuperOperator:
     return SuperOperator(expm(m * t), gen.hilbert_dim)
 
 
-def rk4_propagate(gen: SuperOperator, t: float) -> SuperOperator:
-    """Fixed-step RK4 integration of dS/dt = L S; cross-check oracle for propagate.
-
-    The step h is chosen so that ||L|| h <= ``RK4_STEP_BOUND``.
-    """
-    if t < 0:
-        raise ValueError(f"propagation time must be non-negative, got {t}")
-    m = gen.matrix
-    norm = np.linalg.norm(m, ord=2)
-    n_steps = max(1, int(np.ceil(norm * t / RK4_STEP_BOUND)))
-    h = t / n_steps
-    s = np.eye(m.shape[0], dtype=complex)
-    for _ in range(n_steps):
-        k1 = m @ s
-        k2 = m @ (s + 0.5 * h * k1)
-        k3 = m @ (s + 0.5 * h * k2)
-        k4 = m @ (s + h * k3)
-        s = s + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return SuperOperator(s, gen.hilbert_dim)
-
-
 def apply_channel(channel: SuperOperator, rho: DensityMatrix) -> DensityMatrix:
     """Apply a channel to a state.
 
@@ -232,12 +208,3 @@ def apply_channel(channel: SuperOperator, rho: DensityMatrix) -> DensityMatrix:
     out = unvec(channel.matrix @ vec(rho.entries))
     out = (out + out.conj().T) / 2
     return DensityMatrix(out, check=False)
-
-
-def choi_matrix(channel: SuperOperator) -> np.ndarray:
-    """Choi matrix (id x channel applied to the unnormalized maximally
-    entangled state); eigenvalues >= 0 iff the channel is completely positive.
-    """
-    d = channel.hilbert_dim
-    s4 = channel.matrix.reshape(d, d, d, d)  # [b, a, d, c] for S[(ab),(cd)]
-    return np.transpose(s4, (3, 1, 2, 0)).reshape(d * d, d * d)

@@ -20,11 +20,6 @@ TRACE_ATOL = 1e-12  # density matrices, at construction
 POSITIVITY_ATOL = 1e-10  # density matrices, at construction
 UNITARITY_ATOL = 1e-10
 PURITY_ATOL = 1e-10
-# Loose sanity bounds on fidelity inputs: near-trace-preserving channel
-# outputs must pass, garbage must not.
-STATE_HERMITICITY_ATOL = 1e-10
-STATE_TRACE_ATOL = 1e-6
-STATE_POSITIVITY_ATOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)

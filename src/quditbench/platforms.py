@@ -44,14 +44,6 @@ class PlatformRecord:
         return self.gate_time / self.t2
 
 
-def _format_time(value: float | None) -> str:
-    if value is None:
-        return _UNKNOWN
-    if isinf(value):
-        return "inf"
-    return repr(value)
-
-
 def _parse_time(text: str) -> float | None:
     text = text.strip()
     if text == _UNKNOWN:
@@ -59,26 +51,6 @@ def _parse_time(text: str) -> float | None:
     if text == "inf":
         return float("inf")
     return float(text)
-
-
-def serialize_records(records: list[PlatformRecord]) -> str:
-    """Pipe-separated text: label | d | n | T2_s | gate_time_s | source | note."""
-    lines = ["# label | d | n | T2_seconds | gate_time_seconds | source | note"]
-    for r in records:
-        lines.append(
-            " | ".join(
-                [
-                    r.label,
-                    str(r.d),
-                    str(r.n_sites),
-                    _format_time(r.t2),
-                    _format_time(r.gate_time),
-                    r.source,
-                    r.note,
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
 
 
 def parse_records(text: str) -> list[PlatformRecord]:
@@ -91,17 +63,20 @@ def parse_records(text: str) -> list[PlatformRecord]:
         if len(parts) not in (6, 7):
             raise ValueError(f"malformed platform line: {line!r}")
         note = parts[6] if len(parts) == 7 else ""
-        records.append(
-            PlatformRecord(
-                label=parts[0],
-                d=int(parts[1]),
-                n_sites=int(parts[2]),
-                t2=_parse_time(parts[3]),
-                gate_time=_parse_time(parts[4]),
-                source=parts[5],
-                note=note,
+        try:
+            records.append(
+                PlatformRecord(
+                    label=parts[0],
+                    d=int(parts[1]),
+                    n_sites=int(parts[2]),
+                    t2=_parse_time(parts[3]),
+                    gate_time=_parse_time(parts[4]),
+                    source=parts[5],
+                    note=note,
+                )
             )
-        )
+        except ValueError as exc:
+            raise ValueError(f"malformed platform line {line!r}: {exc}") from None
     return records
 
 
@@ -126,7 +101,7 @@ def platform_report(
     tau get the verdict "insufficient data".
     """
     if reference.tau is None or reference.tau <= 0:
-        raise ValueError("reference platform must have a known, positive tau")
+        raise ValueError(f"reference platform {reference.label!r} must have a known, positive tau")
     rows = []
     for rec in records:
         if rec.d < 3:

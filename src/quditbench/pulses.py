@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import minimize
 
-from .lindblad import SuperOperator, commutator_superoperator, dissipator, unitary_superoperator
+from .lindblad import SuperOperator, commutator_superoperator, dissipator
 from .operators import HERMITICITY_ATOL, NoiseModel, Operator
 
 _DEGENERACY_EPS = 1e-12
@@ -131,12 +131,6 @@ class PulseSchedule:
     def load(cls, path) -> "PulseSchedule":
         with open(path) as fh:
             return cls.from_text(fh.read())
-
-
-def gate_infidelity(u: np.ndarray, target: np.ndarray) -> float:
-    """Phase-insensitive gate infidelity 1 - |Tr(V^dag U)|^2 / d^2."""
-    d = u.shape[0]
-    return float(1.0 - abs(np.trace(target.conj().T @ u)) ** 2 / d**2)
 
 
 def _slot_unitaries(amps: np.ndarray, h_stack: np.ndarray, dt: float):
@@ -272,29 +266,18 @@ def grape_optimize(
     return GrapeResult(schedule, float(best_inf), bool(best_inf <= goal_infidelity), total_iters)
 
 
-def schedule_unitary(schedule: PulseSchedule, basis: ControlBasis) -> Operator:
-    """Noiseless composed propagator of a schedule (slot 1 acts first)."""
-    xs, *_ = _slot_unitaries(schedule.amplitudes, basis.stack(), schedule.slot_duration)
-    u = np.eye(basis.dim, dtype=complex)
-    for x in xs:
-        u = x @ u
-    return Operator(u)
-
-
 def schedule_to_propagator(
-    schedule: PulseSchedule, basis: ControlBasis, noise: NoiseModel | None = None
+    schedule: PulseSchedule, basis: ControlBasis, noise: NoiseModel
 ) -> SuperOperator:
     """Channel realized by a schedule under Lindblad noise.
 
     Each slot contributes exp((-i [H_j, .] + dissipator) dt); the ordered
-    product runs slot 1 first.  Without noise this reduces exactly to
-    conjugation by the schedule unitary.
+    product runs slot 1 first.  With all rates zero this is conjugation by
+    the schedule unitary, up to rounding.
     """
     if schedule.n_controls != basis.n_controls:
         raise ValueError("schedule controls do not match the basis")
     d = basis.dim
-    if noise is None or len(noise) == 0:
-        return unitary_superoperator(schedule_unitary(schedule, basis))
     if noise.dim != d:
         raise ValueError("noise dimension does not match the basis")
     hs = np.tensordot(schedule.amplitudes, basis.stack(), axes=(1, 0))

@@ -1,0 +1,100 @@
+"""Reference implementations that the tests compare the library against.
+
+Each one computes its result by a route of its own (fixed-step RK4, the
+Uhlmann formula, one ``expm`` per pulse slot, ...), so agreement with the
+library is evidence that both are right.  Nothing in ``quditbench`` calls
+them.
+"""
+
+import numpy as np
+from scipy.linalg import expm
+
+from quditbench.lindblad import DensityMatrix, SuperOperator
+from quditbench.operators import PURITY_ATOL, Operator
+
+# rk4_propagate takes steps h with ||L|| h <= this bound.
+RK4_STEP_BOUND = 0.01
+# Loose sanity bounds on fidelity inputs: near-trace-preserving channel
+# outputs must pass, garbage must not.
+STATE_HERMITICITY_ATOL = 1e-10
+STATE_TRACE_ATOL = 1e-6
+STATE_POSITIVITY_ATOL = 1e-6
+
+
+def rk4_propagate(gen: SuperOperator, t: float) -> SuperOperator:
+    """Fixed-step RK4 integration of dS/dt = L S; cross-check oracle for propagate.
+
+    The step h is chosen so that ||L|| h <= ``RK4_STEP_BOUND``.
+    """
+    if t < 0:
+        raise ValueError(f"propagation time must be non-negative, got {t}")
+    m = gen.matrix
+    norm = np.linalg.norm(m, ord=2)
+    n_steps = max(1, int(np.ceil(norm * t / RK4_STEP_BOUND)))
+    h = t / n_steps
+    s = np.eye(m.shape[0], dtype=complex)
+    for _ in range(n_steps):
+        k1 = m @ s
+        k2 = m @ (s + 0.5 * h * k1)
+        k3 = m @ (s + 0.5 * h * k2)
+        k4 = m @ (s + h * k3)
+        s = s + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return SuperOperator(s, gen.hilbert_dim)
+
+
+def choi_matrix(channel: SuperOperator) -> np.ndarray:
+    """Choi matrix (id x channel applied to the unnormalized maximally
+    entangled state); eigenvalues >= 0 iff the channel is completely positive.
+    """
+    d = channel.hilbert_dim
+    s4 = channel.matrix.reshape(d, d, d, d)  # [b, a, d, c] for S[(ab),(cd)]
+    return np.transpose(s4, (3, 1, 2, 0)).reshape(d * d, d * d)
+
+
+def _check_state(rho: DensityMatrix, name: str) -> None:
+    arr = rho.entries
+    if np.abs(arr - arr.conj().T).max() > STATE_HERMITICITY_ATOL:
+        raise ValueError(f"{name} is not Hermitian")
+    if abs(np.trace(arr) - 1.0) > STATE_TRACE_ATOL:
+        raise ValueError(f"{name} has trace {np.trace(arr):.8f}, expected 1")
+    if np.linalg.eigvalsh(arr).min() < -STATE_POSITIVITY_ATOL:
+        raise ValueError(f"{name} is not positive semidefinite")
+
+
+def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
+    w, v = np.linalg.eigh(mat)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+
+def state_fidelity(rho: DensityMatrix, target: DensityMatrix) -> float:
+    """Fidelity of ``rho`` against ``target``.
+
+    Pure targets (purity >= 1 - 1e-10) use the fast form Tr(rho target);
+    mixed targets fall back to the Uhlmann formula
+    [Tr sqrt(sqrt(rho) target sqrt(rho))]^2.
+    """
+    if rho.dim != target.dim:
+        raise ValueError(f"dimension mismatch {rho.dim} != {target.dim}")
+    _check_state(rho, "rho")
+    _check_state(target, "target")
+    if target.purity() >= 1 - PURITY_ATOL:
+        return float(np.real(np.trace(rho.entries @ target.entries)))
+    s = _psd_sqrt((rho.entries + rho.entries.conj().T) / 2)
+    inner = _psd_sqrt(s @ target.entries @ s)
+    return float(np.real(np.trace(inner)) ** 2)
+
+
+def gate_infidelity(u: np.ndarray, target: np.ndarray) -> float:
+    """Phase-insensitive gate infidelity 1 - |Tr(V^dag U)|^2 / d^2."""
+    d = u.shape[0]
+    return float(1.0 - abs(np.trace(target.conj().T @ u)) ** 2 / d**2)
+
+
+def schedule_unitary(schedule, basis) -> Operator:
+    """Noiseless composed propagator of a pulse schedule (slot 1 acts first),
+    as one ``expm(-i H_j dt)`` per slot rather than the library's batched
+    eigendecomposition."""
+    u = np.eye(basis.dim, dtype=complex)
+    for h in np.tensordot(schedule.amplitudes, basis.stack(), axes=(1, 0)):
+        u = expm(-1j * schedule.slot_duration * h) @ u
+    return Operator(u)

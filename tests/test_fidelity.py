@@ -15,7 +15,6 @@ from quditbench import (
     c_general,
     collapse_variance,
     dephasing_exponents,
-    haar_unitary,
     haar_variance_monte_carlo,
     identity,
     kraus_first_order,
@@ -27,11 +26,12 @@ from quditbench import (
     spin_plus,
     spin_xy,
     spin_z,
-    state_fidelity,
     unitary_superoperator,
 )
 from quditbench.fitting import fit_slope
 from quditbench.lindblad import SuperOperator
+
+from oracles import state_fidelity
 
 
 def zero_h(d):
@@ -117,8 +117,11 @@ def test_haar_unitary_is_unitary_and_deterministic():
     u1, u2 = s1.unitary(), s2.unitary()
     assert np.abs(u1 - u2).max() == 0.0
     assert np.abs(u1.conj().T @ u1 - np.eye(5)).max() < 1e-10
-    child_a, child_b = s1.split(2)
-    assert np.abs(child_a.unitary() - child_b.unitary()).max() > 1e-3
+    assert np.abs(HaarSampler(5, seed=43).unitary() - u1).max() > 1e-3
+    # an int seed and SeedSequence(seed) draw one stream; gate-dependence seeds with spawned sequences
+    from_int, from_seq = HaarSampler(5, seed=42), HaarSampler(5, seed=np.random.SeedSequence(42))
+    assert np.array_equal(from_int.unitary(), from_seq.unitary())
+    assert np.array_equal(from_int.states(7), from_seq.states(7))
 
 
 def test_haar_moments():
@@ -367,11 +370,6 @@ def test_process_from_average_closed_forms():
         process_from_average(0.1, 0)
 
 
-def test_haar_unitary_wrapper():
-    op = haar_unitary(HaarSampler(4, seed=11))
-    assert op.is_unitary()
-
-
 def _dense_agis(noise, grid):
     d = noise.dim
     gen = liouvillian(zero_h(d), noise)
@@ -387,7 +385,7 @@ def test_process_fidelity_matches_trace_form():
     for d in (2, 3, 5):
         kraus = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(3)]
         s = sum(np.kron(k.conj(), k) for k in kraus) / (3 * d)
-        gate = haar_unitary(HaarSampler(d, seed=d))
+        gate = Operator(HaarSampler(d, seed=d).unitary())
         su = unitary_superoperator(gate).matrix
         old = np.real(np.trace(su.conj().T @ s)) / d**2
         new = process_fidelity(SuperOperator(s, d), gate)

@@ -1,10 +1,13 @@
 import csv
+import importlib
 import json
 import math
+import types
 from dataclasses import replace
 
 import pytest
 
+import quditbench
 from quditbench import critical_ratio
 from quditbench.cli import build_parser, main
 from quditbench.experiments import (
@@ -18,9 +21,7 @@ from quditbench.experiments import (
 from quditbench.platforms import (
     PlatformRecord,
     load_records,
-    parse_records,
     platform_report,
-    serialize_records,
 )
 
 GATE_GRID = (1e-5, 1e-3, 9)
@@ -422,11 +423,9 @@ def test_gate_dependence_via_dispatcher(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_bundled_records_load_and_roundtrip():
+def test_bundled_records_load():
     records = load_records()
     assert len(records) == 10
-    again = parse_records(serialize_records(records))
-    assert again == records
     by_label = {r.label: r for r in records}
     photonic = by_label["photonic qudits"]
     assert math.isinf(photonic.t2) and photonic.gate_time is None
@@ -570,6 +569,23 @@ def test_cli_platforms_quotes_cells(tmp_path):
     assert (row["label"], row["note"]) == ("ion qudit, variant B", "note, with comma")
 
 
+def test_cli_platforms_rejects_bad_input(tmp_path, capsys):
+    bad_line = tmp_path / "bad.txt"
+    bad_line.write_text("a | x | 1 | 1e-05 | 6e-08 | ref |\n")
+    cases = {
+        ("--data", str(tmp_path / "missing.txt")): "No such file or directory",
+        ("--data", str(bad_line)): "malformed platform line 'a | x | 1",
+        ("--reference", "photonic"): "'photonic qudits' must have a known, positive tau",  # tau 0
+        ("--reference", "Rydberg-atom qudit"): "must have a known, positive tau",  # tau unknown
+    }
+    for args, message in cases.items():
+        with pytest.raises(SystemExit) as exc:
+            main(["platforms", *args])
+        assert exc.value.code == 2, args
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("quditbench: error: platforms: ") and message in last, args
+
+
 def test_write_helpers(tmp_path):
     spec = ExperimentSpec("critical-curve", (1,), (0.0, 1e-4, 5))
     result = run_experiment(spec)
@@ -577,3 +593,24 @@ def test_write_helpers(tmp_path):
     write_summary(result, tmp_path / "x.json")
     header = (tmp_path / "x.csv").read_text().splitlines()[0]
     assert header == "n,d,c_qudit,c_qubits,ratio_simulated,ratio_analytic,ratio_naive,method"
+
+
+# ---------------------------------------------------------------------------
+# package surface
+# ---------------------------------------------------------------------------
+
+
+def test_package_exports_names_not_submodules():
+    for name in quditbench.__all__:
+        assert not isinstance(getattr(quditbench, name), types.ModuleType), name
+    removed = {
+        "fidelity": ("haar_unitary", "state_fidelity"),
+        "lindblad": ("choi_matrix", "rk4_propagate"),
+        "pulses": ("gate_infidelity", "schedule_unitary"),
+        "platforms": ("serialize_records",),
+    }
+    for module, names in removed.items():
+        for name in names:
+            assert name not in quditbench.__all__, name
+            assert not hasattr(importlib.import_module(f"quditbench.{module}"), name), name
+    assert not hasattr(quditbench.HaarSampler, "split")

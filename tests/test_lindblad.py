@@ -6,16 +6,16 @@ from quditbench import (
     NoiseModel,
     Operator,
     apply_channel,
-    choi_matrix,
     dephasing_exponents,
     liouvillian,
     propagate,
-    rk4_propagate,
     spin_xy,
     spin_z,
     unitary_superoperator,
 )
 from quditbench.lindblad import SuperOperator, commutator_superoperator, dissipator, unvec, vec
+
+from oracles import choi_matrix, rk4_propagate
 
 
 def zero_h(d):

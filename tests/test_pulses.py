@@ -8,20 +8,19 @@ from quditbench import (
     Operator,
     PulseSchedule,
     agi_exact,
-    gate_infidelity,
     grape_optimize,
-    haar_unitary,
     identity,
     liouvillian,
     propagate,
     schedule_to_propagator,
-    schedule_unitary,
     spin_plus,
     spin_z,
     unitary_superoperator,
 )
 from quditbench import pulses
 from quditbench.pulses import _DEGENERACY_EPS, _slot_unitaries, infidelity_and_gradient
+
+from oracles import gate_infidelity, schedule_unitary
 
 
 def _gradient_per_slot(amps, basis, target, dt):
@@ -115,7 +114,7 @@ def test_grape_x_gate():
 def test_grape_cue_gate_regression():
     # empirical convergence baseline: d=4 CUE gate, 64 slots, within 500 iters
     basis = ControlBasis.ladder(4)
-    target = haar_unitary(HaarSampler(4, seed=42))
+    target = Operator(HaarSampler(4, seed=42).unitary())
     res = grape_optimize(target, basis, n_slots=64, total_time=1.0, goal_infidelity=1e-6, seed=7)
     assert res.converged
     assert res.infidelity <= 1e-6
@@ -132,7 +131,7 @@ def test_grape_unreachable_target_keeps_the_best_of_three_runs(monkeypatch):
         return runs[-1]
 
     monkeypatch.setattr(pulses, "minimize", recording_minimize)
-    target = haar_unitary(HaarSampler(3, seed=5))
+    target = Operator(HaarSampler(3, seed=5).unitary())
     res = grape_optimize(target, ControlBasis.ladder(3), n_slots=2, total_time=1.0, goal_infidelity=1e-300)
     assert len(runs) == 3
     assert res.converged is False
@@ -154,11 +153,11 @@ def test_schedule_scoring_consistency():
     # the optimizer's own score is reproduced by the noiseless propagator
     d = 3
     basis = ControlBasis.ladder(d)
-    target = haar_unitary(HaarSampler(d, seed=5))
+    target = Operator(HaarSampler(d, seed=5).unitary())
     res = grape_optimize(target, basis, n_slots=24, total_time=1.0, goal_infidelity=1e-8, seed=3)
     u = schedule_unitary(res.schedule, basis)
     assert abs(gate_infidelity(u.entries, target.entries) - res.infidelity) < 1e-10
-    super_noiseless = schedule_to_propagator(res.schedule, basis, None)
+    super_noiseless = schedule_to_propagator(res.schedule, basis, NoiseModel.single(0.0, spin_z(d)))
     assert np.abs(super_noiseless.matrix - unitary_superoperator(u).matrix).max() < 1e-10
 
 
@@ -166,7 +165,8 @@ def test_schedule_propagator_trivial_cases():
     d = 3
     basis = ControlBasis.ladder(d)
     zero = PulseSchedule(0.25, np.zeros((4, basis.n_controls)))
-    assert np.abs(schedule_to_propagator(zero, basis, None).matrix - np.eye(d * d)).max() < 1e-14
+    noiseless = schedule_to_propagator(zero, basis, NoiseModel.single(0.0, spin_z(d)))
+    assert np.abs(noiseless.matrix - np.eye(d * d)).max() < 1e-14
     noise = NoiseModel.single(0.4, spin_z(d))
     with_noise = schedule_to_propagator(zero, basis, noise)
     reference = propagate(liouvillian(Operator(np.zeros((d, d))), noise), 1.0)
@@ -193,7 +193,7 @@ def test_schedule_propagator_agi_sanity():
     # a synthesized gate under weak dephasing lands near the universal slope
     d = 2
     basis = ControlBasis.ladder(d)
-    target = haar_unitary(HaarSampler(d, seed=8))
+    target = Operator(HaarSampler(d, seed=8).unitary())
     res = grape_optimize(target, basis, n_slots=16, total_time=1.0, goal_infidelity=1e-8, seed=4)
     gt = 1e-4
     chan = schedule_to_propagator(res.schedule, basis, NoiseModel.single(gt, spin_z(d)))
