@@ -31,7 +31,6 @@ class KrausSet:
     """
 
     ops: tuple[Operator, ...]
-    hilbert_dim: int
 
     def __post_init__(self) -> None:
         if not self.ops:
@@ -41,6 +40,10 @@ class KrausSet:
                 raise ValueError(
                     f"Kraus operator dimension {op.dim} != {self.hilbert_dim}"
                 )
+
+    @property
+    def hilbert_dim(self) -> int:
+        return self.ops[0].dim
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -63,7 +66,7 @@ class KrausSet:
 
     def to_superoperator(self) -> SuperOperator:
         mat = sum(unitary_superoperator(op).matrix for op in self.ops)
-        return SuperOperator(mat, self.hilbert_dim)
+        return SuperOperator(mat)
 
 
 def kraus_first_order(collapse: Operator, gamma_t: float) -> KrausSet:
@@ -87,7 +90,7 @@ def kraus_multi(noise: NoiseModel, t: float) -> KrausSet:
         e0 = e0 - (gamma * t / 2) * (l.conj().T @ l)
         if gamma * t > 0:
             tail.append(Operator(np.sqrt(gamma * t) * l))
-    return KrausSet((Operator(e0), *tail), d)
+    return KrausSet((Operator(e0), *tail))
 
 
 def expansion_terms(

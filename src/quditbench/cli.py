@@ -1,9 +1,11 @@
-"""Command-line harness: one subcommand per experiment.
+"""Command-line harness: one subcommand per experiment, plus ``platforms``.
 
-Every subcommand takes --seed, --out and --scale {desk,paper}; desk scale
-keeps runtimes suitable for a laptop or CI, paper scale restores the full
-published parameter ranges (the gate-dependence experiment at paper scale
-is cluster-sized).
+Every experiment subcommand takes --seed, --out and --scale {desk,paper};
+desk scale keeps runtimes suitable for a laptop or CI, paper scale restores
+the full published parameter ranges (the gate-dependence experiment at paper
+scale is cluster-sized).  ``platforms`` takes --out, --data and --reference.
+Bad input, an --out whose directory does not exist included, ends in a usage
+error (exit 2) before any work starts.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 from .experiments import EXPERIMENTS, ExperimentSpec, default_spec, run_experiment, write_csv
 from .platforms import load_records, platform_report
@@ -33,26 +36,19 @@ def _positive_int_list(text: str) -> tuple[int, ...]:
     return values
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="root random seed")
-    parser.add_argument(
-        "--out", dest="output_path", metavar="OUT", type=str, default=None, help="CSV output path"
-    )
-    parser.add_argument(
-        "--scale", choices=("desk", "paper"), default="desk", help="parameter scale"
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quditbench",
         description="Noisy-qudit vs multi-qubit average-gate-infidelity experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)  # --out, shared by every subcommand
+    out.add_argument("--out", dest="output_path", metavar="OUT", help="CSV output path")
 
     for name in EXPERIMENTS:
-        p = sub.add_parser(name, help=f"run the {name} experiment")
-        _add_common(p)
+        p = sub.add_parser(name, parents=[out], help=f"run the {name} experiment")
+        p.add_argument("--seed", type=int, default=0, help="root random seed")
+        p.add_argument("--scale", choices=("desk", "paper"), default="desk", help="parameter scale")
         if name == "gate-dependence":
             p.add_argument(
                 "--gates",
@@ -82,8 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="comma-separated qubit counts",
             )
 
-    p = sub.add_parser("platforms", help="qudit-vs-qubit platform advantage report")
-    _add_common(p)
+    p = sub.add_parser("platforms", parents=[out], help="qudit-vs-qubit platform advantage report")
     p.add_argument("--data", type=str, default=None, help="platform data file (default: bundled)")
     p.add_argument(
         "--reference",
@@ -115,8 +110,7 @@ def _run_platforms(args: argparse.Namespace) -> int:
     records = load_records(args.data)
     candidates = [r for r in records if args.reference.lower() in r.label.lower()]
     if not candidates:
-        print(f"no platform matches reference {args.reference!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"no platform matches reference {args.reference!r}")
     reference = candidates[0]
     rows = platform_report(records, reference)
     print(f"reference: {reference.label} (tau = {reference.tau:.3g})")
@@ -154,6 +148,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # bad input from outside the program ends in a usage error, not a traceback
+    out_dir = None if args.output_path is None else Path(args.output_path).parent
+    if out_dir is not None and not out_dir.is_dir():
+        parser.error(f"{args.command}: --out directory {str(out_dir)!r} does not exist")
     try:
         if args.command == "platforms":
             return _run_platforms(args)

@@ -154,7 +154,6 @@ def agi_curve_kraus(noise: NoiseModel, grid: np.ndarray) -> np.ndarray:
 class ExperimentResult:
     """Row table, JSON summary and console lines of one experiment run."""
 
-    spec: ExperimentSpec
     fieldnames: tuple[str, ...]
     rows: list[dict]
     summary: dict
@@ -211,7 +210,7 @@ def _slope_scan(spec: ExperimentSpec, channels: tuple[str, ...]) -> ExperimentRe
         f"rel.err {fit['relative_error']:+.3e}  1-R^2 {fit['one_minus_r2']:.3e}"
         for key, fit in sorted(fits.items())
     )
-    return ExperimentResult(spec, fieldnames, rows, {"fits": fits}, lines)
+    return ExperimentResult(fieldnames, rows, {"fits": fits}, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +338,7 @@ def _run_gate_dependence(spec: ExperimentSpec, workers: int) -> ExperimentResult
     ]
     if n_failures:
         lines.append(f"warning: {n_failures} gate optimizations did not converge")
-    return ExperimentResult(spec, fieldnames, rows, summary, tuple(lines))
+    return ExperimentResult(fieldnames, rows, summary, tuple(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +390,7 @@ def _run_critical_curve(spec: ExperimentSpec, workers: int) -> ExperimentResult:
         f"analytic {r['ratio_analytic']:.6g}  naive {r['ratio_naive']:.6g}  [{r['method']}]"
         for r in rows
     )
-    return ExperimentResult(spec, fieldnames, rows, summary, lines)
+    return ExperimentResult(fieldnames, rows, summary, lines)
 
 
 # ---------------------------------------------------------------------------

@@ -126,8 +126,6 @@ def agi_kraus(kraus) -> float:
     """Average gate infidelity from Kraus traces:
     1 - (d + sum_k |Tr E_k|^2) / (d (d+1)).
     """
-    if len(kraus.ops) == 0:
-        raise ValueError("empty Kraus set")
     d = kraus.hilbert_dim
     total = sum(abs(op.trace()) ** 2 for op in kraus.ops)
     return float(1.0 - (d + total) / (d * (d + 1)))

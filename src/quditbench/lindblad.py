@@ -17,6 +17,7 @@ instead of a d^2 x d^2 matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,26 +94,27 @@ class SuperOperator:
     """Dense d^2 x d^2 matrix acting on column-stacked density matrices."""
 
     matrix: np.ndarray
-    hilbert_dim: int
 
     def __post_init__(self) -> None:
         arr = np.array(self.matrix, dtype=complex)
-        d2 = self.hilbert_dim ** 2
-        if arr.shape != (d2, d2):
-            raise ValueError(
-                f"superoperator for d={self.hilbert_dim} must be {d2}x{d2}, got {arr.shape}"
-            )
+        d = math.isqrt(arr.shape[0]) if arr.ndim == 2 else 0
+        if d < 1 or arr.shape != (d * d, d * d):
+            raise ValueError(f"superoperator must be a square d^2 x d^2 matrix, got {arr.shape}")
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 
+    @property
+    def hilbert_dim(self) -> int:
+        return math.isqrt(self.matrix.shape[0])
+
     @classmethod
     def identity(cls, d: int) -> "SuperOperator":
-        return cls(np.eye(d * d), d)
+        return cls(np.eye(d * d))
 
 
 def unitary_superoperator(u: Operator) -> SuperOperator:
     """Conjugation channel rho -> U rho U^dag (U need not be unitary)."""
-    return SuperOperator(np.kron(u.entries.conj(), u.entries), u.dim)
+    return SuperOperator(np.kron(u.entries.conj(), u.entries))
 
 
 def commutator_superoperator(h: np.ndarray) -> np.ndarray:
@@ -161,7 +163,7 @@ def dephasing_exponents(noise: NoiseModel) -> np.ndarray | None:
     return z
 
 
-def liouvillian(h: Operator, noise: NoiseModel | None = None) -> SuperOperator:
+def liouvillian(h: Operator, noise: NoiseModel) -> SuperOperator:
     """Generator of the master equation for Hamiltonian ``h`` and a noise model.
 
     Raises if ``h`` is not Hermitian or dimensions do not match.
@@ -171,27 +173,20 @@ def liouvillian(h: Operator, noise: NoiseModel | None = None) -> SuperOperator:
         raise ValueError(f"dimension ceiling exceeded: d={d} > {MAX_HILBERT_DIM}")
     if np.abs(h.entries - h.entries.conj().T).max() > HERMITICITY_ATOL:
         raise ValueError("Hamiltonian must be Hermitian within 1e-12")
-    gen = -1j * commutator_superoperator(h.entries)
-    if noise is not None and len(noise):
-        if noise.dim != d:
-            raise ValueError(f"noise dimension {noise.dim} != Hamiltonian dimension {d}")
-        gen = gen + dissipator(noise)
-    return SuperOperator(gen, d)
+    if noise.dim != d:
+        raise ValueError(f"noise dimension {noise.dim} != Hamiltonian dimension {d}")
+    return SuperOperator(-1j * commutator_superoperator(h.entries) + dissipator(noise))
 
 
 def propagate(gen: SuperOperator, t: float) -> SuperOperator:
     """Channel exp(L t) for a generator L and time t >= 0.
 
-    Diagonal generators (e.g. pure dephasing with H = 0) are exponentiated
-    entrywise; the general case uses scipy's scaling-and-squaring expm.
+    scipy's scaling-and-squaring expm (Al-Mohy & Higham 2009) exponentiates
+    a diagonal generator (e.g. pure dephasing with H = 0) entrywise itself.
     """
     if t < 0:
         raise ValueError(f"propagation time must be non-negative, got {t}")
-    m = gen.matrix
-    diag = np.diag(m)
-    if np.count_nonzero(m - np.diag(diag)) == 0:
-        return SuperOperator(np.diag(np.exp(diag * t)), gen.hilbert_dim)
-    return SuperOperator(expm(m * t), gen.hilbert_dim)
+    return SuperOperator(expm(gen.matrix * t))
 
 
 def apply_channel(channel: SuperOperator, rho: DensityMatrix) -> DensityMatrix:

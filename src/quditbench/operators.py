@@ -50,9 +50,6 @@ class Operator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def dag(self) -> "Operator":
-        return Operator(self.entries.conj().T, hermitian=self.hermitian)
-
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
 
@@ -161,7 +158,7 @@ class NoiseModel:
         return cls(((gamma, op),))
 
     @classmethod
-    def site_dephasing(cls, n_sites: int, gamma: float = 1.0) -> "NoiseModel":
-        """Identical per-qubit dephasing: L_k = 1 x ... x S_z^(k) x ... x 1."""
+    def site_dephasing(cls, n_sites: int) -> "NoiseModel":
+        """Unit-rate per-qubit dephasing: L_k = 1 x ... x S_z^(k) x ... x 1."""
         sz = spin_z(2)
-        return cls(tuple((gamma, embed_site(sz, k, n_sites)) for k in range(1, n_sites + 1)))
+        return cls(tuple((1.0, embed_site(sz, k, n_sites)) for k in range(1, n_sites + 1)))

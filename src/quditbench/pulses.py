@@ -31,40 +31,39 @@ GRAPE_MAX_ITERS = 500
 
 @dataclass(frozen=True, eq=False)
 class ControlBasis:
-    """Hermitian control Hamiltonians for one qudit (no drift)."""
+    """Hermitian control Hamiltonians for one qudit (no drift), held as one
+    read-only (n_controls, d, d) stack."""
 
-    dim: int
-    controls: tuple[Operator, ...]
+    controls: np.ndarray
 
     def __post_init__(self) -> None:
-        for op in self.controls:
-            if op.dim != self.dim:
-                raise ValueError("control dimension mismatch")
-            if np.abs(op.entries - op.entries.conj().T).max() > HERMITICITY_ATOL:
-                raise ValueError("controls must be Hermitian")
+        arr = np.array(self.controls, dtype=complex)
+        if arr.ndim != 3 or arr.shape[0] < 1 or arr.shape[1] != arr.shape[2]:
+            raise ValueError(f"controls must be a nonempty (n, d, d) stack, got shape {arr.shape}")
+        if np.abs(arr - arr.conj().transpose(0, 2, 1)).max() > HERMITICITY_ATOL:
+            raise ValueError("controls must be Hermitian")
+        arr.setflags(write=False)
+        object.__setattr__(self, "controls", arr)
+
+    @property
+    def dim(self) -> int:
+        return self.controls.shape[1]
 
     @property
     def n_controls(self) -> int:
-        return len(self.controls)
+        return self.controls.shape[0]
 
     @classmethod
     def ladder(cls, d: int) -> "ControlBasis":
         """One control pair per adjacent-level transition."""
         if d < 2:
             raise ValueError("ladder basis needs d >= 2")
-        ops = []
+        stack = np.zeros((2 * (d - 1), d, d), dtype=complex)
         for k in range(d - 1):
-            x = np.zeros((d, d), dtype=complex)
-            x[k, k + 1] = x[k + 1, k] = 1.0
-            y = np.zeros((d, d), dtype=complex)
-            y[k, k + 1] = 1j
-            y[k + 1, k] = -1j
-            ops.append(Operator(x, hermitian=True))
-            ops.append(Operator(y, hermitian=True))
-        return cls(d, tuple(ops))
-
-    def stack(self) -> np.ndarray:
-        return np.stack([op.entries for op in self.controls])
+            stack[2 * k, k, k + 1] = stack[2 * k, k + 1, k] = 1.0
+            stack[2 * k + 1, k, k + 1] = 1j
+            stack[2 * k + 1, k + 1, k] = -1j
+        return cls(stack)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,7 +146,7 @@ def infidelity_and_gradient(
 ) -> tuple[float, np.ndarray]:
     """Gate infidelity of the composed schedule and its exact gradient
     with respect to every amplitude."""
-    h_stack = basis.stack()
+    h_stack = basis.controls
     n_slots = amps.shape[0]
     d = basis.dim
     xs, w, v, phases = _slot_unitaries(amps, h_stack, dt)
@@ -280,10 +279,10 @@ def schedule_to_propagator(
     d = basis.dim
     if noise.dim != d:
         raise ValueError("noise dimension does not match the basis")
-    hs = np.tensordot(schedule.amplitudes, basis.stack(), axes=(1, 0))
+    hs = np.tensordot(schedule.amplitudes, basis.controls, axes=(1, 0))
     gens = -1j * commutator_superoperator(hs) + dissipator(noise)
     slots = expm(gens * schedule.slot_duration)
     total = np.eye(d * d, dtype=complex)
     for s in slots:
         total = s @ total
-    return SuperOperator(total, d)
+    return SuperOperator(total)

@@ -39,7 +39,7 @@ def rk4_propagate(gen: SuperOperator, t: float) -> SuperOperator:
         k3 = m @ (s + 0.5 * h * k2)
         k4 = m @ (s + h * k3)
         s = s + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return SuperOperator(s, gen.hilbert_dim)
+    return SuperOperator(s)
 
 
 def choi_matrix(channel: SuperOperator) -> np.ndarray:
@@ -95,6 +95,6 @@ def schedule_unitary(schedule, basis) -> Operator:
     as one ``expm(-i H_j dt)`` per slot rather than the library's batched
     eigendecomposition."""
     u = np.eye(basis.dim, dtype=complex)
-    for h in np.tensordot(schedule.amplitudes, basis.stack(), axes=(1, 0)):
+    for h in np.tensordot(schedule.amplitudes, basis.controls, axes=(1, 0)):
         u = expm(-1j * schedule.slot_duration * h) @ u
     return Operator(u)

@@ -14,7 +14,7 @@ from quditbench import (
     spin_xy,
     spin_z,
 )
-from quditbench.channels import expansion_terms
+from quditbench.channels import KrausSet, expansion_terms
 from quditbench.lindblad import vec
 
 
@@ -37,6 +37,11 @@ def test_kraus_first_order_forms():
         l = spin_z(d).entries
         assert np.abs(ks.ops[0].entries - (np.eye(d) - gt / 2 * l @ l)).max() < 1e-15
         assert np.abs(ks.ops[1].entries - np.sqrt(gt) * l).max() < 1e-15
+        assert ks.hilbert_dim == d
+    with pytest.raises(ValueError):
+        KrausSet((spin_z(2), spin_z(3)))
+    with pytest.raises(ValueError):
+        KrausSet(())
 
 
 def test_kraus_trace_for_dephasing():
@@ -101,7 +106,8 @@ def test_kraus_multi_reduction_and_traces():
 
 def test_kraus_superoperator_agrees_with_apply():
     gt = 1e-3
-    ks = kraus_multi(NoiseModel.site_dephasing(2, gamma=0.7), gt)
+    terms = NoiseModel.site_dephasing(2).terms
+    ks = kraus_multi(NoiseModel(tuple((0.7, op) for _, op in terms)), gt)
     rho = DensityMatrix.pure(np.arange(1, 5.0))
     via_super = apply_channel(ks.to_superoperator(), rho)
     assert np.abs(via_super.entries - ks.apply(rho).entries).max() < 1e-14

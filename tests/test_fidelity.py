@@ -243,11 +243,11 @@ def test_agi_basis_invariance():
     r = HaarSampler(d, seed=3).unitary()
     s_r = unitary_superoperator(Operator(r)).matrix
     s_rdag = unitary_superoperator(Operator(r.conj().T)).matrix
-    rotated = SuperOperator(s_rdag @ chan.matrix @ s_r, d)
-    a = agi_exact(SuperOperator(unitary_superoperator(Operator(u_target)).matrix @ chan.matrix, d), Operator(u_target))
+    rotated = SuperOperator(s_rdag @ chan.matrix @ s_r)
+    a = agi_exact(SuperOperator(unitary_superoperator(Operator(u_target)).matrix @ chan.matrix), Operator(u_target))
     b = agi_exact(
         SuperOperator(
-            unitary_superoperator(Operator(r.conj().T @ u_target @ r)).matrix @ rotated.matrix, d
+            unitary_superoperator(Operator(r.conj().T @ u_target @ r)).matrix @ rotated.matrix
         ),
         Operator(r.conj().T @ u_target @ r),
     )
@@ -276,7 +276,7 @@ def test_gate_independence_of_instantaneous_unitaries():
     for _ in range(20):
         u = Operator(sampler.unitary())
         su = unitary_superoperator(u).matrix
-        agis = [agi_exact(SuperOperator(su @ propagate(gen, gt).matrix, d), u) for gt in grid]
+        agis = [agi_exact(SuperOperator(su @ propagate(gen, gt).matrix), u) for gt in grid]
         slopes.append(fit_slope(grid, agis).slope_c)
     slopes = np.array(slopes)
     assert (slopes.max() - slopes.min()) / slopes.mean() < 1e-6
@@ -334,7 +334,7 @@ def test_agi_monte_carlo_matches_two_product_reference():
     # imaginary coordinates; a generic complex matrix pins the Re(R) reduction
     jxyz = propagate(liouvillian(zero_h(d), collapse_model("JxJyJz", d)), 1e-2)
     rng = np.random.default_rng(12)
-    generic = SuperOperator(rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d)), d)
+    generic = SuperOperator(rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d)))
     target = Operator(HaarSampler(d, seed=13).unitary())
     for channel in (jxyz, generic):
         for gate in (target, identity(d)):
@@ -388,7 +388,7 @@ def test_process_fidelity_matches_trace_form():
         gate = Operator(HaarSampler(d, seed=d).unitary())
         su = unitary_superoperator(gate).matrix
         old = np.real(np.trace(su.conj().T @ s)) / d**2
-        new = process_fidelity(SuperOperator(s, d), gate)
+        new = process_fidelity(SuperOperator(s), gate)
         assert abs(new - old) <= 1e-13 * max(1.0, abs(old))
 
 

@@ -483,7 +483,7 @@ def test_cli_gate_dependence_small(tmp_path, capsys):
     assert "d=2" in capsys.readouterr().out
 
 
-def test_cli_rejects_bad_workers(capsys):
+def test_cli_rejects_bad_workers(tmp_path, capsys):
     bad = {
         ("gate-dependence", "--workers"): ("0", "-3", "two"),
         ("gate-dependence", "--dims"): ("2,x", ",", "0"),
@@ -507,6 +507,14 @@ def test_cli_rejects_bad_workers(capsys):
         main(["gate-dependence", "--gates", "1", "--dims", "1,2"])
     assert exc.value.code == 2
     assert "dimension >= 2" in capsys.readouterr().err
+    # an --out inside a missing directory: rejected before any work starts
+    missing = tmp_path / "missing" / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["critical-curve", "--qubits", "1", "--out", str(missing)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("quditbench: error: critical-curve: --out directory")
+    assert not missing.parent.exists()
 
 
 def test_cli_subcommands_follow_registry():
@@ -550,7 +558,12 @@ def test_cli_platforms(tmp_path, capsys):
         for key in ("tau", "tau_ratio", "max_advantageous_d"):  # empty when unknown
             if row[key]:
                 float(row[key])
-    assert main(["platforms", "--reference", "no-such-platform"]) == 2
+    for args in (["--reference", "no-such-platform"], ["--seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["platforms", *args])
+        assert exc.value.code == 2, args
+    err = capsys.readouterr().err.splitlines()
+    assert "quditbench: error: platforms: no platform matches reference 'no-such-platform'" in err
 
 
 def test_cli_platforms_quotes_cells(tmp_path):
@@ -577,6 +590,7 @@ def test_cli_platforms_rejects_bad_input(tmp_path, capsys):
         ("--data", str(bad_line)): "malformed platform line 'a | x | 1",
         ("--reference", "photonic"): "'photonic qudits' must have a known, positive tau",  # tau 0
         ("--reference", "Rydberg-atom qudit"): "must have a known, positive tau",  # tau unknown
+        ("--out", str(tmp_path / "missing" / "p.csv")): "--out directory",
     }
     for args, message in cases.items():
         with pytest.raises(SystemExit) as exc:

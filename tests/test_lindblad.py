@@ -64,13 +64,13 @@ def test_density_matrix_validation():
 
 
 def test_liouvillian_trivial():
-    gen = liouvillian(zero_h(3), None)
+    gen = liouvillian(zero_h(3), NoiseModel.single(0.0, spin_z(3)))
     assert np.abs(gen.matrix).max() == 0.0
 
 
 def test_liouvillian_validation():
     with pytest.raises(ValueError):
-        liouvillian(Operator(np.array([[0, 1], [0, 0]])), None)
+        liouvillian(Operator(np.array([[0, 1], [0, 0]])), NoiseModel.single(0.0, spin_z(2)))
     with pytest.raises(ValueError):
         liouvillian(zero_h(2), NoiseModel.single(1.0, spin_z(3)))
 
@@ -100,6 +100,16 @@ def test_propagate_identity_and_errors():
     assert np.allclose(propagate(gen, 0.0).matrix, np.eye(9))
     with pytest.raises(ValueError):
         propagate(gen, -0.1)
+    # a diagonal generator is exponentiated entrywise inside scipy's expm, bit for bit
+    from scipy.linalg import expm
+
+    diagonal = [dephasing_generator(d) for d in (2, 6, 12)]
+    diagonal += [liouvillian(zero_h(2**n), NoiseModel.site_dephasing(n)) for n in (3, 5)]
+    for gen in diagonal:
+        for t in (0.0, 1e-4, 0.3):
+            got = propagate(gen, t).matrix
+            assert np.array_equal(got, expm(gen.matrix * t))
+            assert np.array_equal(got, np.diag(np.exp(np.diag(gen.matrix) * t)))
 
 
 def test_propagate_dephasing_qubit():
@@ -151,7 +161,7 @@ def test_noiseless_propagation_is_unitary_conjugation():
     from scipy.linalg import expm
 
     u = Operator(expm(-1j * h.entries * t))
-    lhs = propagate(liouvillian(h, None), t).matrix
+    lhs = propagate(liouvillian(h, NoiseModel.single(0.0, spin_z(d))), t).matrix
     assert np.abs(lhs - unitary_superoperator(u).matrix).max() < 1e-9
 
 
@@ -201,6 +211,10 @@ def test_apply_channel_basics():
     assert np.abs(out.entries - q @ rho.entries @ q.conj().T).max() < 1e-12
     with pytest.raises(ValueError):
         apply_channel(SuperOperator.identity(2), rho)
+    assert SuperOperator(np.zeros((16, 16))).hilbert_dim == 4
+    for shape in ((4,), (4, 9), (8, 8), (0, 0), (2, 4, 4)):
+        with pytest.raises(ValueError):
+            SuperOperator(np.zeros(shape))
 
 
 def test_maximally_mixed_is_fixed_point_of_hermitian_dissipator():
@@ -231,7 +245,7 @@ def test_first_order_agreement():
 
 def test_dimension_ceiling():
     with pytest.raises(ValueError):
-        liouvillian(zero_h(129), None)
+        liouvillian(zero_h(129), NoiseModel.single(0.0, spin_z(129)))
 
 
 def test_dephasing_exponents_are_the_dissipator_diagonal():

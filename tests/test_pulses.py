@@ -25,7 +25,7 @@ from oracles import gate_infidelity, schedule_unitary
 
 def _gradient_per_slot(amps, basis, target, dt):
     """Reference: the exact gradient as one contraction per slot."""
-    h_stack = basis.stack()
+    h_stack = basis.controls
     n_slots, d = amps.shape[0], basis.dim
     xs, w, v, phases = _slot_unitaries(amps, h_stack, dt)
     prefix = [np.eye(d, dtype=complex)]
@@ -55,9 +55,16 @@ def test_ladder_basis_structure():
     for d in (2, 3, 5):
         basis = ControlBasis.ladder(d)
         assert basis.n_controls == 2 * (d - 1)
+        assert basis.controls.shape == (2 * (d - 1), d, d) and basis.dim == d
         for op in basis.controls:
-            assert np.abs(op.entries - op.entries.conj().T).max() < 1e-15
-            assert abs(np.trace(op.entries)) < 1e-15
+            assert np.abs(op - op.conj().T).max() < 1e-15
+            assert abs(np.trace(op)) < 1e-15
+        with pytest.raises(ValueError):
+            basis.controls[0, 0, 0] = 1.0
+    x = ControlBasis.ladder(2).controls[0]
+    for bad in ([x, np.triu(x)], [x, np.eye(3)], np.zeros((0, 2, 2)), x):
+        with pytest.raises(ValueError):
+            ControlBasis(bad)
 
 
 def test_gradient_matches_finite_differences():
@@ -182,7 +189,7 @@ def test_schedule_propagator_matches_slot_products():
         sched = PulseSchedule(1.0 / amps.shape[0], amps)
         noise = NoiseModel(((0.3, spin_z(d)), (0.1, spin_plus(d))))
         expected = np.eye(d * d, dtype=complex)
-        for h in np.tensordot(amps, basis.stack(), axes=(1, 0)):
+        for h in np.tensordot(amps, basis.controls, axes=(1, 0)):
             slot = propagate(liouvillian(Operator(h), noise), sched.slot_duration)
             expected = slot.matrix @ expected
         got = schedule_to_propagator(sched, basis, noise).matrix
