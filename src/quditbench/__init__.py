@@ -15,7 +15,7 @@ from .analytic import (
 from .channels import KrausSet, kraus_first_order, kraus_multi, perturbative_expansion
 from .fidelity import (
     HaarSampler,
-    agi_dephasing,
+    agi_curve,
     agi_exact,
     agi_kraus,
     agi_monte_carlo,
@@ -29,7 +29,7 @@ from .lindblad import (
     DensityMatrix,
     SuperOperator,
     apply_channel,
-    dephasing_exponents,
+    dissipator_spectrum,
     liouvillian,
     propagate,
     unitary_superoperator,

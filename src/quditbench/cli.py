@@ -4,8 +4,8 @@ Every experiment subcommand takes --seed, --out and --scale {desk,paper};
 desk scale keeps runtimes suitable for a laptop or CI, paper scale restores
 the full published parameter ranges (the gate-dependence experiment at paper
 scale is cluster-sized).  ``platforms`` takes --out, --data and --reference.
-Bad input, an --out whose directory does not exist included, ends in a usage
-error (exit 2) before any work starts.
+Bad input, an --out that is a directory or lies in a missing one included,
+ends in a usage error (exit 2) before any work starts.
 """
 
 from __future__ import annotations
@@ -148,9 +148,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # bad input from outside the program ends in a usage error, not a traceback
-    out_dir = None if args.output_path is None else Path(args.output_path).parent
-    if out_dir is not None and not out_dir.is_dir():
-        parser.error(f"{args.command}: --out directory {str(out_dir)!r} does not exist")
+    if args.output_path is not None:
+        out = Path(args.output_path)  # Path('') is '.'
+        if not out.parent.is_dir():
+            parser.error(f"{args.command}: --out directory {str(out.parent)!r} does not exist")
+        if out.is_dir():
+            parser.error(f"{args.command}: --out {str(out)!r} is a directory, not a file")
     try:
         if args.command == "platforms":
             return _run_platforms(args)

@@ -20,9 +20,8 @@ import numpy as np
 
 from .analytic import c_general, c_qubits_dephasing, c_qudit_dephasing, critical_ratio, naive_ratio
 from .channels import kraus_multi
-from .fidelity import HaarSampler, agi_dephasing, agi_exact, agi_kraus
+from .fidelity import HaarSampler, agi_curve, agi_exact, agi_kraus
 from .fitting import FitResult, deviation_stats, fit_slope, relative_deviation
-from .lindblad import dephasing_exponents, liouvillian
 from .operators import NoiseModel, Operator, spin_plus, spin_xy, spin_z
 from .pulses import ControlBasis, grape_optimize, schedule_to_propagator
 
@@ -59,6 +58,8 @@ class ExperimentSpec:
             raise ValueError(f"invalid gamma_t grid {self.gamma_t_grid}")
         if not self.dims or any(d < 1 for d in self.dims):
             raise ValueError(f"invalid dims {self.dims}")
+        if len(set(self.dims)) != len(self.dims):
+            raise ValueError(f"repeated dimension in dims {self.dims}")
         if self.gates not in ("identity", "cue"):
             raise ValueError(f"unknown gate spec {self.gates!r}")
         if self.gates == "cue" and self.n_gates < 1:
@@ -67,6 +68,8 @@ class ExperimentSpec:
             raise ValueError(f"cue gates need every dimension >= 2, got dims {self.dims}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.output_path is not None and Path(self.output_path).suffix == ".json":
+            raise ValueError(f"output path {self.output_path!r} would be overwritten by its .json summary")
 
     def grid(self) -> np.ndarray:
         lo, hi, n = self.gamma_t_grid
@@ -113,34 +116,6 @@ def analytic_slope(kind: str, d: int) -> float:
         return c_qubits_dephasing(d)
     noise = collapse_model(kind, d)
     return c_general(noise.terms[0][1])
-
-
-def agi_curve(noise: NoiseModel, grid: np.ndarray) -> np.ndarray:
-    """Exact-channel AGI of a purely dissipative evolution over a gamma_t grid.
-
-    With H = 0 and the identity as target, the process fidelity is
-    Tr exp(gamma_t L) / d^2 = sum_lambda exp(gamma_t lambda) / d^2 over the
-    spectrum of the unit-rate generator L, so ``agi_dephasing`` evaluates
-    every point from that spectrum alone.  Diagonal noise reads it off
-    ``dephasing_exponents`` in O(d^2).  A single Hermitian collapse operator
-    L = V diag(l) V^dag gives a generator unitarily equivalent (by
-    conj(V) kron V) to dephasing with diag(l), so one d x d ``eigvalsh``
-    turns it into the diagonal case, with no generator built (J_x,
-    J_x + J_y + J_z).  Any other noise takes the spectrum from one eigenvalue
-    solve of the dense generator, whose dimension ``liouvillian`` caps.  The
-    trace identity holds for defective generators too (J_+), and
-    sum f(eigenvalues) is backward stable, so the eigenvalue scatter of a
-    repeated eigenvalue cancels in the sum.
-    """
-    z = dephasing_exponents(noise)
-    if z is None and len(noise) == 1 and noise.terms[0][1].hermitian:
-        gamma, op = noise.terms[0]
-        spectrum = Operator(np.diag(np.linalg.eigvalsh(op.entries)))
-        z = dephasing_exponents(NoiseModel.single(gamma, spectrum))
-    if z is None:
-        d = noise.dim
-        z = np.linalg.eigvals(liouvillian(Operator(np.zeros((d, d))), noise).matrix)
-    return agi_dephasing(z, grid)
 
 
 def agi_curve_kraus(noise: NoiseModel, grid: np.ndarray) -> np.ndarray:

@@ -7,10 +7,9 @@ Four routes are provided and cross-checked against each other:
 * ``agi_kraus``  -- trace formula (d + sum_k |Tr E_k|^2) / (d (d+1)),
 * ``agi_exact``  -- deterministic, via the process fidelity of the dense
   superoperator (general channels, and the oracle for the fast path),
-* ``agi_dephasing`` -- identity gate under a purely dissipative generator,
-  from the generator's spectrum (the Schur-multiplier exponents of diagonal
-  noise, or one eigenvalue solve otherwise), O(d^2) per point once the
-  spectrum is known, and free of cancellation,
+* ``agi_curve`` -- identity gate under a purely dissipative generator, over
+  a gamma_t grid from ``lindblad.dissipator_spectrum``, O(d^2) per point
+  once the spectrum is known, and free of cancellation,
 * ``agi_monte_carlo`` -- direct Haar-measure sampling (independent oracle).
   Each pure input is written by its d^2 real coordinates in an orthonormal
   Hermitian basis, so a block of samples costs one real product with the
@@ -19,13 +18,12 @@ Four routes are provided and cross-checked against each other:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lindblad import DensityMatrix, SuperOperator, unitary_superoperator, vec
-from .operators import PURITY_ATOL, Operator
+from .lindblad import DensityMatrix, SuperOperator, dissipator_spectrum, unitary_superoperator, vec
+from .operators import PURITY_ATOL, NoiseModel, Operator
 
 # Input states per Monte Carlo batch.  Each batch draws its real parts, then
 # its imaginary parts, so the chunk fixes the RNG draw order: another value
@@ -156,25 +154,26 @@ def agi_exact(channel: SuperOperator, target_gate: Operator) -> float:
     return float(1.0 - (d * fp + 1.0) / (d + 1.0))
 
 
-def agi_dephasing(z: np.ndarray, gamma_t_grid) -> np.ndarray:
-    """AGI of the identity gate under the channel exp(gamma_t L), for every
-    gamma_t of a grid, from the spectrum ``z`` of the unit-rate generator L.
+def agi_curve(noise: NoiseModel, gamma_t_grid) -> np.ndarray:
+    """AGI of the identity gate under the purely dissipative channel
+    exp(gamma_t D), for every gamma_t of a grid, with D the unit-rate
+    dissipator of ``noise``.
 
-    ``z`` holds the d^2 eigenvalues of L in any shape.  Diagonal noise gives
-    them as the d x d Schur-multiplier exponents of
-    ``lindblad.dephasing_exponents``; any other purely dissipative generator
-    as ``np.linalg.eigvals`` of its matrix.  The process fidelity is
-    Tr exp(gamma_t L) / d^2 = sum exp(gamma_t z) / d^2, so with
+    The process fidelity is Tr exp(gamma_t D) / d^2 = sum exp(gamma_t z) / d^2
+    over the spectrum z of D (``lindblad.dissipator_spectrum``), so with
     F_bar = (d F_p + 1) / (d + 1)
 
         AGI = -Re sum expm1(gamma_t z) / (d (d + 1)),
 
-    whose first-order term -Re sum z / (d (d + 1)) = -Tr L / (d (d + 1)) is
+    whose first-order term -Re sum z / (d (d + 1)) = -Tr D / (d (d + 1)) is
     ``analytic.c_general``.  expm1 keeps the digits that 1 - F_bar loses at
-    small gamma_t; for dephasing every term is non-negative (Re z <= 0).
+    small gamma_t; for dephasing every term is non-negative (Re z <= 0).  The
+    trace identity holds for defective generators too (J_+), and
+    sum f(eigenvalues) is backward stable, so the eigenvalue scatter of a
+    repeated eigenvalue cancels in the sum.
     """
-    z = np.asarray(z)
-    d = math.isqrt(z.size)
+    z = dissipator_spectrum(noise)
+    d = noise.dim
     sums = np.array([np.expm1(gt * z).real.sum() for gt in np.asarray(gamma_t_grid, dtype=float)])
     # 0.0 - x rather than -x: gamma_t = 0 gives +0.0, not -0.0
     return 0.0 - sums / (d * (d + 1))

@@ -10,9 +10,9 @@ D_k = conj(L_k) kron L_k - 1/2 (1 kron L_k^dag L_k + (L_k^dag L_k)^T kron 1).
 Only this module spells out the layout; other modules go through ``vec``,
 ``commutator_superoperator``, ``unitary_superoperator`` and ``dissipator``.
 
-For H = 0 and diagonal L_k this generator is diagonal, and
-``dephasing_exponents`` returns the channel as a d x d Schur multiplier
-instead of a d^2 x d^2 matrix.
+``dissipator_spectrum`` alone decides how the spectrum of a purely
+dissipative generator is found: entrywise for diagonal L_k, by a d x d
+``eigvalsh`` for one Hermitian L, by a dense eigenvalue solve otherwise.
 """
 
 from __future__ import annotations
@@ -138,29 +138,36 @@ def dissipator(noise: NoiseModel) -> np.ndarray:
     return out
 
 
-def dephasing_exponents(noise: NoiseModel) -> np.ndarray | None:
-    """Entrywise decay exponents of a purely dissipative, diagonal noise model.
+def dissipator_spectrum(noise: NoiseModel) -> np.ndarray:
+    """The d^2 eigenvalues of ``dissipator(noise)``.
 
-    With H = 0 and every collapse operator diagonal, L_k = diag(l^k), the
-    channel is the Schur multiplier rho_ij -> rho_ij exp(z_ij t) with
+    Diagonal collapse operators L_k = diag(l^k) make the dissipator diagonal:
+    the channel is the Schur multiplier rho_ij -> rho_ij exp(z_ij t) with
 
         z_ij = sum_k gamma_k (l_i^k conj(l_j^k) - (|l_i^k|^2 + |l_j^k|^2) / 2),
 
-    i.e. the diagonal of the dissipator reshaped to d x d.  It is evaluated
-    as -|l_i - l_j|^2 / 2 + i Im(l_i conj(l_j)), so Re z <= 0 and z_ii = 0
-    hold exactly.  Returns the d x d complex matrix z, or None if any
-    collapse operator has a nonzero off-diagonal entry.
+    evaluated as -|l_i - l_j|^2 / 2 + i Im(l_i conj(l_j)), so Re z <= 0 and
+    z_ii = 0 hold exactly; the result is vec(z), the dissipator diagonal.  A
+    single Hermitian collapse operator L = V diag(l) V^dag gives a dissipator
+    unitarily equivalent (by conj(V) kron V) to that of diag(l), so the same
+    expression runs on one d x d ``eigvalsh``, with no generator built and no
+    dimension ceiling (J_x, J_x + J_y + J_z).  Any other noise (J_+, several
+    non-diagonal terms) takes one ``eigvals`` of the dense generator, whose
+    dimension ``liouvillian`` caps.
     """
     d = noise.dim
+    if all(np.count_nonzero(op.entries - np.diag(np.diag(op.entries))) == 0 for _, op in noise.terms):
+        terms = [(gamma, np.diag(op.entries)) for gamma, op in noise.terms]
+    elif len(noise) == 1 and noise.terms[0][1].hermitian:
+        gamma, op = noise.terms[0]
+        terms = [(gamma, np.linalg.eigvalsh(op.entries).astype(complex))]
+    else:
+        return np.linalg.eigvals(liouvillian(Operator(np.zeros((d, d))), noise).matrix)
     z = np.zeros((d, d), dtype=complex)
-    for gamma, op in noise.terms:
-        m = op.entries
-        l = np.diag(m)
-        if np.count_nonzero(m - np.diag(l)):
-            return None
+    for gamma, l in terms:
         z.real -= 0.5 * gamma * np.abs(l[:, None] - l[None, :]) ** 2
         z.imag += gamma * (np.outer(l.imag, l.real) - np.outer(l.real, l.imag))
-    return z
+    return vec(z)
 
 
 def liouvillian(h: Operator, noise: NoiseModel) -> SuperOperator:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
-from math import isinf
+from math import isinf, isnan
 
 from .analytic import critical_ratio, max_advantageous_dimension, naive_ratio
 
@@ -50,7 +50,10 @@ def _parse_time(text: str) -> float | None:
         return None
     if text == "inf":
         return float("inf")
-    return float(text)
+    value = float(text)
+    if isnan(value):
+        raise ValueError(f"time {text!r} is not a number")
+    return value
 
 
 def parse_records(text: str) -> list[PlatformRecord]:

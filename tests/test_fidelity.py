@@ -8,13 +8,13 @@ from quditbench import (
     HaarSampler,
     NoiseModel,
     Operator,
-    agi_dephasing,
+    agi_curve,
     agi_exact,
     agi_kraus,
     agi_monte_carlo,
     c_general,
     collapse_variance,
-    dephasing_exponents,
+    dissipator_spectrum,
     haar_variance_monte_carlo,
     identity,
     kraus_first_order,
@@ -401,7 +401,7 @@ def test_agi_dephasing_matches_dense_oracle():
     unequal = ((0.4, spin_z(6)), (1.3, _random_diagonal(rng, 6)), (2.5, Operator(np.diag(np.arange(6.0)))))
     models.append(NoiseModel(unequal))
     for noise in models:
-        fast = agi_dephasing(dephasing_exponents(noise), grid)
+        fast = agi_curve(noise, grid)
         dense = _dense_agis(noise, grid)
         assert fast[0] == 0.0
         assert np.abs(fast[1:] / dense[1:] - 1.0).max() <= 1e-10
@@ -410,24 +410,25 @@ def test_agi_dephasing_matches_dense_oracle():
 def test_agi_dephasing_matches_expm1_reference():
     # real exponents: math.expm1 per entry, exactly summed by math.fsum
     for noise in (NoiseModel.single(1.0, spin_z(7)), NoiseModel.site_dephasing(3)):
-        z = dephasing_exponents(noise)
+        z = dissipator_spectrum(noise)
         d = noise.dim
         for gt in (1e-9, 1e-7, 1e-5, 1e-3, 1e-2):
-            ref = -math.fsum(math.expm1(gt * v) for v in z.real.ravel()) / (d * (d + 1))
-            assert abs(agi_dephasing(z, [gt])[0] / ref - 1.0) <= 1e-14
+            ref = -math.fsum(math.expm1(gt * v) for v in z.real) / (d * (d + 1))
+            assert abs(agi_curve(noise, [gt])[0] / ref - 1.0) <= 1e-14
 
 
 def test_agi_dephasing_matches_mpmath_reference():
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(37)
     d = 4
-    z = dephasing_exponents(NoiseModel.single(1.0, _random_diagonal(rng, d)))
+    noise = NoiseModel.single(1.0, _random_diagonal(rng, d))
+    z = dissipator_spectrum(noise)
     with mpmath.workdps(40):
         for gt in (1e-9, 1e-7, 1e-5, 1e-3, 1e-2):
-            ref = -sum(mpmath.re(mpmath.expm1(gt * mpmath.mpc(v))) for v in z.ravel()) / (d * (d + 1))
-            assert abs(agi_dephasing(z, [gt])[0] / float(ref) - 1.0) <= 1e-14
+            ref = -sum(mpmath.re(mpmath.expm1(gt * mpmath.mpc(v))) for v in z) / (d * (d + 1))
+            assert abs(agi_curve(noise, [gt])[0] / float(ref) - 1.0) <= 1e-14
 
 
 def test_agi_dephasing_zero_is_positive_zero():
-    z = dephasing_exponents(NoiseModel.single(1.0, spin_z(3)))
-    assert math.copysign(1.0, agi_dephasing(z, [0.0])[0]) == 1.0
+    curve = agi_curve(NoiseModel.single(1.0, spin_z(3)), [0.0])
+    assert math.copysign(1.0, curve[0]) == 1.0

@@ -43,6 +43,11 @@ def test_spec_validation():
     for name in EXPERIMENTS:
         with pytest.raises(ValueError, match="seed"):
             replace(default_spec(name), seed=-1)
+    with pytest.raises(ValueError, match="repeated dimension"):
+        ExperimentSpec("critical-curve", (1, 2, 1), (0.0, 1e-4, 11))
+    # the JSON summary goes to the output path with a .json suffix
+    with pytest.raises(ValueError, match="summary"):
+        ExperimentSpec("slopes-qudit", (2,), (0.0, 1e-4, 11), output_path="r.json")
 
 
 SMALL = (0.0, 1e-4, 11)
@@ -121,8 +126,7 @@ def test_channels_compare_ratios():
 
 def test_custom_collapse_channel():
     import numpy as np
-    from quditbench import NoiseModel, Operator, c_general, fit_slope
-    from quditbench.experiments import agi_curve
+    from quditbench import NoiseModel, Operator, agi_curve, c_general, fit_slope
 
     rng = np.random.default_rng(4)
     z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -173,7 +177,7 @@ def _dense_agi_curve(noise, grid):
 
 def _assert_matches_dense(noise, grid, rtol=1e-10):
     import numpy as np
-    from quditbench.experiments import agi_curve
+    from quditbench import agi_curve
 
     fast, dense = agi_curve(noise, grid), _dense_agi_curve(noise, grid)
     nonzero = grid > 0
@@ -183,27 +187,14 @@ def _assert_matches_dense(noise, grid, rtol=1e-10):
 
 def test_agi_curve_routes_by_noise_structure():
     import numpy as np
-    from quditbench import (
-        NoiseModel, Operator, agi_dephasing, c_general, dephasing_exponents, fit_slope, liouvillian,
-    )
-    from quditbench.experiments import agi_curve, collapse_model
+    from quditbench import agi_curve, c_general, fit_slope
+    from quditbench.experiments import collapse_model
     from quditbench.lindblad import MAX_HILBERT_DIM
 
     grid = np.linspace(0.0, 1e-3, 6)
     for d in (2, 3, 7, 12):
-        # a single Hermitian collapse operator dephases in its eigenbasis:
-        # the spectrum comes from the exponents of its eigenvalues
-        for kind in ("Jx", "JxJyJz"):
-            noise = collapse_model(kind, d)
-            eig = Operator(np.diag(np.linalg.eigvalsh(noise.terms[0][1].entries)))
-            z = dephasing_exponents(NoiseModel.single(1.0, eig))
-            assert np.array_equal(agi_curve(noise, grid), agi_dephasing(z, grid))
-            _assert_matches_dense(noise, grid)
-        # other non-diagonal noise takes the spectrum of the dense generator
-        jplus = collapse_model("Jplus", d)
-        gen = liouvillian(Operator(np.zeros((d, d))), jplus).matrix
-        assert np.array_equal(agi_curve(jplus, grid), agi_dephasing(np.linalg.eigvals(gen), grid))
-        _assert_matches_dense(jplus, grid)
+        for kind in ("Jx", "JxJyJz", "Jplus"):
+            _assert_matches_dense(collapse_model(kind, d), grid)
     # the dense route keeps the generator's dimension ceiling; the Hermitian
     # route builds no generator and runs past it
     big = MAX_HILBERT_DIM + 1
@@ -215,9 +206,7 @@ def test_agi_curve_routes_by_noise_structure():
     assert abs(slope / c_general(jx.terms[0][1]) - 1.0) <= 1e-4
     # diagonal noise reads its spectrum off the Schur-multiplier exponents
     jz = collapse_model("Jz", 3)
-    fast = agi_curve(jz, grid)
-    assert np.array_equal(fast, agi_dephasing(dephasing_exponents(jz), grid))
-    assert not np.array_equal(fast, _dense_agi_curve(jz, grid))
+    assert not np.array_equal(agi_curve(jz, grid), _dense_agi_curve(jz, grid))
     _assert_matches_dense(jz, grid)
 
 
@@ -237,8 +226,9 @@ def test_agi_curve_spectral_path_matches_dense_oracle():
 def test_agi_curve_jplus_equals_triangular_closed_form():
     # J+ has a triangular generator: its spectrum is the dissipator diagonal
     import numpy as np
+    from quditbench import agi_curve
+    from quditbench.experiments import collapse_model
     from quditbench.lindblad import dissipator
-    from quditbench.experiments import agi_curve, collapse_model
 
     grid = np.array([1e-9, 1e-6, 1e-4, 1e-3, 5e-2])
     for d in (2, 3, 6, 12, 18):
@@ -251,8 +241,8 @@ def test_agi_curve_jplus_equals_triangular_closed_form():
 
 def test_agi_curve_spectral_zero_and_slope():
     import numpy as np
-    from quditbench import Operator, c_general, fit_slope, liouvillian
-    from quditbench.experiments import agi_curve, collapse_model
+    from quditbench import Operator, agi_curve, c_general, fit_slope, liouvillian
+    from quditbench.experiments import collapse_model
 
     grid = np.linspace(0.0, 1e-4, 11)
     for kind in ("Jx", "Jplus", "JxJyJz"):
@@ -483,7 +473,7 @@ def test_cli_gate_dependence_small(tmp_path, capsys):
     assert "d=2" in capsys.readouterr().out
 
 
-def test_cli_rejects_bad_workers(tmp_path, capsys):
+def test_cli_rejects_bad_workers(tmp_path, capsys, monkeypatch):
     bad = {
         ("gate-dependence", "--workers"): ("0", "-3", "two"),
         ("gate-dependence", "--dims"): ("2,x", ",", "0"),
@@ -507,14 +497,26 @@ def test_cli_rejects_bad_workers(tmp_path, capsys):
         main(["gate-dependence", "--gates", "1", "--dims", "1,2"])
     assert exc.value.code == 2
     assert "dimension >= 2" in capsys.readouterr().err
-    # an --out inside a missing directory: rejected before any work starts
-    missing = tmp_path / "missing" / "x.csv"
-    with pytest.raises(SystemExit) as exc:
-        main(["critical-curve", "--qubits", "1", "--out", str(missing)])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err.splitlines()
-    assert err[-1].startswith("quditbench: error: critical-curve: --out directory")
-    assert not missing.parent.exists()
+    # repeated dimensions, and an --out in a missing directory, naming a
+    # directory ('' is '.') or where the .json summary goes: rejected before
+    # any work starts, with one error line and nothing written
+    monkeypatch.chdir(tmp_path)
+    cases = (
+        (["gate-dependence", "--gates", "1", "--dims", "2,2"], "repeated dimension"),
+        (["critical-curve", "--qubits", "1,1"], "repeated dimension"),
+        (["critical-curve", "--qubits", "1", "--out", str(tmp_path / "missing" / "x.csv")], "--out directory"),
+        (["critical-curve", "--qubits", "1", "--out", str(tmp_path)], "is a directory"),
+        (["slopes-qudit", "--out", ""], "is a directory"),
+        (["slopes-qudit", "--out", str(tmp_path / "r.json")], ".json summary"),
+    )
+    for args, message in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2, args
+        err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("quditbench: error:")]
+        assert len(err) == 1 and err[0].startswith(f"quditbench: error: {args[0]}: "), args
+        assert message in err[0], args
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_subcommands_follow_registry():
@@ -585,19 +587,25 @@ def test_cli_platforms_quotes_cells(tmp_path):
 def test_cli_platforms_rejects_bad_input(tmp_path, capsys):
     bad_line = tmp_path / "bad.txt"
     bad_line.write_text("a | x | 1 | 1e-05 | 6e-08 | ref |\n")
+    nan_line = tmp_path / "nan.txt"
+    nan_line.write_text("superconducting qubits | 2 | 1 | nan | 6e-08 | ref |\n")
     cases = {
         ("--data", str(tmp_path / "missing.txt")): "No such file or directory",
         ("--data", str(bad_line)): "malformed platform line 'a | x | 1",
         ("--reference", "photonic"): "'photonic qudits' must have a known, positive tau",  # tau 0
         ("--reference", "Rydberg-atom qudit"): "must have a known, positive tau",  # tau unknown
+        ("--data", str(nan_line)): "malformed platform line 'superconducting qubits | 2 | 1 | nan",
         ("--out", str(tmp_path / "missing" / "p.csv")): "--out directory",
+        ("--out", str(tmp_path)): "is a directory",
     }
     for args, message in cases.items():
         with pytest.raises(SystemExit) as exc:
             main(["platforms", *args])
         assert exc.value.code == 2, args
-        last = capsys.readouterr().err.splitlines()[-1]
-        assert last.startswith("quditbench: error: platforms: ") and message in last, args
+        err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("quditbench: error:")]
+        assert len(err) == 1, args
+        assert err[0].startswith("quditbench: error: platforms: ") and message in err[0], args
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt", "nan.txt"]
 
 
 def test_write_helpers(tmp_path):
@@ -618,8 +626,8 @@ def test_package_exports_names_not_submodules():
     for name in quditbench.__all__:
         assert not isinstance(getattr(quditbench, name), types.ModuleType), name
     removed = {
-        "fidelity": ("haar_unitary", "state_fidelity"),
-        "lindblad": ("choi_matrix", "rk4_propagate"),
+        "fidelity": ("agi_dephasing", "haar_unitary", "state_fidelity"),
+        "lindblad": ("choi_matrix", "dephasing_exponents", "rk4_propagate"),
         "pulses": ("gate_infidelity", "schedule_unitary"),
         "platforms": ("serialize_records",),
     }

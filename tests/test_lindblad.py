@@ -6,9 +6,10 @@ from quditbench import (
     NoiseModel,
     Operator,
     apply_channel,
-    dephasing_exponents,
+    dissipator_spectrum,
     liouvillian,
     propagate,
+    spin_plus,
     spin_xy,
     spin_z,
     unitary_superoperator,
@@ -248,20 +249,33 @@ def test_dimension_ceiling():
         liouvillian(zero_h(129), NoiseModel.single(0.0, spin_z(129)))
 
 
-def test_dephasing_exponents_are_the_dissipator_diagonal():
+def test_dissipator_spectrum_of_diagonal_noise_is_the_dissipator_diagonal():
     rng = np.random.default_rng(5)
     d = 4
     l = Operator(np.diag(rng.standard_normal(d) + 1j * rng.standard_normal(d)))
     noise = NoiseModel(((0.3, spin_z(d)), (1.7, l)))
-    z = dephasing_exponents(noise)
+    z = dissipator_spectrum(noise)
     diss = dissipator(noise)
     assert np.count_nonzero(diss - np.diag(np.diag(diss))) == 0
-    assert np.abs(vec(z) - np.diag(diss)).max() < 1e-14
-    assert np.all(z.real <= 0) and np.all(np.diag(z) == 0)
+    assert np.abs(z - np.diag(diss)).max() < 1e-14
+    assert np.all(z.real <= 0) and np.all(unvec(z).diagonal() == 0)
 
 
-def test_dephasing_exponents_reject_off_diagonal_noise():
-    d = 3
-    assert dephasing_exponents(NoiseModel.single(1.0, spin_xy(d)[0])) is None
-    mixed = NoiseModel(((1.0, spin_z(d)), (0.1, spin_xy(d)[1])))
-    assert dephasing_exponents(mixed) is None
+def test_dissipator_spectrum_routes_by_noise_structure():
+    for d in (2, 3, 7, 12):
+        jx, jy = spin_xy(d)
+        # one Hermitian collapse operator: the diagonal closed form on its eigvalsh
+        for op in (jx, Operator(jx.entries + jy.entries + spin_z(d).entries, hermitian=True)):
+            eig = Operator(np.diag(np.linalg.eigvalsh(op.entries)))
+            closed = dissipator_spectrum(NoiseModel.single(0.6, eig))
+            assert np.array_equal(dissipator_spectrum(NoiseModel.single(0.6, op)), closed)
+        # anything else: one eigvals of the dense generator
+        for noise in (
+            NoiseModel.single(1.0, spin_plus(d)),
+            NoiseModel(((1.0, spin_z(d)), (0.1, jy))),
+        ):
+            dense = np.linalg.eigvals(liouvillian(zero_h(d), noise).matrix)
+            assert np.array_equal(dissipator_spectrum(noise), dense)
+    # the dense route keeps the generator's dimension ceiling
+    with pytest.raises(ValueError, match="dimension ceiling"):
+        dissipator_spectrum(NoiseModel.single(1.0, spin_plus(129)))
