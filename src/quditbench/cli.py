@@ -13,9 +13,15 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields, replace
-from pathlib import Path
 
-from .experiments import EXPERIMENTS, ExperimentSpec, default_spec, run_experiment, write_csv
+from .experiments import (
+    EXPERIMENTS,
+    ExperimentSpec,
+    check_output_path,
+    default_spec,
+    run_experiment,
+    write_csv,
+)
 from .platforms import load_records, platform_report
 
 
@@ -148,13 +154,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # bad input from outside the program ends in a usage error, not a traceback
-    if args.output_path is not None:
-        out = Path(args.output_path)  # Path('') is '.'
-        if not out.parent.is_dir():
-            parser.error(f"{args.command}: --out directory {str(out.parent)!r} does not exist")
-        if out.is_dir():
-            parser.error(f"{args.command}: --out {str(out)!r} is a directory, not a file")
     try:
+        if args.output_path is not None:
+            check_output_path(args.output_path)
         if args.command == "platforms":
             return _run_platforms(args)
         spec = _spec(args)

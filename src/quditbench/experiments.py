@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import os
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -232,12 +233,10 @@ def _gate_workitem(args) -> dict:
         goal_infidelity=GATE_GOAL_INFIDELITY,
         seed=grape_seed,
     )
-    noise_op = spin_z(d)
-    agis = np.empty(len(grid))
-    for i, gt in enumerate(grid):
-        noise = NoiseModel.single(gt / GATE_TOTAL_TIME, noise_op)
-        channel = schedule_to_propagator(res.schedule, basis, noise)
-        agis[i] = agi_exact(channel, target)
+    channels = schedule_to_propagator(
+        res.schedule, basis, NoiseModel.single(1.0, spin_z(d)), grid / GATE_TOTAL_TIME
+    )
+    agis = np.array([agi_exact(channel, target) for channel in channels])
     return _gate_row(d, index, grid, agis, res.infidelity, res.converged, res.iterations)
 
 
@@ -424,8 +423,11 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     """Run a named experiment; deterministic under (spec, seed).
 
     When ``spec.output_path`` is set, the row table goes there as CSV and the
-    summary next to it with a .json suffix.
+    summary next to it with a .json suffix; a path that cannot take a file
+    raises ``ValueError`` before any work starts.
     """
+    if spec.output_path is not None:
+        check_output_path(spec.output_path)
     result = EXPERIMENTS[spec.name].run(spec, workers)
     header = {"name": spec.name, "seed": spec.seed, "scale": spec.scale}
     result = replace(result, summary={**header, **result.summary})
@@ -444,6 +446,17 @@ def _cell(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
+
+
+def check_output_path(path) -> None:
+    """Reject an output path that cannot take a file: one that names an
+    existing directory ('' is '.') or lies in a missing directory."""
+    out = os.fspath(path) or "."
+    parent = os.path.dirname(out) or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"output directory {parent!r} does not exist")
+    if os.path.isdir(out):
+        raise ValueError(f"output path {out!r} is a directory, not a file")
 
 
 def write_csv(fieldnames, rows, path) -> None:

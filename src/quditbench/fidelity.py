@@ -22,7 +22,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lindblad import DensityMatrix, SuperOperator, dissipator_spectrum, unitary_superoperator, vec
+from .lindblad import (
+    DensityMatrix,
+    SuperOperator,
+    dissipator_spectrum,
+    hermitian_basis,
+    real_coordinates,
+    unitary_superoperator,
+)
 from .operators import PURITY_ATOL, NoiseModel, Operator
 
 # Input states per Monte Carlo batch.  Each batch draws its real parts, then
@@ -189,29 +196,6 @@ def process_from_average(agi: float, dim: int) -> float:
     return float((dim + 1) * agi / dim)
 
 
-def _hermitian_basis(d: int) -> np.ndarray:
-    """Orthonormal Hermitian basis of d x d matrices, shape (d^2, d, d):
-    E_aa, then (E_ab + E_ba)/sqrt2, then i(E_ba - E_ab)/sqrt2 for a < b
-    (pairs in ``np.triu_indices`` order), matching ``_real_coordinates``."""
-    a, b = np.triu_indices(d, 1)
-    m = len(a)
-    basis = np.zeros((d * d, d, d), dtype=complex)
-    basis[np.arange(d), np.arange(d), np.arange(d)] = 1.0
-    sym, anti = d + np.arange(m), d + m + np.arange(m)
-    basis[sym, a, b] = basis[sym, b, a] = 1 / np.sqrt(2)
-    basis[anti, b, a] = 1j / np.sqrt(2)
-    basis[anti, a, b] = -1j / np.sqrt(2)
-    return basis
-
-
-def _real_coordinates(psi: np.ndarray) -> np.ndarray:
-    """Coordinates Tr(G_k |psi><psi|) in ``_hermitian_basis``, shape (n, d^2):
-    |psi_a|^2, sqrt2 Re(conj(psi_a) psi_b), sqrt2 Im(conj(psi_a) psi_b)."""
-    a, b = np.triu_indices(psi.shape[1], 1)
-    pair = np.sqrt(2) * psi[:, a].conj() * psi[:, b]
-    return np.concatenate([np.abs(psi) ** 2, pair.real, pair.imag], axis=1)
-
-
 def agi_monte_carlo(
     channel: SuperOperator, target_gate: Operator, n_samples: int, sampler: HaarSampler
 ) -> tuple[float, float]:
@@ -220,9 +204,9 @@ def agi_monte_carlo(
     Each sample is 1 - F(E[rho0], U rho0 U^dag) with rho0 drawn from the
     Fubini-Study measure; returns (mean, standard error of the mean).
 
-    With vec(rho0) = B r, where B holds the vectorized ``_hermitian_basis``
-    as columns and r is the real coordinate vector of rho0, the fidelity is
-    Re vec(rho0)^dag S_U^dag S vec(rho0) = r^T R r with the real matrix
+    With vec(rho0) = B r, where B is ``lindblad.hermitian_basis`` and r the
+    real coordinates of rho0 (``lindblad.real_coordinates``), the fidelity
+    is Re vec(rho0)^dag S_U^dag S vec(rho0) = r^T R r with the real matrix
     R = Re(B^dag S_U^dag S B), formed once.  r being real, this holds for
     any superoperator, Hermiticity-preserving or not.
     """
@@ -232,7 +216,7 @@ def agi_monte_carlo(
         raise ValueError("sampler dimension must match the channel")
     _require_unitary(target_gate)
     su = unitary_superoperator(target_gate).matrix
-    basis = vec(_hermitian_basis(channel.hilbert_dim)).T
+    basis = hermitian_basis(channel.hilbert_dim)
     r_mat = (basis.conj().T @ (su.conj().T @ (channel.matrix @ basis))).real
     samples = np.empty(n_samples)
     done = 0
@@ -240,7 +224,7 @@ def agi_monte_carlo(
         n = min(MONTE_CARLO_CHUNK, n_samples - done)
         psi = sampler.states(n)  # (n, d)
         for start in range(0, n, MONTE_CARLO_BLOCK):
-            r = _real_coordinates(psi[start : start + MONTE_CARLO_BLOCK])
+            r = real_coordinates(psi[start : start + MONTE_CARLO_BLOCK])
             fid = np.einsum("nk,nk->n", r @ r_mat, r)
             samples[done + start : done + start + len(r)] = 1.0 - fid
         done += n

@@ -8,7 +8,9 @@ vec(A X B) = (B^T kron A) vec(X).  The generator of
 is then L = -i (1 kron H - H^T kron 1) + sum_k gamma_k D_k with
 D_k = conj(L_k) kron L_k - 1/2 (1 kron L_k^dag L_k + (L_k^dag L_k)^T kron 1).
 Only this module spells out the layout; other modules go through ``vec``,
-``commutator_superoperator``, ``unitary_superoperator`` and ``dissipator``.
+``commutator_superoperator``, ``unitary_superoperator``, ``dissipator`` and
+``hermitian_basis``, the orthonormal Hermitian operator basis in which every
+generator and channel above is a real matrix.
 
 ``dissipator_spectrum`` alone decides how the spectrum of a purely
 dissipative generator is found: entrywise for diagonal L_k, by a d x d
@@ -110,6 +112,36 @@ class SuperOperator:
     @classmethod
     def identity(cls, d: int) -> "SuperOperator":
         return cls(np.eye(d * d))
+
+
+def hermitian_basis(d: int) -> np.ndarray:
+    """Orthonormal Hermitian basis of d x d matrices as the unitary d^2 x d^2
+    matrix B whose column k is vec(G_k): G = E_aa, then (E_ab + E_ba)/sqrt2,
+    then i(E_ba - E_ab)/sqrt2 for a < b (pairs in ``np.triu_indices``
+    order), matching ``real_coordinates``.
+
+    A Hermiticity-preserving superoperator S is real in this basis:
+    B^dag S B is the real matrix of its action on the real coordinates of a
+    Hermitian matrix (the coherence-vector form).
+    """
+    a, b = np.triu_indices(d, 1)
+    m = len(a)
+    basis = np.zeros((d * d, d, d), dtype=complex)
+    basis[np.arange(d), np.arange(d), np.arange(d)] = 1.0
+    sym, anti = d + np.arange(m), d + m + np.arange(m)
+    basis[sym, a, b] = basis[sym, b, a] = 1 / np.sqrt(2)
+    basis[anti, b, a] = 1j / np.sqrt(2)
+    basis[anti, a, b] = -1j / np.sqrt(2)
+    return vec(basis).T
+
+
+def real_coordinates(psi: np.ndarray) -> np.ndarray:
+    """Coordinates Tr(G_k |psi><psi|) in ``hermitian_basis``, shape (n, d^2),
+    of n pure states given as the rows of psi: |psi_a|^2,
+    sqrt2 Re(conj(psi_a) psi_b), sqrt2 Im(conj(psi_a) psi_b)."""
+    a, b = np.triu_indices(psi.shape[1], 1)
+    pair = np.sqrt(2) * psi[:, a].conj() * psi[:, b]
+    return np.concatenate([np.abs(psi) ** 2, pair.real, pair.imag], axis=1)
 
 
 def unitary_superoperator(u: Operator) -> SuperOperator:

@@ -1,15 +1,15 @@
 """Reference implementations that the tests compare the library against.
 
 Each one computes its result by a route of its own (fixed-step RK4, the
-Uhlmann formula, one ``expm`` per pulse slot, ...), so agreement with the
-library is evidence that both are right.  Nothing in ``quditbench`` calls
-them.
+Uhlmann formula, one ``expm`` per pulse slot, complex slot generators, ...),
+so agreement with the library is evidence that both are right.  Nothing in
+``quditbench`` calls them.
 """
 
 import numpy as np
 from scipy.linalg import expm
 
-from quditbench.lindblad import DensityMatrix, SuperOperator
+from quditbench.lindblad import DensityMatrix, SuperOperator, commutator_superoperator, dissipator
 from quditbench.operators import PURITY_ATOL, Operator
 
 # rk4_propagate takes steps h with ||L|| h <= this bound.
@@ -98,3 +98,17 @@ def schedule_unitary(schedule, basis) -> Operator:
     for h in np.tensordot(schedule.amplitudes, basis.controls, axes=(1, 0)):
         u = expm(-1j * schedule.slot_duration * h) @ u
     return Operator(u)
+
+
+def complex_schedule_channel(schedule, basis, noise) -> SuperOperator:
+    """Channel of a pulse schedule under one noise model from the complex
+    slot generators -i [H_j, .] + dissipator(noise): one complex ``expm``
+    stack and one complex ordered product (slot 1 first), rather than the
+    library's real Hermitian-basis product over a grid of rate scales."""
+    d = basis.dim
+    hs = np.tensordot(schedule.amplitudes, basis.controls, axes=(1, 0))
+    gens = -1j * commutator_superoperator(hs) + dissipator(noise)
+    total = np.eye(d * d, dtype=complex)
+    for slot in expm(gens * schedule.slot_duration):
+        total = slot @ total
+    return SuperOperator(total)

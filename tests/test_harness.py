@@ -50,6 +50,27 @@ def test_spec_validation():
         ExperimentSpec("slopes-qudit", (2,), (0.0, 1e-4, 11), output_path="r.json")
 
 
+def test_run_experiment_rejects_output_paths_that_cannot_take_a_file(tmp_path, monkeypatch):
+    # rejected before the experiment runs, not after it when the CSV is written
+    monkeypatch.chdir(tmp_path)
+    entry = EXPERIMENTS["critical-curve"]
+    runs = []
+
+    def counted(spec, workers):
+        runs.append(spec)
+        return entry.run(spec, workers)
+
+    monkeypatch.setitem(EXPERIMENTS, "critical-curve", replace(entry, run=counted))
+    for path in ("", ".", str(tmp_path), str(tmp_path / "missing" / "x.csv")):
+        spec = ExperimentSpec("critical-curve", (1,), (0.0, 1e-4, 5), output_path=path)
+        with pytest.raises(ValueError, match="is a directory|does not exist"):
+            run_experiment(spec)
+    assert runs == [] and not any(tmp_path.iterdir())
+    run_experiment(ExperimentSpec("critical-curve", (1,), (0.0, 1e-4, 5), output_path="x.csv"))
+    assert len(runs) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv", "x.json"]
+
+
 SMALL = (0.0, 1e-4, 11)
 EVEN_TO_12, EVEN_TO_22 = (2, 4, 6, 8, 10, 12), (2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22)
 # (name, scale) -> (dims, gamma_t_grid, gates, n_gates)
@@ -504,7 +525,7 @@ def test_cli_rejects_bad_workers(tmp_path, capsys, monkeypatch):
     cases = (
         (["gate-dependence", "--gates", "1", "--dims", "2,2"], "repeated dimension"),
         (["critical-curve", "--qubits", "1,1"], "repeated dimension"),
-        (["critical-curve", "--qubits", "1", "--out", str(tmp_path / "missing" / "x.csv")], "--out directory"),
+        (["critical-curve", "--qubits", "1", "--out", str(tmp_path / "missing" / "x.csv")], "does not exist"),
         (["critical-curve", "--qubits", "1", "--out", str(tmp_path)], "is a directory"),
         (["slopes-qudit", "--out", ""], "is a directory"),
         (["slopes-qudit", "--out", str(tmp_path / "r.json")], ".json summary"),
@@ -595,7 +616,7 @@ def test_cli_platforms_rejects_bad_input(tmp_path, capsys):
         ("--reference", "photonic"): "'photonic qudits' must have a known, positive tau",  # tau 0
         ("--reference", "Rydberg-atom qudit"): "must have a known, positive tau",  # tau unknown
         ("--data", str(nan_line)): "malformed platform line 'superconducting qubits | 2 | 1 | nan",
-        ("--out", str(tmp_path / "missing" / "p.csv")): "--out directory",
+        ("--out", str(tmp_path / "missing" / "p.csv")): "does not exist",
         ("--out", str(tmp_path)): "is a directory",
     }
     for args, message in cases.items():

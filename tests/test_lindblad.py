@@ -14,7 +14,16 @@ from quditbench import (
     spin_z,
     unitary_superoperator,
 )
-from quditbench.lindblad import SuperOperator, commutator_superoperator, dissipator, unvec, vec
+from quditbench.lindblad import (
+    SuperOperator,
+    commutator_superoperator,
+    dissipator,
+    hermitian_basis,
+    real_coordinates,
+    unvec,
+    vec,
+)
+from quditbench.pulses import ControlBasis
 
 from oracles import choi_matrix, rk4_propagate
 
@@ -51,6 +60,39 @@ def test_commutator_superoperator_batched():
     for k, h in enumerate(hs):
         assert np.array_equal(batched[k], commutator_superoperator(h))
         assert np.allclose(batched[k] @ vec(x), vec(h @ x - x @ h), atol=1e-13)
+
+
+def test_hermitian_basis_is_unitary_and_hermitian():
+    rng = np.random.default_rng(11)
+    for d in (1, 2, 3, 5, 8):
+        b = hermitian_basis(d)
+        assert b.shape == (d * d, d * d)
+        assert np.abs(b.conj().T @ b - np.eye(d * d)).max() <= 1e-15
+        for k in range(d * d):
+            g = unvec(b[:, k])
+            assert np.array_equal(g, g.conj().T), (d, k)
+        # the real coordinates of a pure state are its coordinates in B
+        psi = rng.standard_normal((4, d)) + 1j * rng.standard_normal((4, d))
+        r = real_coordinates(psi)
+        assert np.isrealobj(r) and r.shape == (4, d * d)
+        rhos = vec(np.einsum("na,nb->nab", psi, psi.conj()))
+        assert np.abs(r @ b.T - rhos).max() <= 1e-14, d
+
+
+def test_generators_are_real_in_the_hermitian_basis():
+    # -i[H, .] and every dissipator preserve Hermiticity, so B^dag G B is
+    # real: the imaginary parts are rounding only
+    for d in (2, 3, 4, 5):
+        b = hermitian_basis(d)
+        ad = -1j * commutator_superoperator(ControlBasis.ladder(d).controls)
+        assert np.abs((b.conj().T @ ad @ b).imag).max() <= 1e-15, d
+        for noise in (
+            NoiseModel.single(1.0, spin_z(d)),
+            NoiseModel.single(1.0, spin_xy(d)[0]),
+            NoiseModel.single(1.0, spin_plus(d)),
+            NoiseModel(((0.3, spin_z(d)), (0.1, spin_plus(d)))),
+        ):
+            assert np.abs((b.conj().T @ dissipator(noise) @ b).imag).max() <= 1e-15, d
 
 
 def test_density_matrix_validation():

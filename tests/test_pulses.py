@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from quditbench import (
     ControlBasis,
@@ -14,13 +17,15 @@ from quditbench import (
     propagate,
     schedule_to_propagator,
     spin_plus,
+    spin_xy,
     spin_z,
     unitary_superoperator,
 )
-from quditbench import pulses
-from quditbench.pulses import _DEGENERACY_EPS, _slot_unitaries, infidelity_and_gradient
+from quditbench import experiments, pulses
+from quditbench.experiments import default_spec
+from quditbench.pulses import _DEGENERACY_EPS, _real_expm, _slot_unitaries, infidelity_and_gradient
 
-from oracles import gate_infidelity, schedule_unitary
+from oracles import complex_schedule_channel, gate_infidelity, schedule_unitary
 
 
 def _gradient_per_slot(amps, basis, target, dt):
@@ -164,7 +169,8 @@ def test_schedule_scoring_consistency():
     res = grape_optimize(target, basis, n_slots=24, total_time=1.0, goal_infidelity=1e-8, seed=3)
     u = schedule_unitary(res.schedule, basis)
     assert abs(gate_infidelity(u.entries, target.entries) - res.infidelity) < 1e-10
-    super_noiseless = schedule_to_propagator(res.schedule, basis, NoiseModel.single(0.0, spin_z(d)))
+    noise = NoiseModel.single(1.0, spin_z(d))
+    (super_noiseless,) = schedule_to_propagator(res.schedule, basis, noise, [0.0])
     assert np.abs(super_noiseless.matrix - unitary_superoperator(u).matrix).max() < 1e-10
 
 
@@ -172,28 +178,171 @@ def test_schedule_propagator_trivial_cases():
     d = 3
     basis = ControlBasis.ladder(d)
     zero = PulseSchedule(0.25, np.zeros((4, basis.n_controls)))
-    noiseless = schedule_to_propagator(zero, basis, NoiseModel.single(0.0, spin_z(d)))
-    assert np.abs(noiseless.matrix - np.eye(d * d)).max() < 1e-14
     noise = NoiseModel.single(0.4, spin_z(d))
-    with_noise = schedule_to_propagator(zero, basis, noise)
+    noiseless, with_noise = schedule_to_propagator(zero, basis, noise, [0.0, 1.0])
+    assert np.abs(noiseless.matrix - np.eye(d * d)).max() < 1e-14
     reference = propagate(liouvillian(Operator(np.zeros((d, d))), noise), 1.0)
     assert np.abs(with_noise.matrix - reference.matrix).max() < 1e-12
 
 
+def test_schedule_propagator_validation():
+    d = 2
+    basis = ControlBasis.ladder(d)
+    sched = PulseSchedule(0.25, np.zeros((4, basis.n_controls)))
+    noise = NoiseModel.single(1.0, spin_z(d))
+    for scales in ([], [[0.1]], [-0.1], [np.nan], [np.inf]):
+        with pytest.raises(ValueError):
+            schedule_to_propagator(sched, basis, noise, scales)
+    with pytest.raises(ValueError):
+        schedule_to_propagator(sched, basis, NoiseModel.single(1.0, spin_z(3)), [0.1])
+    with pytest.raises(ValueError):
+        schedule_to_propagator(PulseSchedule(0.25, np.zeros((4, 1))), basis, noise, [0.1])
+
+
 def test_schedule_propagator_matches_slot_products():
+    # the real Hermitian-basis product against complex per-slot channels, at
+    # small slot norms (3d slots, |u| dt <= 0.33) and at the |u| dt ~ 15
+    # that synthesized pulses reach (8d slots, as in gate-dependence); the
+    # largest entrywise gaps measured here were 2.7e-15 and 2.1e-14 (scipy's
+    # real expm gave up to 2.6e-13 on the second)
     rng = np.random.default_rng(22)
+    scales = (0.0, 1e-4, 0.1, 1.0, 3.0)
     for d in (2, 3, 4, 5):
         basis = ControlBasis.ladder(d)
-        amps = rng.uniform(-2, 2, size=(3 * d, basis.n_controls))
-        amps[0] = 0.0
-        sched = PulseSchedule(1.0 / amps.shape[0], amps)
+        small = rng.uniform(-2, 2, size=(3 * d, basis.n_controls))
+        small[0] = 0.0
+        large = rng.uniform(-15, 15, size=(8 * d, basis.n_controls)) * 8 * d
+        models = {
+            "Jz": NoiseModel.single(1.0, spin_z(d)),
+            "Jx": NoiseModel.single(1.0, spin_xy(d)[0]),
+            "J+": NoiseModel.single(1.0, spin_plus(d)),
+            "0.3 Jz + 0.1 J+": NoiseModel(((0.3, spin_z(d)), (0.1, spin_plus(d)))),
+        }
+        for amps in (small, large):
+            sched = PulseSchedule(1.0 / amps.shape[0], amps)
+            for name, noise in models.items():
+                channels = schedule_to_propagator(sched, basis, noise, scales)
+                assert len(channels) == len(scales)
+                for s, got in zip(scales, channels):
+                    scaled = NoiseModel(tuple((s * gamma, op) for gamma, op in noise.terms))
+                    expected = np.eye(d * d, dtype=complex)
+                    for h in np.tensordot(amps, basis.controls, axes=(1, 0)):
+                        slot = propagate(liouvillian(Operator(h), scaled), sched.slot_duration)
+                        expected = slot.matrix @ expected
+                    assert np.abs(got.matrix - expected).max() <= 1e-13, (d, name, s)
+
+
+def test_real_expm_matches_complex_expm():
+    # every Pade degree and up to 4 squarings, on generic and on antisymmetric
+    # (orthogonal-exponential) matrices; the largest gap measured, relative
+    # to the largest entry of the exponential, was 8.0e-15
+    rng = np.random.default_rng(0)
+    for n in (4, 9, 16):
+        for antisymmetric in (False, True):
+            for norm in (0.0, 1e-3, 0.1, 0.5, 1.5, 3.0, 5.0, 20.0, 50.0):
+                a = rng.standard_normal((8, n, n))
+                if antisymmetric:
+                    a = a - np.swapaxes(a, 1, 2)
+                elif norm > 20.0:
+                    continue
+                a *= norm / np.abs(a).sum(axis=-2).max(axis=-1)[:, None, None]
+                expected = expm(a.astype(complex)).real
+                got = _real_expm(a)
+                gap = np.abs(got - expected).max(axis=(1, 2)) / np.abs(expected).max(axis=(1, 2))
+                assert gap.max() <= 2e-14, (n, antisymmetric, norm, gap.max())
+    # each matrix of a stack that mixes degrees and squarings comes out as
+    # it does on its own
+    a = rng.standard_normal((6, 9, 9)) * np.array([1e-4, 0.05, 0.3, 1.0, 4.0, 30.0])[:, None, None]
+    stacked = _real_expm(a)
+    for i in range(len(a)):
+        assert np.array_equal(stacked[i], _real_expm(a[i : i + 1])[0]), i
+
+
+def test_large_norm_gate_agi_matches_exact():
+    # the gate-dependence pulse with the largest slot norms at desk scale
+    # (seed 4, d = 3, gate 40: |u| dt up to 15): its noiseless AGI against
+    # the AGI of the exactly composed unitary, and its channels over the
+    # grid against the complex route; measured 4.6e-15 and 4.6e-14 (scipy's
+    # real expm gave 8e-13 and 2e-12)
+    d = 3
+    gate_seed, grape_seed = np.random.SeedSequence([4, d, 40]).spawn(2)
+    target = Operator(HaarSampler(d, gate_seed).unitary())
+    basis = ControlBasis.ladder(d)
+    res = grape_optimize(
+        target,
+        basis,
+        n_slots=experiments.GATE_SLOTS_PER_LEVEL * d,
+        total_time=experiments.GATE_TOTAL_TIME,
+        goal_infidelity=experiments.GATE_GOAL_INFIDELITY,
+        seed=grape_seed,
+    )
+    sched = res.schedule
+    assert np.abs(sched.amplitudes).max() * sched.slot_duration > 10
+    w, v = np.linalg.eigh(np.tensordot(sched.amplitudes, basis.controls, axes=(1, 0)))
+    u = np.eye(d, dtype=complex)
+    for x in (v * np.exp(-1j * sched.slot_duration * w)[:, None, :]) @ v.conj().transpose(0, 2, 1):
+        u = x @ u
+    f_pro = abs(np.trace(target.entries.conj().T @ u)) ** 2 / d**2
+    exact = 1.0 - (d * f_pro + 1.0) / (d + 1.0)
+    grid = np.geomspace(1e-5, 1e-3, 9)
+    noise = NoiseModel.single(1.0, spin_z(d))
+    noiseless, *channels = schedule_to_propagator(sched, basis, noise, np.concatenate([[0.0], grid]))
+    assert abs(agi_exact(noiseless, target) - exact) <= 2e-14
+    for gt, got in zip(grid, channels):
+        expected = complex_schedule_channel(sched, basis, NoiseModel.single(gt, spin_z(d)))
+        assert np.abs(got.matrix - expected.matrix).max() <= 1e-13, gt
+
+
+def test_schedule_propagator_scales_are_independent():
+    # entry i of a multi-scale call is the one-scale call at scales[i]
+    rng = np.random.default_rng(3)
+    scales = (0.0, 1e-5, 0.5, 2.0)
+    for d in (2, 3, 4):
+        basis = ControlBasis.ladder(d)
+        sched = PulseSchedule(0.1, rng.uniform(-2, 2, size=(3 * d, basis.n_controls)))
         noise = NoiseModel(((0.3, spin_z(d)), (0.1, spin_plus(d))))
-        expected = np.eye(d * d, dtype=complex)
-        for h in np.tensordot(amps, basis.controls, axes=(1, 0)):
-            slot = propagate(liouvillian(Operator(h), noise), sched.slot_duration)
-            expected = slot.matrix @ expected
-        got = schedule_to_propagator(sched, basis, noise).matrix
-        assert np.abs(got - expected).max() <= 1e-12, d
+        for s, many in zip(scales, schedule_to_propagator(sched, basis, noise, scales)):
+            (one,) = schedule_to_propagator(sched, basis, noise, [s])
+            assert np.abs(many.matrix - one.matrix).max() <= 1e-15, (d, s)
+
+
+def test_gate_rows_match_the_complex_route(monkeypatch):
+    # the gate-dependence work item's AGIs against one complex channel per
+    # grid point, the route the work item took before the real product
+    seen = []
+
+    def recording_grape(target, basis, **kwargs):
+        res = grape_optimize(target, basis, **kwargs)
+        seen.append((target, basis, res))
+        return res
+
+    agis = []
+
+    def recording_agi(channel, target):
+        agis.append(agi_exact(channel, target))
+        return agis[-1]
+
+    monkeypatch.setattr(experiments, "grape_optimize", recording_grape)
+    monkeypatch.setattr(experiments, "agi_exact", recording_agi)
+    spec = replace(default_spec("gate-dependence", seed=7), dims=(2, 3, 4), gates="cue", n_gates=2)
+    grid = spec.grid()
+    rows = experiments._gate_rows(spec, workers=1)
+    assert len(rows) == len(seen) == 6 and len(agis) == 6 * len(grid)
+    worst = 0.0
+    for k, (target, basis, res) in enumerate(seen):
+        d = basis.dim
+        expected = [
+            agi_exact(
+                complex_schedule_channel(
+                    res.schedule, basis, NoiseModel.single(gt / experiments.GATE_TOTAL_TIME, spin_z(d))
+                ),
+                target,
+            )
+            for gt in grid
+        ]
+        got = agis[k * len(grid) : (k + 1) * len(grid)]
+        worst = max(worst, np.abs(np.subtract(got, expected)).max())
+    assert worst <= 2e-15, worst
 
 
 def test_schedule_propagator_agi_sanity():
@@ -203,7 +352,7 @@ def test_schedule_propagator_agi_sanity():
     target = Operator(HaarSampler(d, seed=8).unitary())
     res = grape_optimize(target, basis, n_slots=16, total_time=1.0, goal_infidelity=1e-8, seed=4)
     gt = 1e-4
-    chan = schedule_to_propagator(res.schedule, basis, NoiseModel.single(gt, spin_z(d)))
+    (chan,) = schedule_to_propagator(res.schedule, basis, NoiseModel.single(1.0, spin_z(d)), [gt])
     agi = agi_exact(chan, target)
     assert abs(agi - gt / 6) / (gt / 6) < 0.02
 
