@@ -5,9 +5,14 @@ k <-> k+1 there is a pair of Hermitian controls |k><k+1| + |k+1><k| and
 i(|k><k+1| - |k+1><k|), i.e. 2(d-1) controls in total.  The drift vanishes
 (interaction frame), so a slot Hamiltonian is H_j = sum_k u_jk H_k.
 
-Slot propagators exp(-i H_j dt) and their exact derivatives come from the
-eigendecomposition of the Hermitian H_j (Daleckii-Krein divided differences),
-so the reported gradient matches finite differences to solver precision.
+The GRAPE objective is the gate infidelity with its exact gradient
+(Khaneja et al., J. Magn. Reson. 172, 296 (2005)), computed for all slots
+at once with no loop over them.  Slot propagators exp(-i H_j dt) come from
+the eigendecomposition of the Hermitian H_j; their prefix products from a
+doubling scan of ceil(log2 n) batched products; each suffix from the gate
+itself, X_n ... X_{j+1} = U P_j^dag; and the derivatives from the
+Daleckii-Krein divided differences of exp(-i dt x), in the closed sinc form
+that holds at every eigenvalue gap, so there is no degeneracy threshold.
 
 The noisy channel of a schedule, for a whole grid of noise-rate scales at
 once, is a real product in the orthonormal Hermitian operator basis of
@@ -32,8 +37,6 @@ from scipy.optimize import minimize
 
 from .lindblad import SuperOperator, commutator_superoperator, dissipator, hermitian_basis
 from .operators import HERMITICITY_ATOL, NoiseModel, Operator
-
-_DEGENERACY_EPS = 1e-12
 
 # _real_expm: diagonal Pade degrees and the 1-norm bound up to which each
 # reaches double precision (Higham 2005, Table 2.3), and the coefficients of
@@ -159,55 +162,52 @@ class PulseSchedule:
             return cls.from_text(fh.read())
 
 
-def _slot_unitaries(amps: np.ndarray, h_stack: np.ndarray, dt: float):
-    """Batched exp(-i H_j dt) via eigendecomposition of the Hermitian slots."""
-    hs = np.tensordot(amps, h_stack, axes=(1, 0))
-    w, v = np.linalg.eigh(hs)
-    phases = np.exp(-1j * dt * w)
-    xs = (v * phases[:, None, :]) @ v.conj().transpose(0, 2, 1)
-    return xs, w, v, phases
-
-
 def infidelity_and_gradient(
     amps: np.ndarray, basis: ControlBasis, target: np.ndarray, dt: float
 ) -> tuple[float, np.ndarray]:
-    """Gate infidelity of the composed schedule and its exact gradient
-    with respect to every amplitude."""
-    h_stack = basis.controls
-    n_slots = amps.shape[0]
+    """Gate infidelity 1 - |Tr(T^dag U)/d|^2 of the composed schedule
+    U = X_n ... X_1 against the target T, and its exact gradient with
+    respect to every amplitude (Khaneja et al., J. Magn. Reson. 172, 296
+    (2005)), as a fixed number of batched operations over the slots.
+
+    Each slot unitary is X_j = V_j diag(h_j^2) V_j^dag with the half-phases
+    h_j = exp(-i dt w_j / 2) over the spectrum w_j of H_j.  The inclusive
+    prefixes P_j = X_j ... X_1 come from a doubling scan (ceil(log2 n)
+    batched products) and each suffix from the gate, X_n ... X_{j+1} =
+    U P_j^dag.  The divided differences of exp(-i dt x) are
+    -i dt h_a h_b sinc(dt (w_a - w_b) / 2 pi), exact at every eigenvalue
+    gap, degenerate ones included.
+    """
+    controls = basis.controls
+    n_slots, n_controls = amps.shape
     d = basis.dim
-    xs, w, v, phases = _slot_unitaries(amps, h_stack, dt)
+    hs = (amps @ controls.reshape(n_controls, d * d)).reshape(n_slots, d, d)
+    w, v = np.linalg.eigh(hs)
+    vdag = v.conj().transpose(0, 2, 1)
+    half = np.exp(-0.5j * dt * w)
 
-    prefix = np.empty((n_slots + 1, d, d), dtype=complex)
-    prefix[0] = np.eye(d)
-    for j in range(n_slots):
-        prefix[j + 1] = xs[j] @ prefix[j]
-    suffix = np.empty((n_slots, d, d), dtype=complex)
-    suffix[n_slots - 1] = np.eye(d)
-    for j in range(n_slots - 2, -1, -1):
-        suffix[j] = suffix[j + 1] @ xs[j + 1]
-
-    overlap = np.trace(target.conj().T @ prefix[n_slots]) / d
+    prefix = (v * (half * half)[:, None, :]) @ vdag
+    shift = 1
+    while shift < n_slots:
+        prefix[shift:] = prefix[shift:] @ prefix[:-shift]
+        shift *= 2
+    tdag_u = target.conj().T @ prefix[-1]
+    overlap = np.trace(tdag_u) / d
     infid = 1.0 - abs(overlap) ** 2
 
-    # Divided differences of exp(-i x dt) over each slot spectrum.
-    dw = w[:, :, None] - w[:, None, :]
-    num = phases[:, :, None] - phases[:, None, :]
-    degenerate = np.abs(dw) < _DEGENERACY_EPS
-    lam = np.where(
-        degenerate,
-        -1j * dt * np.broadcast_to(phases[:, :, None], dw.shape),
-        num / np.where(degenerate, 1.0, dw),
-    )
-
     # d infid / d u_jk = (-2/d) Re(conj(overlap) Tr(G_j H_k)) with
-    # G_j = V_j (V_j^dag W_j V_j * lam_j^T) V_j^dag, W_j = prefix_j T^dag suffix_j,
-    # V_j the slot eigenvectors and T the target; one batched product covers
-    # every slot.
-    vdag = v.conj().transpose(0, 2, 1)
-    wmat = prefix[:-1] @ target.conj().T @ suffix
-    g = v @ (vdag @ wmat @ v * lam.transpose(0, 2, 1)) @ vdag
-    tr = np.einsum("jba,kab->jk", g, h_stack)
+    # G_j = V_j (M_j * lam_j) V_j^dag, M_j = (V_j^dag P_{j-1}) T^dag U (P_j^dag V_j)
+    # (P_0 = 1) and lam_j the symmetric divided differences over the spectrum
+    # of H_j; Tr(G_j H_k) for all j, k is one (n, d^2) @ (d^2, n_controls) product.
+    before = np.empty_like(vdag)
+    before[0] = vdag[0]
+    before[1:] = vdag[1:] @ prefix[:-1]
+    after = prefix.conj().transpose(0, 2, 1) @ v
+    lam = (-1j * dt) * half[:, :, None] * half[:, None, :] * np.sinc(
+        (0.5 / np.pi) * dt * (w[:, :, None] - w[:, None, :])
+    )
+    g = v @ (before @ tdag_u @ after * lam) @ vdag
+    tr = g.reshape(n_slots, d * d) @ controls.transpose(0, 2, 1).reshape(n_controls, d * d).T
     grad = (-2.0 / d) * np.real(np.conj(overlap) * tr)
     return float(infid), grad
 

@@ -1,13 +1,13 @@
 """Reference implementations that the tests compare the library against.
 
 Each one computes its result by a route of its own (fixed-step RK4, the
-Uhlmann formula, one ``expm`` per pulse slot, complex slot generators, ...),
-so agreement with the library is evidence that both are right.  Nothing in
-``quditbench`` calls them.
+Uhlmann formula, one ``expm`` or ``expm_frechet`` per pulse slot, complex
+slot generators, ...), so agreement with the library is evidence that both
+are right.  Nothing in ``quditbench`` calls them.
 """
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, expm_frechet
 
 from quditbench.lindblad import DensityMatrix, SuperOperator, commutator_superoperator, dissipator
 from quditbench.operators import PURITY_ATOL, Operator
@@ -98,6 +98,33 @@ def schedule_unitary(schedule, basis) -> Operator:
     for h in np.tensordot(schedule.amplitudes, basis.controls, axes=(1, 0)):
         u = expm(-1j * schedule.slot_duration * h) @ u
     return Operator(u)
+
+
+def gradient_per_slot(amps, basis, target, dt) -> np.ndarray:
+    """Gradient of the gate infidelity 1 - |Tr(T^dag U)/d|^2 of the schedule
+    U = X_n ... X_1, X_j = expm(-i dt H_j), with respect to every amplitude
+    u_jk: (-2/d) Re(conj(overlap) Tr(T^dag S_j L_jk P_j)) with the sequential
+    prefix P_j = X_{j-1} ... X_1, suffix S_j = X_n ... X_{j+1} and the Frechet
+    derivative L_jk of expm at -i dt H_j in the direction -i dt H_k, one
+    ``expm_frechet`` per slot and control rather than the library's batched
+    spectral divided differences."""
+    n_slots, d = amps.shape[0], basis.dim
+    hs = np.tensordot(amps, basis.controls, axes=(1, 0))
+    xs = [expm(-1j * dt * h) for h in hs]
+    prefix = [np.eye(d, dtype=complex)]
+    for x in xs[:-1]:
+        prefix.append(x @ prefix[-1])
+    suffix = [np.eye(d, dtype=complex)]
+    for x in xs[:0:-1]:
+        suffix.insert(0, suffix[0] @ x)
+    overlap = np.trace(target.conj().T @ xs[-1] @ prefix[-1]) / d
+    grad = np.empty(amps.shape)
+    for j, h in enumerate(hs):
+        for k, control in enumerate(basis.controls):
+            frechet = expm_frechet(-1j * dt * h, -1j * dt * control, compute_expm=False)
+            tr = np.trace(target.conj().T @ suffix[j] @ frechet @ prefix[j])
+            grad[j, k] = (-2.0 / d) * np.real(np.conj(overlap) * tr)
+    return grad
 
 
 def complex_schedule_channel(schedule, basis, noise) -> SuperOperator:
