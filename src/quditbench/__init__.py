@@ -17,6 +17,7 @@ from .fidelity import (
     HaarSampler,
     agi_curve,
     agi_exact,
+    agi_first_order,
     agi_kraus,
     agi_monte_carlo,
     collapse_variance,

@@ -2,9 +2,12 @@
 
 The average gate infidelity (AGI) of a channel E attempting a unitary U is
 1 - F_bar with F_bar the gate fidelity averaged over Haar-random pure inputs.
-Four routes are provided and cross-checked against each other:
+Five routes are provided and cross-checked against each other:
 
 * ``agi_kraus``  -- trace formula (d + sum_k |Tr E_k|^2) / (d (d+1)),
+* ``agi_first_order`` -- that formula for the first-order Kraus set of a
+  noise model, in closed form over a gamma_t grid from two traces per noise
+  term, free of the cancellation against |Tr E_0|^2 ~ d^2,
 * ``agi_exact``  -- deterministic, via the process fidelity of the dense
   superoperator (general channels, and the oracle for the fast path),
 * ``agi_curve`` -- identity gate under a purely dissipative generator, over
@@ -134,6 +137,29 @@ def agi_kraus(kraus) -> float:
     d = kraus.hilbert_dim
     total = sum(abs(op.trace()) ** 2 for op in kraus.ops)
     return float(1.0 - (d + total) / (d * (d + 1)))
+
+
+def agi_first_order(noise: NoiseModel, gamma_t_grid) -> np.ndarray:
+    """AGI of the identity gate under the first-order Kraus set of ``noise``
+    (``channels.kraus_multi``) for every x = gamma_t of a grid:
+    E_0 = 1 - (x/2) sum_k gamma_k L_k^dag L_k and E_k = sqrt(gamma_k x) L_k.
+
+    With s = sum_k gamma_k Tr(L_k^dag L_k) and t = sum_k gamma_k |Tr L_k|^2,
+    Tr E_0 = d - x s / 2 and sum_{k>0} |Tr E_k|^2 = x t, so the trace formula
+    of ``agi_kraus`` is exactly
+
+        AGI(x) = (x (d s - t) - x^2 s^2 / 4) / (d (d + 1)),
+
+    whose first-order term (d s - t) / (d (d + 1)) is the sum of the terms'
+    ``analytic.c_general``.  It needs O(d^2) work per noise term, once per
+    curve, and it does not subtract |Tr E_0|^2 ~ d^2 from d^2 + d.
+    """
+    d = noise.dim
+    s = sum(gamma * np.vdot(op.entries, op.entries).real for gamma, op in noise.terms)
+    t = sum(gamma * abs(np.trace(op.entries)) ** 2 for gamma, op in noise.terms)
+    x = np.asarray(gamma_t_grid, dtype=float)
+    # + 0.0 turns a -0.0 at gamma_t = 0 into +0.0
+    return (x * (d * s - t) - (x * s) ** 2 / 4) / (d * (d + 1)) + 0.0
 
 
 def _require_unitary(gate: Operator) -> None:

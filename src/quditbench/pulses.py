@@ -20,11 +20,12 @@ once, is a real product in the orthonormal Hermitian operator basis of
 matrix (the coherence-vector form: Alicki & Lendi, Quantum Dynamical
 Semigroups and Applications, LNP 286, 1987): per scale, one real
 exponential stack over the slots and their ordered real product.  The
-exponentials are this module's own scaling and squaring
-(``_real_expm``), not scipy's real ``expm``: on slot matrices with 1-norm
-past ~5, which synthesized pulses reach, scipy 1.17's real kernel is up to
-two orders of magnitude less accurate than its complex one (2e-13 against
-4e-15 entrywise on one slot of a desk-scale gate-dependence pulse).
+exponentials are this module's own scaling and squaring with one Taylor
+polynomial (``_real_expm``), not scipy's real ``expm``: on slot matrices
+with 1-norm past ~5, which synthesized pulses reach, scipy 1.17's real
+kernel is up to two orders of magnitude less accurate than its complex one
+(2e-13 against 4e-15 entrywise on one slot of a desk-scale gate-dependence
+pulse).
 """
 
 from __future__ import annotations
@@ -38,20 +39,9 @@ from scipy.optimize import minimize
 from .lindblad import SuperOperator, commutator_superoperator, dissipator, hermitian_basis
 from .operators import HERMITICITY_ATOL, NoiseModel, Operator
 
-# _real_expm: diagonal Pade degrees and the 1-norm bound up to which each
-# reaches double precision (Higham 2005, Table 2.3), and the coefficients of
-# the numerator p_m(x) = sum_j c_j x^j; the denominator is p_m(-x).
-_PADE_DEGREES = (3, 5, 7, 9, 13)
-_PADE_THETAS = np.array(
-    [1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1, 2.097847961257068, 5.371920351148152]
-)
-_PADE_COEFFS = {
-    m: [
-        factorial(2 * m - j) * factorial(m) / (factorial(2 * m) * factorial(j) * factorial(m - j))
-        for j in range(m + 1)
-    ]
-    for m in _PADE_DEGREES
-}
+# _real_expm: the degree of its Taylor polynomial and the coefficients 1/k!.
+_TAYLOR_DEGREE = 18
+_TAYLOR_COEFFS = tuple(1.0 / factorial(k) for k in range(_TAYLOR_DEGREE + 1))
 
 # grape_optimize: L-BFGS-B runs per target (the first plus restarts) and the
 # iteration cap of each run.
@@ -336,46 +326,42 @@ def schedule_to_propagator(
     return channels
 
 
-def _pade(a: np.ndarray, m: int) -> np.ndarray:
-    """Diagonal Pade approximant of degree m to exp, for a stack of matrices."""
-    c = _PADE_COEFFS[m]
-    eye = np.eye(a.shape[-1])
-    a2 = a @ a
-    if m == 13:
-        a4 = a2 @ a2
-        a6 = a4 @ a2
-        u = a @ (a6 @ (c[13] * a6 + c[11] * a4 + c[9] * a2) + c[7] * a6 + c[5] * a4 + c[3] * a2 + c[1] * eye)
-        v = a6 @ (c[12] * a6 + c[10] * a4 + c[8] * a2) + c[6] * a6 + c[4] * a4 + c[2] * a2 + c[0] * eye
-    else:
-        power, u, v = a2, c[1] * eye, c[0] * eye
-        for k in range(1, (m + 1) // 2):
-            if k > 1:
-                power = power @ a2
-            u = u + c[2 * k + 1] * power
-            v = v + c[2 * k] * power
-        u = a @ u
-    return np.linalg.solve(v - u, v + u)
-
-
 def _real_expm(a: np.ndarray) -> np.ndarray:
-    """exp of each matrix of a real (n, k, k) stack by scaling and squaring
-    (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).
+    """exp of each matrix of a real (n, k, k) stack by scaling and squaring.
 
-    Each matrix gets the lowest Pade degree whose bound covers its 1-norm,
-    or degree 13 after halving it s times, and is squared s times back; the
-    stack is evaluated in groups of equal (degree, s), so each result does
-    not depend on the other matrices of the stack.
+    Each matrix A is halved s times, the fewest that bring its 1-norm to
+    <= 1 (an exact scaling), and exp(X), X = A / 2^s, is taken as the
+    degree-18 Taylor polynomial squared s times.  For ||X||_1 <= 1 the
+    dropped terms have 1-norm <= sum_{k >= 19} 1/k! < 8.7e-18, and
+    ||exp(X)||_1 >= 1 / ||exp(-X)||_1 >= e^-1, so the relative truncation is
+    below 2.4e-17, under the unit roundoff 2^-53 = 1.1e-16.
+
+    The polynomial is evaluated by Paterson-Stockmeyer (SIAM J. Comput. 2,
+    60 (1973)) in powers of X^4: from X^2, X^3 and X^4, four Horner steps
+    over the blocks B_j = sum_{i < 4} X^i / (4j + i)!, seven products in
+    all.  Squaring step k squares only the matrices with s > k, so no result
+    depends on the rest of the stack.
     """
     norms = np.abs(a).sum(axis=-2).max(axis=-1)
-    degree = np.minimum(np.searchsorted(_PADE_THETAS, norms), len(_PADE_DEGREES) - 1)
-    squarings = np.ceil(np.log2(np.maximum(norms, _PADE_THETAS[-1]) / _PADE_THETAS[-1])).astype(int)
-    keys = squarings * len(_PADE_DEGREES) + degree
-    out = np.empty_like(a)
-    for key in np.unique(keys):
-        s, k = divmod(int(key), len(_PADE_DEGREES))
-        group = keys == key
-        result = _pade(a[group] / 2.0**s, _PADE_DEGREES[k])
-        for _ in range(s):
-            result = result @ result
-        out[group] = result
+    mantissa, exponent = np.frexp(norms)
+    squarings = np.maximum(exponent - (mantissa == 0.5), 0)
+    x = np.ldexp(a, -squarings[:, None, None])
+    x2 = x @ x
+    x3 = x2 @ x
+    x4 = x2 @ x2
+    c = _TAYLOR_COEFFS
+    diag = np.arange(a.shape[-1])
+    out = c[17] * x
+    out += c[18] * x2
+    out[:, diag, diag] += c[16]
+    for j in (12, 8, 4, 0):
+        out = x4 @ out
+        out += c[j + 1] * x
+        out += c[j + 2] * x2
+        out += c[j + 3] * x3
+        out[:, diag, diag] += c[j]
+    for step in range(squarings.max(initial=0)):
+        squared = squarings > step
+        part = out[squared]
+        out[squared] = part @ part
     return out

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from quditbench import (
     Operator,
     agi_curve,
     agi_exact,
+    agi_first_order,
     agi_kraus,
     agi_monte_carlo,
     c_general,
@@ -203,6 +205,46 @@ def test_agi_kraus_qubit_ensemble_first_order():
         agi = agi_kraus(kraus_multi(NoiseModel.site_dephasing(n), gt))
         expected = gt / 4 * n * 2**n / (2**n + 1)
         assert abs(agi - expected) < 2 * gt**2 * (n * 2**n) ** 2
+
+
+def _first_order_agi_rational(noise, x):
+    """AGI of the first-order Kraus set by the trace formula
+    1 - (d + sum_k |Tr E_k|^2) / (d (d+1)) in exact rationals, on the same
+    float rates, entries and gamma_t: Tr E_0 = d - (x/2) sum_k gamma_k
+    sum_ij |L_ij|^2 and |Tr E_k|^2 = gamma_k x |Tr L_k|^2."""
+    d = noise.dim
+    x = Fraction(float(x))
+    tr_e0 = Fraction(d)
+    tail = Fraction(0)
+    for gamma, op in noise.terms:
+        l = op.entries
+        norm2 = sum(Fraction(float(v.real)) ** 2 + Fraction(float(v.imag)) ** 2 for v in l[np.nonzero(l)])
+        tr_e0 -= x / 2 * Fraction(gamma) * norm2
+        diag = l.diagonal()
+        re = sum(Fraction(float(v.real)) for v in diag)
+        im = sum(Fraction(float(v.imag)) for v in diag)
+        tail += Fraction(gamma) * x * (re * re + im * im)
+    return 1 - (d + tr_e0 * tr_e0 + tail) / (d * (d + 1))
+
+
+def test_agi_first_order_matches_exact_rationals_and_kraus():
+    grid = np.linspace(0.0, 1e-4, 11)
+    rng = np.random.default_rng(3)
+    generic = Operator(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    models = {
+        "sites n=6": NoiseModel.site_dephasing(6),
+        "sites n=3": NoiseModel.site_dephasing(3),
+        "Jz d=64": NoiseModel.single(1.0, spin_z(64)),
+        # not traceless and not Hermitian, with two rates: t = sum gamma |Tr L|^2 > 0
+        "mixed d=4": NoiseModel(((0.7, generic), (1.3, spin_plus(4)))),
+    }
+    for name, noise in models.items():
+        got = agi_first_order(noise, grid)
+        assert got[0] == 0.0 and math.copysign(1.0, got[0]) == 1.0, name
+        for x, value in zip(grid[1:], got[1:]):
+            exact = _first_order_agi_rational(noise, x)
+            assert abs(Fraction(float(value)) / exact - 1) <= 1e-15, (name, x)
+            assert abs(value / agi_kraus(kraus_multi(noise, x)) - 1.0) <= 1e-9, (name, x)
 
 
 # ---------------------------------------------------------------------------

@@ -175,15 +175,20 @@ def test_critical_curve_methods_and_values():
         assert abs(r["ratio_analytic"] - critical_ratio(2**n)) < 1e-12
 
 
-def test_agi_curve_kraus_matches_single_operator_kraus():
-    import numpy as np
-    from quditbench import agi_kraus, kraus_first_order
-    from quditbench.experiments import agi_curve_kraus, collapse_model
-
-    grid = np.linspace(0.0, 1e-4, 11)
-    noise = collapse_model("Jz", 64)
-    per_point = [0.0] + [agi_kraus(kraus_first_order(noise.terms[0][1], gt)) for gt in grid[1:]]
-    assert np.array_equal(agi_curve_kraus(noise, grid), per_point)
+def test_critical_curve_flags_rows_that_are_not_first_order(tmp_path, capsys):
+    # the J_z slope is -1.9% off first order at n = 7 and -0.47% at n = 6
+    main(["critical-curve", "--qubits", "6,7", "--out", str(tmp_path / "c.csv")])
+    warnings = [line for line in capsys.readouterr().out.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == 1 and warnings[0].startswith("warning: n=7:"), warnings
+    gaps = json.loads((tmp_path / "c.json").read_text())["first_order_gaps"]
+    assert -0.02 < gaps["7"]["qudit"] < -0.018 and -0.005 < gaps["6"]["qudit"] < -0.004, gaps
+    result = run_experiment(ExperimentSpec("critical-curve", (1, 2, 3, 6), (0.0, 1e-4, 11)))
+    assert set(result.summary["first_order_gaps"]) == {"1", "2", "3", "6"}
+    assert not any(line.startswith("warning:") for line in result.lines)
+    for row in result.rows:
+        gap = result.summary["first_order_gaps"][str(row["n"])]
+        assert gap["qudit"] == row["c_qudit"] / quditbench.c_qudit_dephasing(row["d"]) - 1.0
+        assert gap["qubits"] == row["c_qubits"] / quditbench.c_qubits_dephasing(row["n"]) - 1.0
 
 
 def _dense_agi_curve(noise, grid):
@@ -651,6 +656,7 @@ def test_package_exports_names_not_submodules():
         "lindblad": ("choi_matrix", "dephasing_exponents", "rk4_propagate"),
         "pulses": ("gate_infidelity", "schedule_unitary"),
         "platforms": ("serialize_records",),
+        "experiments": ("agi_curve_kraus",),
     }
     for module, names in removed.items():
         for name in names:
