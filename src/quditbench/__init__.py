@@ -25,7 +25,7 @@ from .fidelity import (
     process_fidelity,
     process_from_average,
 )
-from .fitting import DeviationStats, FitResult, deviation_stats, fit_slope, relative_deviation
+from .fitting import FitResult, deviation_stats, fit_slope, relative_deviation
 from .lindblad import (
     DensityMatrix,
     SuperOperator,

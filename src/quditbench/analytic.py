@@ -58,21 +58,23 @@ def c_qudits_dephasing(d: int, n_qudits: int) -> float:
     return n_qudits * dn * (d * d - 1) / (12 * (dn + 1))
 
 
-def c_heterogeneous(noise_per_site: list[NoiseModel], d: int, n_qudits: int) -> float:
+def c_heterogeneous(noise_per_site: list[NoiseModel]) -> float:
     """Slope coefficient of t for an N-qudit ensemble with per-site noise:
 
         (d^(N-1) / (d^N + 1)) * sum_k gamma_k (Tr(L_k^dag L_k) - |Tr L_k|^2 / d).
 
-    Each site may carry several (gamma, L) terms; all are summed.  The rates
-    are folded in, so the returned value multiplies t (not gamma*t).
+    N is the number of site models and d their common dimension.  Each site
+    may carry several (gamma, L) terms; all are summed.  The rates are folded
+    in, so the returned value multiplies t (not gamma*t).
     """
-    if len(noise_per_site) != n_qudits:
-        raise ValueError(f"expected {n_qudits} per-site noise models, got {len(noise_per_site)}")
+    dims = {noise.dim for noise in noise_per_site}
+    if len(dims) != 1:
+        raise ValueError(f"sites need one common dimension, got {sorted(dims)}")
+    (d,) = dims
+    n_qudits = len(noise_per_site)
     total = 0.0
     for noise in noise_per_site:
         for gamma, op in noise.terms:
-            if op.dim != d:
-                raise ValueError(f"site operator dimension {op.dim} != d={d}")
             total += gamma * (d + 1) * c_general(op)
     dn = float(d) ** n_qudits
     return float(dn / d / (dn + 1) * total)
@@ -85,8 +87,8 @@ def critical_ratio(d: float) -> float:
     qubits only when tau_qubits / tau_qudit exceeds this value.  Real d >= 2
     is accepted (the multiqudit reduction gives the same expression).
     """
-    if d <= 1:
-        raise ValueError("critical ratio requires d > 1")
+    if not d > 1:
+        raise ValueError(f"critical ratio requires d > 1, got {d}")
     return (d * d - 1) / (3 * np.log2(d))
 
 
@@ -97,8 +99,8 @@ def naive_ratio(d: float) -> float:
     requirement at small d (e.g. 21.33 vs the exact 7 at d = 8); reports emit
     both numbers.
     """
-    if d <= 1:
-        raise ValueError("naive ratio requires d > 1")
+    if not d > 1:
+        raise ValueError(f"naive ratio requires d > 1, got {d}")
     return d * d / np.log2(d)
 
 
@@ -113,7 +115,10 @@ def max_advantageous_dimension(tau_ratio: float) -> float:
 
     ``critical_ratio`` is strictly increasing for d >= 2, so the crossing is
     unique.  Returns 2.0 when even d = 2 is not advantageous (ratio < 1).
+    A NaN ratio raises.
     """
+    if np.isnan(tau_ratio):
+        raise ValueError("tau ratio must be a number, got nan")
     if tau_ratio <= 1.0:
         return 2.0
     lo, hi = 2.0, 2.0

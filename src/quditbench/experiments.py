@@ -37,12 +37,18 @@ EXACT_CHANNEL_DIM_LIMIT = 32
 FIRST_ORDER_GAP_TOL = 0.01
 
 
+def _is_int(value) -> bool:
+    """Python or NumPy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Parameters of one named experiment.
 
     ``dims`` holds qudit dimensions, except for qubit-ensemble experiments
-    and the critical curve, where it holds qubit counts n.
+    and the critical curve, where it holds qubit counts n.  Dimensions, the
+    grid's point count, ``n_gates`` and ``seed`` are integers.
     """
 
     name: str
@@ -58,20 +64,22 @@ class ExperimentSpec:
         if self.name not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.name!r}")
         lo, hi, n = self.gamma_t_grid
-        if not (0 <= lo < hi <= 1.0) or n < 2:
+        if not (0 <= lo < hi <= 1.0) or not _is_int(n) or n < 2:
             raise ValueError(f"invalid gamma_t grid {self.gamma_t_grid}")
-        if not self.dims or any(d < 1 for d in self.dims):
+        if not self.dims or any(not _is_int(d) or d < 1 for d in self.dims):
             raise ValueError(f"invalid dims {self.dims}")
         if len(set(self.dims)) != len(self.dims):
             raise ValueError(f"repeated dimension in dims {self.dims}")
         if self.gates not in ("identity", "cue"):
             raise ValueError(f"unknown gate spec {self.gates!r}")
+        if not _is_int(self.n_gates):
+            raise ValueError(f"n_gates must be an integer, got {self.n_gates!r}")
         if self.gates == "cue" and self.n_gates < 1:
             raise ValueError("cue gates need n_gates >= 1")
         if self.gates == "cue" and min(self.dims) < 2:
             raise ValueError(f"cue gates need every dimension >= 2, got dims {self.dims}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.output_path is not None and Path(self.output_path).suffix == ".json":
             raise ValueError(f"output path {self.output_path!r} would be overwritten by its .json summary")
 
@@ -106,7 +114,7 @@ def collapse_model(kind: str, d: int) -> NoiseModel:
         return NoiseModel.single(1.0, spin_plus(d))
     if kind == "JxJyJz":
         jx, jy = spin_xy(d)
-        l = Operator(jx.entries + jy.entries + spin_z(d).entries, hermitian=True)
+        l = Operator(jx.entries + jy.entries + spin_z(d).entries)
         return NoiseModel.single(1.0, l)
     if kind == "qubit-ensemble-Sz":
         return NoiseModel.site_dephasing(d)  # here d is the qubit count
@@ -288,22 +296,13 @@ def _run_gate_dependence(spec: ExperimentSpec, workers: int) -> ExperimentResult
         iterations.setdefault(str(r["d"]), []).append(r["grape_iterations"])
     summary = {
         "n_failures": n_failures,
-        "stats": {
-            str(d): {
-                "mean": s.mean,
-                "std": s.std,
-                "min": s.min,
-                "max": s.max,
-                "percentiles": {str(p): v for p, v in s.percentiles.items()},
-            }
-            for d, s in stats.items()
-        },
+        "stats": {str(d): s for d, s in stats.items()},
         "grape_iterations": {
             d: {"total": sum(its), "max": max(its)} for d, its in iterations.items()
         },
     }
     lines = [
-        f"d={d}: mean {s.mean:+.3e}  std {s.std:.3e}  range [{s.min:+.3e}, {s.max:+.3e}]"
+        f"d={d}: mean {s['mean']:+.3e}  std {s['std']:.3e}  range [{s['min']:+.3e}, {s['max']:+.3e}]"
         for d, s in sorted(stats.items())
     ]
     if n_failures:

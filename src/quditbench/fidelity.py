@@ -139,6 +139,13 @@ def agi_kraus(kraus) -> float:
     return float(1.0 - (d + total) / (d * (d + 1)))
 
 
+def _gamma_t_values(gamma_t_grid) -> np.ndarray:
+    x = np.asarray(gamma_t_grid, dtype=float)
+    if not (np.isfinite(x).all() and (x >= 0).all()):
+        raise ValueError(f"gamma_t values must be finite and non-negative, got {gamma_t_grid}")
+    return x
+
+
 def agi_first_order(noise: NoiseModel, gamma_t_grid) -> np.ndarray:
     """AGI of the identity gate under the first-order Kraus set of ``noise``
     (``channels.kraus_multi``) for every x = gamma_t of a grid:
@@ -153,11 +160,12 @@ def agi_first_order(noise: NoiseModel, gamma_t_grid) -> np.ndarray:
     whose first-order term (d s - t) / (d (d + 1)) is the sum of the terms'
     ``analytic.c_general``.  It needs O(d^2) work per noise term, once per
     curve, and it does not subtract |Tr E_0|^2 ~ d^2 from d^2 + d.
+    A negative or non-finite gamma_t raises.
     """
+    x = _gamma_t_values(gamma_t_grid)
     d = noise.dim
     s = sum(gamma * np.vdot(op.entries, op.entries).real for gamma, op in noise.terms)
     t = sum(gamma * abs(np.trace(op.entries)) ** 2 for gamma, op in noise.terms)
-    x = np.asarray(gamma_t_grid, dtype=float)
     # + 0.0 turns a -0.0 at gamma_t = 0 into +0.0
     return (x * (d * s - t) - (x * s) ** 2 / 4) / (d * (d + 1)) + 0.0
 
@@ -203,11 +211,13 @@ def agi_curve(noise: NoiseModel, gamma_t_grid) -> np.ndarray:
     small gamma_t; for dephasing every term is non-negative (Re z <= 0).  The
     trace identity holds for defective generators too (J_+), and
     sum f(eigenvalues) is backward stable, so the eigenvalue scatter of a
-    repeated eigenvalue cancels in the sum.
+    repeated eigenvalue cancels in the sum.  A negative or non-finite gamma_t
+    raises.
     """
+    grid = _gamma_t_values(gamma_t_grid)
     z = dissipator_spectrum(noise)
     d = noise.dim
-    sums = np.array([np.expm1(gt * z).real.sum() for gt in np.asarray(gamma_t_grid, dtype=float)])
+    sums = np.array([np.expm1(gt * z).real.sum() for gt in grid])
     # 0.0 - x rather than -x: gamma_t = 0 gives +0.0, not -0.0
     return 0.0 - sums / (d * (d + 1))
 

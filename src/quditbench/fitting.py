@@ -68,29 +68,21 @@ def relative_deviation(agi_sim: float, agi_th: float) -> float:
     return float(1.0 - agi_sim / agi_th)
 
 
-@dataclass(frozen=True)
-class DeviationStats:
-    """Summary of a deviation sample for candlestick-style reporting."""
-
-    mean: float
-    std: float
-    min: float
-    max: float
-    percentiles: dict[int, float]
-
-    PERCENTILES = (5, 25, 50, 75, 95)
+# Percentiles deviation_stats reports, for candlestick-style plots.
+PERCENTILES = (5, 25, 50, 75, 95)
 
 
-def deviation_stats(samples) -> DeviationStats:
-    """Mean / population std / extrema / percentiles of a deviation sample."""
+def deviation_stats(samples) -> dict:
+    """Mean, population std, extrema and percentiles of a deviation sample,
+    as the JSON-ready dict {"mean", "std", "min", "max", "percentiles":
+    {"5": ..., "95": ...}}."""
     arr = np.asarray(samples, dtype=float)
     if arr.size < 2:
         raise ValueError("need at least 2 samples")
-    pct = {p: float(np.percentile(arr, p)) for p in DeviationStats.PERCENTILES}
-    return DeviationStats(
-        mean=float(arr.mean()),
-        std=float(arr.std()),
-        min=float(arr.min()),
-        max=float(arr.max()),
-        percentiles=pct,
-    )
+    return {
+        "mean": float(arr.mean()),
+        "std": float(arr.std()),
+        "min": float(arr.min()),
+        "max": float(arr.max()),
+        "percentiles": {str(p): float(np.percentile(arr, p)) for p in PERCENTILES},
+    }

@@ -12,9 +12,9 @@ Only this module spells out the layout; other modules go through ``vec``,
 ``hermitian_basis``, the orthonormal Hermitian operator basis in which every
 generator and channel above is a real matrix.
 
-``dissipator_spectrum`` alone decides how the spectrum of a purely
-dissipative generator is found: entrywise for diagonal L_k, by a d x d
-``eigvalsh`` for one Hermitian L, by a dense eigenvalue solve otherwise.
+``dissipator_spectrum`` alone decides, from the entries, how the spectrum
+of a purely dissipative generator is found: entrywise for diagonal L_k, by a
+d x d ``eigvalsh`` for one L == L^dag, by ``eigvals(dissipator)`` otherwise.
 """
 
 from __future__ import annotations
@@ -156,8 +156,11 @@ def commutator_superoperator(h: np.ndarray) -> np.ndarray:
 
 
 def dissipator(noise: NoiseModel) -> np.ndarray:
-    """Dissipator part of the generator (rates included), as a d^2 x d^2 matrix."""
+    """Dissipator part of the generator (rates included), as a d^2 x d^2 matrix;
+    every dense generator goes through it, so it holds the dimension ceiling."""
     d = noise.dim
+    if d > MAX_HILBERT_DIM:
+        raise ValueError(f"dimension ceiling exceeded: d={d} > {MAX_HILBERT_DIM}")
     eye = np.eye(d)
     out = np.zeros((d * d, d * d), dtype=complex)
     for gamma, op in noise.terms:
@@ -183,18 +186,18 @@ def dissipator_spectrum(noise: NoiseModel) -> np.ndarray:
     single Hermitian collapse operator L = V diag(l) V^dag gives a dissipator
     unitarily equivalent (by conj(V) kron V) to that of diag(l), so the same
     expression runs on one d x d ``eigvalsh``, with no generator built and no
-    dimension ceiling (J_x, J_x + J_y + J_z).  Any other noise (J_+, several
-    non-diagonal terms) takes one ``eigvals`` of the dense generator, whose
-    dimension ``liouvillian`` caps.
+    dimension ceiling (J_x, J_x + J_y + J_z); ``eigvalsh`` reads one triangle,
+    so this needs L == L^dag exactly.  Any other noise (J_+, several terms, a
+    nearly Hermitian L) takes one ``eigvals`` of ``dissipator(noise)``.
     """
     d = noise.dim
+    gamma, op = noise.terms[0]
     if all(np.count_nonzero(op.entries - np.diag(np.diag(op.entries))) == 0 for _, op in noise.terms):
         terms = [(gamma, np.diag(op.entries)) for gamma, op in noise.terms]
-    elif len(noise) == 1 and noise.terms[0][1].hermitian:
-        gamma, op = noise.terms[0]
+    elif len(noise) == 1 and np.array_equal(op.entries, op.entries.conj().T):
         terms = [(gamma, np.linalg.eigvalsh(op.entries).astype(complex))]
     else:
-        return np.linalg.eigvals(liouvillian(Operator(np.zeros((d, d))), noise).matrix)
+        return np.linalg.eigvals(dissipator(noise))
     z = np.zeros((d, d), dtype=complex)
     for gamma, l in terms:
         z.real -= 0.5 * gamma * np.abs(l[:, None] - l[None, :]) ** 2
@@ -205,16 +208,16 @@ def dissipator_spectrum(noise: NoiseModel) -> np.ndarray:
 def liouvillian(h: Operator, noise: NoiseModel) -> SuperOperator:
     """Generator of the master equation for Hamiltonian ``h`` and a noise model.
 
-    Raises if ``h`` is not Hermitian or dimensions do not match.
+    Raises if ``h`` is not Hermitian or dimensions do not match.  The dissipator
+    is built first, so its dimension ceiling fires before any d^4 allocation.
     """
     d = h.dim
-    if d > MAX_HILBERT_DIM:
-        raise ValueError(f"dimension ceiling exceeded: d={d} > {MAX_HILBERT_DIM}")
     if np.abs(h.entries - h.entries.conj().T).max() > HERMITICITY_ATOL:
         raise ValueError("Hamiltonian must be Hermitian within 1e-12")
     if noise.dim != d:
         raise ValueError(f"noise dimension {noise.dim} != Hamiltonian dimension {d}")
-    return SuperOperator(-1j * commutator_superoperator(h.entries) + dissipator(noise))
+    diss = dissipator(noise)
+    return SuperOperator(-1j * commutator_superoperator(h.entries) + diss)
 
 
 def propagate(gen: SuperOperator, t: float) -> SuperOperator:

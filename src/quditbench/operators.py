@@ -9,12 +9,13 @@ every decay rate gamma by a factor 4.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-# Construction-time tolerance for claimed Hermiticity; derived numerical
-# identities are checked at 1e-10 (double precision, dimensions <= 256).
+# Tolerance of the Hermiticity checks on states, Hamiltonians and controls;
+# derived identities are checked at 1e-10 (double precision, d <= 256).
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12  # density matrices, at construction
 POSITIVITY_ATOL = 1e-10  # density matrices, at construction
@@ -24,16 +25,13 @@ PURITY_ATOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """Dense complex square matrix with dimension metadata.
-
-    ``hermitian`` is a claim, verified at construction:
-    max entrywise |A - A^dag| must not exceed 1e-12.
+    """Dense complex square matrix; its structure (diagonal, Hermitian) is
+    read off the entries by whoever needs it, not claimed by the caller.
     Instances are immutable (the entry array is frozen); they can be
     shared freely across concurrent tasks.
     """
 
     entries: np.ndarray
-    hermitian: bool = False
 
     def __post_init__(self) -> None:
         arr = np.array(self.entries, dtype=complex)
@@ -41,8 +39,6 @@ class Operator:
             raise ValueError(f"operator entries must be square, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise ValueError("invalid dimension: operator must be at least 1x1")
-        if self.hermitian and np.abs(arr - arr.conj().T).max() > HERMITICITY_ATOL:
-            raise ValueError("operator claimed Hermitian but is not (tolerance 1e-12)")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -63,7 +59,7 @@ def identity(d: int) -> Operator:
     """Identity operator on a d-level system (cached: operators are immutable)."""
     if d < 1:
         raise ValueError("invalid dimension: d must be >= 1")
-    return Operator(np.eye(d), hermitian=True)
+    return Operator(np.eye(d))
 
 
 def spin_z(d: int) -> Operator:
@@ -74,7 +70,7 @@ def spin_z(d: int) -> Operator:
     if d < 1:
         raise ValueError("invalid dimension: d must be >= 1")
     m = (d - 1) / 2 - np.arange(d)
-    return Operator(np.diag(m.astype(complex)), hermitian=True)
+    return Operator(np.diag(m.astype(complex)))
 
 
 def _spin_raising(d: int) -> np.ndarray:
@@ -94,8 +90,8 @@ def spin_xy(d: int) -> tuple[Operator, Operator]:
         raise ValueError("invalid dimension: d must be >= 1")
     jp = _spin_raising(d)
     jm = jp.conj().T
-    jx = Operator((jp + jm) / 2, hermitian=True)
-    jy = Operator((jp - jm) / (2j), hermitian=True)
+    jx = Operator((jp + jm) / 2)
+    jy = Operator((jp - jm) / (2j))
     return jx, jy
 
 
@@ -121,33 +117,33 @@ def embed_site(op: Operator, site: int, n_sites: int) -> Operator:
     left = np.eye(d ** (site - 1))
     right = np.eye(d ** (n_sites - site))
     out = np.kron(np.kron(left, op.entries), right)
-    return Operator(out, hermitian=op.hermitian)
+    return Operator(out)
 
 
 @dataclass(frozen=True, eq=False)
 class NoiseModel:
     """Markovian noise: a list of (decay rate gamma, collapse operator L) pairs.
 
-    All rates are non-negative (units 1/time) and all collapse operators
-    share one Hilbert-space dimension.
+    There is at least one term, all rates are finite and non-negative (units
+    1/time) and all collapse operators share one Hilbert-space dimension.
     """
 
     terms: tuple[tuple[float, Operator], ...]
 
     def __post_init__(self) -> None:
         terms = tuple((float(g), op) for g, op in self.terms)
+        if not terms:
+            raise ValueError("noise model needs at least one (rate, operator) term")
         dims = {op.dim for _, op in terms}
         if len(dims) > 1:
             raise ValueError(f"collapse operators have mixed dimensions {sorted(dims)}")
         for g, _ in terms:
-            if g < 0:
-                raise ValueError(f"decay rate must be non-negative, got {g}")
+            if not 0 <= g < math.inf:
+                raise ValueError(f"decay rate must be finite and non-negative, got {g}")
         object.__setattr__(self, "terms", terms)
 
     @property
     def dim(self) -> int:
-        if not self.terms:
-            raise ValueError("empty noise model has no dimension")
         return self.terms[0][1].dim
 
     def __len__(self) -> int:

@@ -61,19 +61,22 @@ def test_c_heterogeneous():
     sz = spin_z(2)
     # identical terms reduce to the homogeneous ensemble formula
     noise = [NoiseModel.single(1.0, sz) for _ in range(3)]
-    assert abs(c_heterogeneous(noise, 2, 3) - c_qudits_dephasing(2, 3)) < 1e-12
+    assert abs(c_heterogeneous(noise) - c_qudits_dephasing(2, 3)) < 1e-12
     # a single site reduces to gamma * c_general
     g = 0.7
-    assert abs(c_heterogeneous([NoiseModel.single(g, sz)], 2, 1) - g * c_general(sz)) < 1e-13
-    with pytest.raises(ValueError):
-        c_heterogeneous([NoiseModel.single(1.0, sz)], 2, 2)
+    assert abs(c_heterogeneous([NoiseModel.single(g, sz)]) - g * c_general(sz)) < 1e-13
+    # d and N come from the sites, which must share one dimension
+    with pytest.raises(ValueError, match="common dimension"):
+        c_heterogeneous([NoiseModel.single(1.0, sz), NoiseModel.single(1.0, spin_z(3))])
+    with pytest.raises(ValueError, match="common dimension"):
+        c_heterogeneous([])
 
 
 def test_c_general_additivity_over_orthogonal_parts():
     # trace-orthogonal traceless parts contribute additively
     for d in (3, 6):
         jx, jy = spin_xy(d)
-        combined = Operator(jx.entries + jy.entries, hermitian=True)
+        combined = Operator(jx.entries + jy.entries)
         assert abs(c_general(combined) - (c_general(jx) + c_general(jy))) < 1e-11
 
 
@@ -82,8 +85,9 @@ def test_critical_ratio_table():
     assert abs(critical_ratio(4) - 2.5) < 1e-12
     assert abs(critical_ratio(8) - 7.0) < 1e-12
     assert abs(critical_ratio(64) - 227.5) < 1e-12
-    with pytest.raises(ValueError):
-        critical_ratio(1)
+    for bad in (1, float("nan")):
+        with pytest.raises(ValueError):
+            critical_ratio(bad)
 
 
 def test_critical_ratio_equals_slope_ratio():
@@ -97,6 +101,9 @@ def test_naive_ratio_flagged_difference():
     # the intuitive d^2/log2 d comparator disagrees with the exact curve
     assert abs(naive_ratio(8) - 64 / 3) < 1e-12
     assert naive_ratio(8) > critical_ratio(8)
+    for bad in (1, float("nan")):
+        with pytest.raises(ValueError):
+            naive_ratio(bad)
 
 
 def test_critical_ratio_asymptotics():
@@ -115,3 +122,5 @@ def test_max_advantageous_dimension():
     # critical_ratio(1e6) ~ 1.7e10, so this ratio has no crossing in range
     with pytest.raises(ValueError, match="no crossing"):
         max_advantageous_dimension(1e11)
+    with pytest.raises(ValueError):
+        max_advantageous_dimension(float("nan"))

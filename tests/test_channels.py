@@ -134,7 +134,7 @@ def test_heterogeneous_rates_match_haar_oracle():
     assert abs(mean - agi_kraus(ks)) < 3 * se
     # and both sit on the heterogeneous first-order line
     per_site = [NoiseModel.single(2 * g2, sz), NoiseModel.single(g2, sz)]
-    linear = t * c_heterogeneous(per_site, 2, 2)
+    linear = t * c_heterogeneous(per_site)
     assert abs(agi_kraus(ks) - linear) < 5 * (max(2 * g2, g2) * t) ** 2
 
 

@@ -471,6 +471,14 @@ def test_agi_dephasing_matches_mpmath_reference():
             assert abs(agi_curve(noise, [gt])[0] / float(ref) - 1.0) <= 1e-14
 
 
+def test_agi_curves_reject_negative_and_non_finite_gamma_t():
+    noise = NoiseModel.single(1.0, spin_z(3))
+    for curve in (agi_curve, agi_first_order):
+        for bad in (-1e-3, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                curve(noise, [0.0, bad])
+
+
 def test_agi_dephasing_zero_is_positive_zero():
     curve = agi_curve(NoiseModel.single(1.0, spin_z(3)), [0.0])
     assert math.copysign(1.0, curve[0]) == 1.0

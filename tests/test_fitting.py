@@ -60,16 +60,17 @@ def test_relative_deviation():
 
 def test_deviation_stats_constant():
     stats = deviation_stats([0.3, 0.3, 0.3])
-    assert stats.std == 0.0 and stats.mean == 0.3
+    assert stats["std"] == 0.0 and stats["mean"] == 0.3
 
 
 def test_deviation_stats_hand_computed():
     # [1,2,3,4,10]: mean 4, population variance (9+4+1+0+36)/5 = 10
     stats = deviation_stats([1, 2, 3, 4, 10])
-    assert abs(stats.mean - 4.0) < 1e-15
-    assert abs(stats.std - np.sqrt(10)) < 1e-15
-    assert stats.min == 1.0 and stats.max == 10.0
-    assert stats.percentiles[50] == 3.0
+    assert abs(stats["mean"] - 4.0) < 1e-15
+    assert abs(stats["std"] - np.sqrt(10)) < 1e-15
+    assert stats["min"] == 1.0 and stats["max"] == 10.0
+    assert list(stats["percentiles"]) == ["5", "25", "50", "75", "95"]
+    assert stats["percentiles"]["50"] == 3.0
 
 
 def test_deviation_stats_rejects_tiny_input():

@@ -28,6 +28,8 @@ GATE_GRID = (1e-5, 1e-3, 9)
 
 
 def test_spec_validation():
+    import numpy as np
+
     with pytest.raises(ValueError):
         ExperimentSpec("nope", (2,), (0.0, 1e-4, 11))
     with pytest.raises(ValueError):
@@ -45,6 +47,22 @@ def test_spec_validation():
             replace(default_spec(name), seed=-1)
     with pytest.raises(ValueError, match="repeated dimension"):
         ExperimentSpec("critical-curve", (1, 2, 1), (0.0, 1e-4, 11))
+    # dims, grid counts, n_gates and seeds are integers; a bool is not one
+    for dims in ((2.5,), (True,), (2, 3.0)):
+        with pytest.raises(ValueError, match="invalid dims"):
+            ExperimentSpec("slopes-qudit", dims, (0.0, 1e-4, 11))
+    for count in (11.0, True):
+        with pytest.raises(ValueError, match="grid"):
+            ExperimentSpec("slopes-qudit", (2,), (0.0, 1e-4, count))
+    with pytest.raises(ValueError, match="n_gates"):
+        ExperimentSpec("gate-dependence", (2,), (1e-5, 1e-3, 9), gates="cue", n_gates=1.5)
+    for seed in (1.0, False):
+        with pytest.raises(ValueError, match="seed"):
+            ExperimentSpec("slopes-qudit", (2,), (0.0, 1e-4, 11), seed=seed)
+    spec = ExperimentSpec(
+        "gate-dependence", (np.int64(2),), (1e-5, 1e-3, np.int32(9)), n_gates=np.int64(1), seed=np.uint8(4)
+    )
+    assert spec.grid().size == 9
     # the JSON summary goes to the output path with a .json suffix
     with pytest.raises(ValueError, match="summary"):
         ExperimentSpec("slopes-qudit", (2,), (0.0, 1e-4, 11), output_path="r.json")
@@ -213,7 +231,7 @@ def _assert_matches_dense(noise, grid, rtol=1e-10):
 
 def test_agi_curve_routes_by_noise_structure():
     import numpy as np
-    from quditbench import agi_curve, c_general, fit_slope
+    from quditbench import NoiseModel, Operator, agi_curve, c_general, fit_slope
     from quditbench.experiments import collapse_model
     from quditbench.lindblad import MAX_HILBERT_DIM
 
@@ -221,15 +239,20 @@ def test_agi_curve_routes_by_noise_structure():
     for d in (2, 3, 7, 12):
         for kind in ("Jx", "JxJyJz", "Jplus"):
             _assert_matches_dense(collapse_model(kind, d), grid)
-    # the dense route keeps the generator's dimension ceiling; the Hermitian
-    # route builds no generator and runs past it
+    # the dense route keeps the dissipator's dimension ceiling; the Hermitian
+    # route builds no generator and runs past it, for any exactly Hermitian
+    # matrix the caller passes
     big = MAX_HILBERT_DIM + 1
     with pytest.raises(ValueError, match="dimension ceiling"):
         agi_curve(collapse_model("Jplus", big), grid)
     fine = np.linspace(0.0, 1e-8, 11)
-    jx = collapse_model("Jx", big)
-    slope = fit_slope(fine, agi_curve(jx, fine)).slope_c
-    assert abs(slope / c_general(jx.terms[0][1]) - 1.0) <= 1e-4
+    rng = np.random.default_rng(17)
+    a = rng.standard_normal((big, big)) + 1j * rng.standard_normal((big, big))
+    for op in (collapse_model("Jx", big).terms[0][1], Operator((a + a.conj().T) / 2)):
+        curve = agi_curve(NoiseModel.single(1.0, op), fine)
+        assert np.all(np.isfinite(curve))
+        slope = fit_slope(fine, curve).slope_c
+        assert abs(slope / c_general(op) - 1.0) <= 1e-4
     # diagonal noise reads its spectrum off the Schur-multiplier exponents
     jz = collapse_model("Jz", 3)
     assert not np.array_equal(agi_curve(jz, grid), _dense_agi_curve(jz, grid))
@@ -657,6 +680,7 @@ def test_package_exports_names_not_submodules():
         "pulses": ("gate_infidelity", "schedule_unitary"),
         "platforms": ("serialize_records",),
         "experiments": ("agi_curve_kraus",),
+        "fitting": ("DeviationStats",),
     }
     for module, names in removed.items():
         for name in names:

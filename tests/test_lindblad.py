@@ -186,7 +186,7 @@ def test_semigroup_property():
     rng = np.random.default_rng(7)
     for d in (2, 3):
         h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        h = Operator((h + h.conj().T) / 2, hermitian=True)
+        h = Operator((h + h.conj().T) / 2)
         l = Operator(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
         gen = liouvillian(h, NoiseModel.single(0.3, l))
         t1, t2 = 0.37, 0.22
@@ -199,7 +199,7 @@ def test_noiseless_propagation_is_unitary_conjugation():
     rng = np.random.default_rng(3)
     d = 3
     h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    h = Operator((h + h.conj().T) / 2, hermitian=True)
+    h = Operator((h + h.conj().T) / 2)
     t = 0.8
     from scipy.linalg import expm
 
@@ -234,7 +234,7 @@ def test_rk4_cross_check():
     rng = np.random.default_rng(19)
     d = 3
     h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    h = Operator((h + h.conj().T) / 2, hermitian=True)
+    h = Operator((h + h.conj().T) / 2)
     l = Operator(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
     gen = liouvillian(h, NoiseModel.single(0.4, l))
     a = propagate(gen, 0.6).matrix
@@ -264,7 +264,7 @@ def test_maximally_mixed_is_fixed_point_of_hermitian_dissipator():
     # L = J_x + J_y + J_z is Hermitian, so 1/d is a fixed point
     d = 4
     jx, jy = spin_xy(d)
-    l = Operator(jx.entries + jy.entries + spin_z(d).entries, hermitian=True)
+    l = Operator(jx.entries + jy.entries + spin_z(d).entries)
     ch = propagate(liouvillian(zero_h(d), NoiseModel.single(1.0, l)), 0.5)
     rho = DensityMatrix.maximally_mixed(d)
     out = apply_channel(ch, rho)
@@ -287,8 +287,13 @@ def test_first_order_agreement():
 
 
 def test_dimension_ceiling():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dimension ceiling exceeded"):
         liouvillian(zero_h(129), NoiseModel.single(0.0, spin_z(129)))
+    # every dense generator goes through dissipator, which holds the ceiling
+    jplus = NoiseModel.single(1.0, spin_plus(129))
+    for build in (dissipator, dissipator_spectrum, lambda noise: liouvillian(zero_h(129), noise)):
+        with pytest.raises(ValueError, match="dimension ceiling exceeded"):
+            build(jplus)
 
 
 def test_dissipator_spectrum_of_diagonal_noise_is_the_dissipator_diagonal():
@@ -304,20 +309,44 @@ def test_dissipator_spectrum_of_diagonal_noise_is_the_dissipator_diagonal():
 
 
 def test_dissipator_spectrum_routes_by_noise_structure():
+    rng = np.random.default_rng(23)
     for d in (2, 3, 7, 12):
         jx, jy = spin_xy(d)
-        # one Hermitian collapse operator: the diagonal closed form on its eigvalsh
-        for op in (jx, Operator(jx.entries + jy.entries + spin_z(d).entries, hermitian=True)):
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        herm = (a + a.conj().T) / 2
+        # one exactly Hermitian collapse operator, read off its entries: the
+        # diagonal closed form on its eigvalsh
+        for op in (
+            jx,
+            Operator(jx.entries),
+            Operator(jx.entries + jy.entries + spin_z(d).entries),
+            Operator(herm),
+        ):
             eig = Operator(np.diag(np.linalg.eigvalsh(op.entries)))
             closed = dissipator_spectrum(NoiseModel.single(0.6, eig))
             assert np.array_equal(dissipator_spectrum(NoiseModel.single(0.6, op)), closed)
-        # anything else: one eigvals of the dense generator
+        # anything else, Hermitian to 1e-14 included: one eigvals of the
+        # dissipator, equal to that of the generator with a zero Hamiltonian
+        near = herm.copy()
+        near[0, 1] += 1e-14
         for noise in (
+            NoiseModel.single(0.6, Operator(near)),
             NoiseModel.single(1.0, spin_plus(d)),
             NoiseModel(((1.0, spin_z(d)), (0.1, jy))),
+            NoiseModel(((0.7, jy), (1.9, spin_plus(d)))),
         ):
             dense = np.linalg.eigvals(liouvillian(zero_h(d), noise).matrix)
             assert np.array_equal(dissipator_spectrum(noise), dense)
+
+
+def test_library_operators_are_exactly_hermitian():
+    # dissipator_spectrum takes its eigvalsh route on exact equality L == L^dag
+    from quditbench import identity
+    from quditbench.experiments import collapse_model
+
+    for d in range(1, 65):
+        for op in (identity(d), spin_z(d), *spin_xy(d), collapse_model("JxJyJz", d).terms[0][1]):
+            assert np.array_equal(op.entries, op.entries.conj().T), d
     # the dense route keeps the generator's dimension ceiling
     with pytest.raises(ValueError, match="dimension ceiling"):
         dissipator_spectrum(NoiseModel.single(1.0, spin_plus(129)))

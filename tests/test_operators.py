@@ -7,9 +7,7 @@ from quditbench import NoiseModel, Operator, embed_site, identity, spin_plus, sp
 def test_operator_validation():
     with pytest.raises(ValueError):
         Operator(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        Operator(np.array([[0, 1], [0, 0]]), hermitian=True)
-    op = Operator(np.array([[0, 1], [1, 0]]), hermitian=True)
+    op = Operator(np.array([[0, 1], [1, 0]]))
     assert op.dim == 2
     # entries are frozen after construction
     with pytest.raises(ValueError):
@@ -99,6 +97,14 @@ def test_noise_model_validation():
         NoiseModel(((-0.5, spin_z(2)),))
     with pytest.raises(ValueError):
         NoiseModel(((1.0, spin_z(2)), (1.0, spin_z(3))))
+    # a NaN or infinite rate, or no term at all, gives no usable curve
+    for rate in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            NoiseModel.single(rate, spin_z(2))
+    with pytest.raises(ValueError, match="at least one"):
+        NoiseModel(())
+    with pytest.raises(ValueError, match="at least one"):
+        NoiseModel.site_dephasing(0)
     nm = NoiseModel.site_dephasing(3)
     assert len(nm) == 3 and nm.dim == 8
 
