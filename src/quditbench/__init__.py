@@ -37,10 +37,10 @@ from .lindblad import (
 )
 from .operators import NoiseModel, Operator, embed_site, identity, spin_plus, spin_xy, spin_z
 from .pulses import (
-    ControlBasis,
     GrapeResult,
     PulseSchedule,
     grape_optimize,
+    ladder_controls,
     schedule_to_propagator,
 )
 

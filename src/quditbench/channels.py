@@ -26,8 +26,8 @@ from .operators import NoiseModel, Operator
 class KrausSet:
     """Kraus operators E_0 ... E_K of a channel rho -> sum_k E_k rho E_k^dag.
 
-    For the first-order sets built here, sum_k E_k^dag E_k = 1 holds up to
-    O((gamma t)^2); the max deviation is bounded by 3 (gamma t)^2 ||L^dag L||^2.
+    For the first-order set of ``kraus_multi(noise, t)``,
+    sum_k E_k^dag E_k = 1 + (t^2/4) (sum_k gamma_k L_k^dag L_k)^2 exactly.
     """
 
     ops: tuple[Operator, ...]
@@ -80,8 +80,8 @@ def kraus_multi(noise: NoiseModel, t: float) -> KrausSet:
     Supports heterogeneous rates: E_0 = 1 - sum_k (gamma_k t / 2) L_k^dag L_k
     and E_k = sqrt(gamma_k t) L_k, one per noise term.
     """
-    if t < 0:
-        raise ValueError(f"time must be non-negative, got {t}")
+    if not (np.isfinite(t) and t >= 0):
+        raise ValueError(f"time must be non-negative and finite, got {t}")
     d = noise.dim
     e0 = np.eye(d, dtype=complex)
     tail = []

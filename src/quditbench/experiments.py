@@ -23,7 +23,7 @@ from .analytic import c_general, c_qubits_dephasing, c_qudit_dephasing, critical
 from .fidelity import HaarSampler, agi_curve, agi_exact, agi_first_order
 from .fitting import FitResult, deviation_stats, fit_slope, relative_deviation
 from .operators import NoiseModel, Operator, spin_plus, spin_xy, spin_z
-from .pulses import ControlBasis, grape_optimize, schedule_to_propagator
+from .pulses import grape_optimize, schedule_to_propagator
 
 # Beyond this Hilbert dimension the critical-curve experiment switches from
 # the exact channel to the first-order Kraus channel.  The published ratio
@@ -228,18 +228,14 @@ def _gate_workitem(args) -> dict:
     d, index, gate_seed, grape_seed, grid = args
     sampler = HaarSampler(d, gate_seed)
     target = Operator(sampler.unitary())
-    basis = ControlBasis.ladder(d)
     res = grape_optimize(
         target,
-        basis,
         n_slots=GATE_SLOTS_PER_LEVEL * d,
         total_time=GATE_TOTAL_TIME,
         goal_infidelity=GATE_GOAL_INFIDELITY,
         seed=grape_seed,
     )
-    channels = schedule_to_propagator(
-        res.schedule, basis, NoiseModel.single(1.0, spin_z(d)), grid / GATE_TOTAL_TIME
-    )
+    channels = schedule_to_propagator(res.schedule, collapse_model("Jz", d), grid / GATE_TOTAL_TIME)
     agis = np.array([agi_exact(channel, target) for channel in channels])
     return _gate_row(d, index, grid, agis, res.infidelity, res.converged, res.iterations)
 

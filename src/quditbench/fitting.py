@@ -38,6 +38,8 @@ def fit_slope(gamma_t, agi) -> FitResult:
         raise ValueError("gamma_t and agi must be 1-d arrays of equal length")
     if x.size < 2:
         raise ValueError("need at least 2 points")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("gamma_t and agi must be finite")
     if np.any(x < 0):
         raise ValueError("gamma_t values must be non-negative")
     if np.all(x == x[0]):

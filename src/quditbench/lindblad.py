@@ -226,8 +226,8 @@ def propagate(gen: SuperOperator, t: float) -> SuperOperator:
     scipy's scaling-and-squaring expm (Al-Mohy & Higham 2009) exponentiates
     a diagonal generator (e.g. pure dephasing with H = 0) entrywise itself.
     """
-    if t < 0:
-        raise ValueError(f"propagation time must be non-negative, got {t}")
+    if not (np.isfinite(t) and t >= 0):
+        raise ValueError(f"propagation time must be non-negative and finite, got {t}")
     return SuperOperator(expm(gen.matrix * t))
 
 

@@ -39,6 +39,8 @@ class Operator:
             raise ValueError(f"operator entries must be square, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise ValueError("invalid dimension: operator must be at least 1x1")
+        if not np.isfinite(arr).all():
+            raise ValueError("operator entries must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 

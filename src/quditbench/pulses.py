@@ -1,9 +1,11 @@
 """GRAPE synthesis of piecewise-constant control pulses on ladder-coupled qudits.
 
-The control basis couples adjacent levels only: for every transition
-k <-> k+1 there is a pair of Hermitian controls |k><k+1| + |k+1><k| and
-i(|k><k+1| - |k+1><k|), i.e. 2(d-1) controls in total.  The drift vanishes
-(interaction frame), so a slot Hamiltonian is H_j = sum_k u_jk H_k.
+The controls, ``ladder_controls(d)``, couple adjacent levels only: for
+every transition k <-> k+1 there is a pair of Hermitian controls
+|k><k+1| + |k+1><k| and i(|k><k+1| - |k+1><k|), i.e. 2(d-1) controls in
+total.  The drift vanishes (interaction frame), so a slot Hamiltonian is
+H_j = sum_k u_jk H_k.  No function takes the controls as an argument: each
+derives them from the dimension of its target gate or noise model.
 
 The GRAPE objective is the gate infidelity with its exact gradient
 (Khaneja et al., J. Magn. Reson. 172, 296 (2005)), computed for all slots
@@ -30,6 +32,7 @@ pulse).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import factorial
 
@@ -37,7 +40,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .lindblad import SuperOperator, commutator_superoperator, dissipator, hermitian_basis
-from .operators import HERMITICITY_ATOL, NoiseModel, Operator
+from .operators import NoiseModel, Operator
 
 # _real_expm: the degree of its Taylor polynomial and the coefficients 1/k!.
 _TAYLOR_DEGREE = 18
@@ -49,41 +52,22 @@ GRAPE_RUNS = 3
 GRAPE_MAX_ITERS = 500
 
 
-@dataclass(frozen=True, eq=False)
-class ControlBasis:
-    """Hermitian control Hamiltonians for one qudit (no drift), held as one
-    read-only (n_controls, d, d) stack."""
+@functools.cache
+def ladder_controls(d: int) -> np.ndarray:
+    """The 2(d-1) ladder controls of a d-level qudit as one read-only
+    (2(d-1), d, d) stack: one pair per adjacent-level transition.
 
-    controls: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.controls, dtype=complex)
-        if arr.ndim != 3 or arr.shape[0] < 1 or arr.shape[1] != arr.shape[2]:
-            raise ValueError(f"controls must be a nonempty (n, d, d) stack, got shape {arr.shape}")
-        if np.abs(arr - arr.conj().transpose(0, 2, 1)).max() > HERMITICITY_ATOL:
-            raise ValueError("controls must be Hermitian")
-        arr.setflags(write=False)
-        object.__setattr__(self, "controls", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.controls.shape[1]
-
-    @property
-    def n_controls(self) -> int:
-        return self.controls.shape[0]
-
-    @classmethod
-    def ladder(cls, d: int) -> "ControlBasis":
-        """One control pair per adjacent-level transition."""
-        if d < 2:
-            raise ValueError("ladder basis needs d >= 2")
-        stack = np.zeros((2 * (d - 1), d, d), dtype=complex)
-        for k in range(d - 1):
-            stack[2 * k, k, k + 1] = stack[2 * k, k + 1, k] = 1.0
-            stack[2 * k + 1, k, k + 1] = 1j
-            stack[2 * k + 1, k + 1, k] = -1j
-        return cls(stack)
+    Cached, so the GRAPE kernel looks it up on every call; sharing is safe
+    because the array is read-only."""
+    if d < 2:
+        raise ValueError("ladder controls need d >= 2")
+    stack = np.zeros((2 * (d - 1), d, d), dtype=complex)
+    for k in range(d - 1):
+        stack[2 * k, k, k + 1] = stack[2 * k, k + 1, k] = 1.0
+        stack[2 * k + 1, k, k + 1] = 1j
+        stack[2 * k + 1, k + 1, k] = -1j
+    stack.setflags(write=False)
+    return stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +137,7 @@ class PulseSchedule:
 
 
 def infidelity_and_gradient(
-    amps: np.ndarray, basis: ControlBasis, target: np.ndarray, dt: float
+    amps: np.ndarray, target: np.ndarray, dt: float
 ) -> tuple[float, np.ndarray]:
     """Gate infidelity 1 - |Tr(T^dag U)/d|^2 of the composed schedule
     U = X_n ... X_1 against the target T, and its exact gradient with
@@ -168,9 +152,9 @@ def infidelity_and_gradient(
     -i dt h_a h_b sinc(dt (w_a - w_b) / 2 pi), exact at every eigenvalue
     gap, degenerate ones included.
     """
-    controls = basis.controls
+    d = target.shape[0]
+    controls = ladder_controls(d)
     n_slots, n_controls = amps.shape
-    d = basis.dim
     hs = (amps @ controls.reshape(n_controls, d * d)).reshape(n_slots, d, d)
     w, v = np.linalg.eigh(hs)
     vdag = v.conj().transpose(0, 2, 1)
@@ -212,7 +196,6 @@ class GrapeResult:
 
 def grape_optimize(
     target: Operator,
-    basis: ControlBasis,
     n_slots: int,
     total_time: float,
     goal_infidelity: float = 1e-6,
@@ -229,19 +212,17 @@ def grape_optimize(
     """
     if n_slots < 1:
         raise ValueError("n_slots must be >= 1")
-    if total_time <= 0:
-        raise ValueError("total_time must be positive")
-    if goal_infidelity <= 0:
-        raise ValueError("goal_infidelity must be positive")
-    if target.dim != basis.dim:
-        raise ValueError("target dimension does not match control basis")
+    if not (np.isfinite(total_time) and total_time > 0):
+        raise ValueError("total_time must be positive and finite")
+    if not (np.isfinite(goal_infidelity) and goal_infidelity > 0):
+        raise ValueError("goal_infidelity must be positive and finite")
     if not target.is_unitary():
         raise ValueError("target gate must be unitary within 1e-10")
 
     dt = total_time / n_slots
     tgt = target.entries
     rng = np.random.default_rng(seed)
-    shape = (n_slots, basis.n_controls)
+    shape = (n_slots, len(ladder_controls(target.dim)))
 
     best_amps = None
     best_inf = np.inf
@@ -252,9 +233,7 @@ def grape_optimize(
         last = {"inf": np.inf}
 
         def objective(xflat):
-            infid, grad = infidelity_and_gradient(
-                xflat.reshape(shape), basis, tgt, dt
-            )
+            infid, grad = infidelity_and_gradient(xflat.reshape(shape), tgt, dt)
             last["inf"] = infid
             return infid, grad.ravel()
 
@@ -283,7 +262,7 @@ def grape_optimize(
 
 
 def schedule_to_propagator(
-    schedule: PulseSchedule, basis: ControlBasis, noise: NoiseModel, scales
+    schedule: PulseSchedule, noise: NoiseModel, scales
 ) -> list[SuperOperator]:
     """Channels realized by a schedule under Lindblad noise, one for each
     entry s of ``scales``, with every rate of ``noise`` multiplied by s.
@@ -301,11 +280,10 @@ def schedule_to_propagator(
     channel is mapped back as B S B^dag.  A channel depends only on its own
     scale, not on the other entries of ``scales``.
     """
-    if schedule.n_controls != basis.n_controls:
-        raise ValueError("schedule controls do not match the basis")
-    d = basis.dim
-    if noise.dim != d:
-        raise ValueError("noise dimension does not match the basis")
+    d = noise.dim
+    ladder = ladder_controls(d)
+    if schedule.n_controls != len(ladder):
+        raise ValueError(f"schedule has {schedule.n_controls} controls; a d = {d} qudit has {len(ladder)}")
     scales = np.asarray(scales, dtype=float)
     if scales.ndim != 1 or scales.size < 1:
         raise ValueError(f"scales must be a nonempty 1-d sequence, got shape {scales.shape}")
@@ -314,7 +292,7 @@ def schedule_to_propagator(
     b = hermitian_basis(d)
     bdag = b.conj().T
     dt = schedule.slot_duration
-    controls = (bdag @ (-1j * commutator_superoperator(basis.controls)) @ b).real
+    controls = (bdag @ (-1j * commutator_superoperator(ladder)) @ b).real
     drift = np.tensordot(schedule.amplitudes, controls, axes=(1, 0)) * dt
     unit = (bdag @ dissipator(noise) @ b).real * dt
     channels = []

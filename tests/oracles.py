@@ -11,6 +11,7 @@ from scipy.linalg import expm, expm_frechet
 
 from quditbench.lindblad import DensityMatrix, SuperOperator, commutator_superoperator, dissipator
 from quditbench.operators import PURITY_ATOL, Operator
+from quditbench.pulses import ladder_controls
 
 # rk4_propagate takes steps h with ||L|| h <= this bound.
 RK4_STEP_BOUND = 0.01
@@ -90,17 +91,18 @@ def gate_infidelity(u: np.ndarray, target: np.ndarray) -> float:
     return float(1.0 - abs(np.trace(target.conj().T @ u)) ** 2 / d**2)
 
 
-def schedule_unitary(schedule, basis) -> Operator:
-    """Noiseless composed propagator of a pulse schedule (slot 1 acts first),
-    as one ``expm(-i H_j dt)`` per slot rather than the library's batched
-    eigendecomposition."""
-    u = np.eye(basis.dim, dtype=complex)
-    for h in np.tensordot(schedule.amplitudes, basis.controls, axes=(1, 0)):
+def schedule_unitary(schedule) -> Operator:
+    """Noiseless composed propagator of a pulse schedule (slot 1 acts first;
+    2(d-1) ladder controls on a d-level qudit), as one ``expm(-i H_j dt)``
+    per slot rather than the library's batched eigendecomposition."""
+    d = schedule.n_controls // 2 + 1
+    u = np.eye(d, dtype=complex)
+    for h in np.tensordot(schedule.amplitudes, ladder_controls(d), axes=(1, 0)):
         u = expm(-1j * schedule.slot_duration * h) @ u
     return Operator(u)
 
 
-def gradient_per_slot(amps, basis, target, dt) -> np.ndarray:
+def gradient_per_slot(amps, target, dt) -> np.ndarray:
     """Gradient of the gate infidelity 1 - |Tr(T^dag U)/d|^2 of the schedule
     U = X_n ... X_1, X_j = expm(-i dt H_j), with respect to every amplitude
     u_jk: (-2/d) Re(conj(overlap) Tr(T^dag S_j L_jk P_j)) with the sequential
@@ -108,8 +110,9 @@ def gradient_per_slot(amps, basis, target, dt) -> np.ndarray:
     derivative L_jk of expm at -i dt H_j in the direction -i dt H_k, one
     ``expm_frechet`` per slot and control rather than the library's batched
     spectral divided differences."""
-    n_slots, d = amps.shape[0], basis.dim
-    hs = np.tensordot(amps, basis.controls, axes=(1, 0))
+    d = target.shape[0]
+    controls = ladder_controls(d)
+    hs = np.tensordot(amps, controls, axes=(1, 0))
     xs = [expm(-1j * dt * h) for h in hs]
     prefix = [np.eye(d, dtype=complex)]
     for x in xs[:-1]:
@@ -120,20 +123,20 @@ def gradient_per_slot(amps, basis, target, dt) -> np.ndarray:
     overlap = np.trace(target.conj().T @ xs[-1] @ prefix[-1]) / d
     grad = np.empty(amps.shape)
     for j, h in enumerate(hs):
-        for k, control in enumerate(basis.controls):
+        for k, control in enumerate(controls):
             frechet = expm_frechet(-1j * dt * h, -1j * dt * control, compute_expm=False)
             tr = np.trace(target.conj().T @ suffix[j] @ frechet @ prefix[j])
             grad[j, k] = (-2.0 / d) * np.real(np.conj(overlap) * tr)
     return grad
 
 
-def complex_schedule_channel(schedule, basis, noise) -> SuperOperator:
+def complex_schedule_channel(schedule, noise) -> SuperOperator:
     """Channel of a pulse schedule under one noise model from the complex
     slot generators -i [H_j, .] + dissipator(noise): one complex ``expm``
     stack and one complex ordered product (slot 1 first), rather than the
     library's real Hermitian-basis product over a grid of rate scales."""
-    d = basis.dim
-    hs = np.tensordot(schedule.amplitudes, basis.controls, axes=(1, 0))
+    d = noise.dim
+    hs = np.tensordot(schedule.amplitudes, ladder_controls(d), axes=(1, 0))
     gens = -1j * commutator_superoperator(hs) + dissipator(noise)
     total = np.eye(d * d, dtype=complex)
     for slot in expm(gens * schedule.slot_duration):

@@ -30,6 +30,11 @@ def random_collapse(d, seed):
 def test_kraus_first_order_forms():
     with pytest.raises(ValueError):
         kraus_first_order(spin_z(2), -1e-3)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="time"):
+            kraus_first_order(spin_z(2), bad)
+        with pytest.raises(ValueError, match="time"):
+            kraus_multi(NoiseModel.single(1.0, spin_z(2)), bad)
     assert len(kraus_first_order(spin_z(2), 0.0)) == 1
     gt = 1e-3
     for d in (2, 5):

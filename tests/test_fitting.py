@@ -49,6 +49,11 @@ def test_degenerate_inputs():
         fit_slope([1e-4, 1e-4, 1e-4], [1e-5, 2e-5, 3e-5])
     with pytest.raises(ValueError):
         fit_slope([-1e-4, 1e-4], [1e-5, 1e-5])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            fit_slope([0.0, 1e-4, bad], [0.0, 1e-5, 2e-5])
+        with pytest.raises(ValueError, match="finite"):
+            fit_slope([0.0, 1e-4, 2e-4], [0.0, 1e-5, bad])
 
 
 def test_relative_deviation():

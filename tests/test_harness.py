@@ -371,8 +371,8 @@ def test_gate_dependence_flags_failures(monkeypatch):
     from quditbench import GrapeResult, PulseSchedule
     import numpy as np
 
-    def stub(target, basis, n_slots, total_time, goal_infidelity, seed, **kw):
-        sched = PulseSchedule(total_time / n_slots, np.zeros((n_slots, basis.n_controls)))
+    def stub(target, n_slots, total_time, goal_infidelity, seed, **kw):
+        sched = PulseSchedule(total_time / n_slots, np.zeros((n_slots, 2 * (target.dim - 1))))
         return GrapeResult(sched, 0.5, False, 1)
 
     monkeypatch.setattr(exp, "grape_optimize", stub)

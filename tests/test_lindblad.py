@@ -23,7 +23,7 @@ from quditbench.lindblad import (
     unvec,
     vec,
 )
-from quditbench.pulses import ControlBasis
+from quditbench.pulses import ladder_controls
 
 from oracles import choi_matrix, rk4_propagate
 
@@ -84,7 +84,7 @@ def test_generators_are_real_in_the_hermitian_basis():
     # real: the imaginary parts are rounding only
     for d in (2, 3, 4, 5):
         b = hermitian_basis(d)
-        ad = -1j * commutator_superoperator(ControlBasis.ladder(d).controls)
+        ad = -1j * commutator_superoperator(ladder_controls(d))
         assert np.abs((b.conj().T @ ad @ b).imag).max() <= 1e-15, d
         for noise in (
             NoiseModel.single(1.0, spin_z(d)),
@@ -143,6 +143,9 @@ def test_propagate_identity_and_errors():
     assert np.allclose(propagate(gen, 0.0).matrix, np.eye(9))
     with pytest.raises(ValueError):
         propagate(gen, -0.1)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            propagate(gen, bad)
     # a diagonal generator is exponentiated entrywise inside scipy's expm, bit for bit
     from scipy.linalg import expm
 

@@ -7,6 +7,9 @@ from quditbench import NoiseModel, Operator, embed_site, identity, spin_plus, sp
 def test_operator_validation():
     with pytest.raises(ValueError):
         Operator(np.zeros((2, 3)))
+    for bad in (np.nan, np.inf, 1j * np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Operator([[bad, 0], [0, 1]])
     op = Operator(np.array([[0, 1], [1, 0]]))
     assert op.dim == 2
     # entries are frozen after construction

@@ -5,7 +5,6 @@ import pytest
 from scipy.linalg import expm
 
 from quditbench import (
-    ControlBasis,
     HaarSampler,
     NoiseModel,
     Operator,
@@ -13,6 +12,7 @@ from quditbench import (
     agi_exact,
     grape_optimize,
     identity,
+    ladder_controls,
     liouvillian,
     propagate,
     schedule_to_propagator,
@@ -30,28 +30,26 @@ from oracles import complex_schedule_channel, gate_infidelity, gradient_per_slot
 
 def test_ladder_basis_structure():
     for d in (2, 3, 5):
-        basis = ControlBasis.ladder(d)
-        assert basis.n_controls == 2 * (d - 1)
-        assert basis.controls.shape == (2 * (d - 1), d, d) and basis.dim == d
-        for op in basis.controls:
+        controls = ladder_controls(d)
+        assert controls.shape == (2 * (d - 1), d, d)
+        assert ladder_controls(d) is controls
+        for op in controls:
             assert np.abs(op - op.conj().T).max() < 1e-15
             assert abs(np.trace(op)) < 1e-15
         with pytest.raises(ValueError):
-            basis.controls[0, 0, 0] = 1.0
-    x = ControlBasis.ladder(2).controls[0]
-    for bad in ([x, np.triu(x)], [x, np.eye(3)], np.zeros((0, 2, 2)), x):
-        with pytest.raises(ValueError):
-            ControlBasis(bad)
+            controls[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        ladder_controls(1)
 
 
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(12)
     for d in (2, 3, 4):
-        basis = ControlBasis.ladder(d)
-        amps = rng.uniform(-2, 2, size=(8, basis.n_controls))
+        n_controls = 2 * (d - 1)
+        amps = rng.uniform(-2, 2, size=(8, n_controls))
         target = HaarSampler(d, seed=d).unitary()
         dt = 0.125
-        _, grad = infidelity_and_gradient(amps, basis, target, dt)
+        _, grad = infidelity_and_gradient(amps, target, dt)
         eps = 1e-6
         fd = np.empty_like(grad)
         for j in range(amps.shape[0]):
@@ -59,8 +57,8 @@ def test_gradient_matches_finite_differences():
                 up, down = amps.copy(), amps.copy()
                 up[j, k] += eps
                 down[j, k] -= eps
-                fp, _ = infidelity_and_gradient(up, basis, target, dt)
-                fm, _ = infidelity_and_gradient(down, basis, target, dt)
+                fp, _ = infidelity_and_gradient(up, target, dt)
+                fm, _ = infidelity_and_gradient(down, target, dt)
                 fd[j, k] = (fp - fm) / (2 * eps)
         rel = np.linalg.norm(grad - fd) / np.linalg.norm(fd)
         assert rel < 1e-6, (d, rel)
@@ -70,15 +68,15 @@ def test_gradient_matches_per_slot_reference():
     # slot counts that are not powers of two end the doubling scan part-way
     rng = np.random.default_rng(21)
     for d in (2, 3, 4, 5):
-        basis = ControlBasis.ladder(d)
+        n_controls = 2 * (d - 1)
         for n_slots in (1, 2, 3, 5, 4 * d):
-            amps = rng.uniform(-2, 2, size=(n_slots, basis.n_controls))
+            amps = rng.uniform(-2, 2, size=(n_slots, n_controls))
             if n_slots > 1:
                 amps[1] = 0.0  # H_j = 0: every eigenvalue pair is degenerate
             target = HaarSampler(d, seed=10 + d).unitary()
             dt = 1.0 / n_slots
-            _, grad = infidelity_and_gradient(amps, basis, target, dt)
-            ref = gradient_per_slot(amps, basis, target, dt)
+            _, grad = infidelity_and_gradient(amps, target, dt)
+            ref = gradient_per_slot(amps, target, dt)
             assert np.linalg.norm(grad - ref) <= 1e-12 * np.linalg.norm(ref), (d, n_slots)
 
 
@@ -87,14 +85,14 @@ def test_gradient_is_exact_at_near_degenerate_spectra():
     # where a difference quotient of phases cancels almost every digit
     rng = np.random.default_rng(33)
     for d in (2, 3, 4):
-        basis = ControlBasis.ladder(d)
+        n_controls = 2 * (d - 1)
         target = HaarSampler(d, seed=20 + d).unitary()
         for scale in (1e-9, 1e-10, 1e-11):
-            amps = rng.uniform(-2, 2, size=(4 * d, basis.n_controls))
-            amps[2] = scale * rng.uniform(-1, 1, size=basis.n_controls)
+            amps = rng.uniform(-2, 2, size=(4 * d, n_controls))
+            amps[2] = scale * rng.uniform(-1, 1, size=n_controls)
             dt = 1.0 / amps.shape[0]
-            _, grad = infidelity_and_gradient(amps, basis, target, dt)
-            ref = gradient_per_slot(amps, basis, target, dt)
+            _, grad = infidelity_and_gradient(amps, target, dt)
+            ref = gradient_per_slot(amps, target, dt)
             err = np.linalg.norm(grad[2] - ref[2]) / np.linalg.norm(ref[2])
             assert err <= 1e-13, (d, scale, err)
 
@@ -102,36 +100,33 @@ def test_gradient_is_exact_at_near_degenerate_spectra():
 def test_infidelity_composes_slot_one_first():
     rng = np.random.default_rng(8)
     for d in (2, 3, 4, 5):
-        basis = ControlBasis.ladder(d)
+        n_controls = 2 * (d - 1)
         target = HaarSampler(d, seed=30 + d).unitary()
         for n_slots in (1, 3, 5, 8 * d):
-            schedule = PulseSchedule(1.0 / n_slots, rng.uniform(-2, 2, size=(n_slots, basis.n_controls)))
-            infid, _ = infidelity_and_gradient(schedule.amplitudes, basis, target, schedule.slot_duration)
-            exact = gate_infidelity(schedule_unitary(schedule, basis).entries, target)
+            schedule = PulseSchedule(1.0 / n_slots, rng.uniform(-2, 2, size=(n_slots, n_controls)))
+            infid, _ = infidelity_and_gradient(schedule.amplitudes, target, schedule.slot_duration)
+            exact = gate_infidelity(schedule_unitary(schedule).entries, target)
             assert abs(infid - exact) <= 1e-14, (d, n_slots)
 
 
 def test_grape_identity_gate():
-    basis = ControlBasis.ladder(3)
-    res = grape_optimize(identity(3), basis, n_slots=12, total_time=1.0, goal_infidelity=1e-12, seed=1)
+    res = grape_optimize(identity(3), n_slots=12, total_time=1.0, goal_infidelity=1e-12, seed=1)
     assert res.converged
     assert res.infidelity < 1e-10
-    u = schedule_unitary(res.schedule, basis)
+    u = schedule_unitary(res.schedule)
     assert gate_infidelity(u.entries, np.eye(3)) < 1e-10
 
 
 def test_grape_x_gate():
-    basis = ControlBasis.ladder(2)
     target = Operator(np.array([[0, 1], [1, 0]], dtype=complex))
-    res = grape_optimize(target, basis, n_slots=10, total_time=1.0, goal_infidelity=1e-8, seed=2)
+    res = grape_optimize(target, n_slots=10, total_time=1.0, goal_infidelity=1e-8, seed=2)
     assert res.converged and res.infidelity <= 1e-8
 
 
 def test_grape_cue_gate_regression():
     # empirical convergence baseline: d=4 CUE gate, 64 slots, within 500 iters
-    basis = ControlBasis.ladder(4)
     target = Operator(HaarSampler(4, seed=42).unitary())
-    res = grape_optimize(target, basis, n_slots=64, total_time=1.0, goal_infidelity=1e-6, seed=7)
+    res = grape_optimize(target, n_slots=64, total_time=1.0, goal_infidelity=1e-6, seed=7)
     assert res.converged
     assert res.infidelity <= 1e-6
     assert res.iterations <= 500
@@ -148,7 +143,7 @@ def test_grape_unreachable_target_keeps_the_best_of_three_runs(monkeypatch):
 
     monkeypatch.setattr(pulses, "minimize", recording_minimize)
     target = Operator(HaarSampler(3, seed=5).unitary())
-    res = grape_optimize(target, ControlBasis.ladder(3), n_slots=2, total_time=1.0, goal_infidelity=1e-300)
+    res = grape_optimize(target, n_slots=2, total_time=1.0, goal_infidelity=1e-300)
     assert len(runs) == 3
     assert res.converged is False
     assert res.infidelity == min(float(r.fun) for r in runs)
@@ -156,34 +151,37 @@ def test_grape_unreachable_target_keeps_the_best_of_three_runs(monkeypatch):
 
 
 def test_grape_validation():
-    basis = ControlBasis.ladder(2)
     with pytest.raises(ValueError):
-        grape_optimize(identity(2), basis, n_slots=0, total_time=1.0)
+        grape_optimize(identity(2), n_slots=0, total_time=1.0)
     with pytest.raises(ValueError):
-        grape_optimize(Operator(np.diag([1.0, 0.3])), basis, n_slots=4, total_time=1.0)
+        grape_optimize(Operator(np.diag([1.0, 0.3])), n_slots=4, total_time=1.0)
     with pytest.raises(ValueError):
-        grape_optimize(identity(2), basis, n_slots=4, total_time=1.0, goal_infidelity=0.0)
+        grape_optimize(identity(2), n_slots=4, total_time=1.0, goal_infidelity=0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="total_time"):
+            grape_optimize(identity(2), n_slots=4, total_time=bad)
+        with pytest.raises(ValueError, match="goal_infidelity"):
+            grape_optimize(identity(2), n_slots=4, total_time=1.0, goal_infidelity=bad)
 
 
 def test_schedule_scoring_consistency():
     # the optimizer's own score is reproduced by the noiseless propagator
     d = 3
-    basis = ControlBasis.ladder(d)
     target = Operator(HaarSampler(d, seed=5).unitary())
-    res = grape_optimize(target, basis, n_slots=24, total_time=1.0, goal_infidelity=1e-8, seed=3)
-    u = schedule_unitary(res.schedule, basis)
+    res = grape_optimize(target, n_slots=24, total_time=1.0, goal_infidelity=1e-8, seed=3)
+    u = schedule_unitary(res.schedule)
     assert abs(gate_infidelity(u.entries, target.entries) - res.infidelity) < 1e-10
     noise = NoiseModel.single(1.0, spin_z(d))
-    (super_noiseless,) = schedule_to_propagator(res.schedule, basis, noise, [0.0])
+    (super_noiseless,) = schedule_to_propagator(res.schedule, noise, [0.0])
     assert np.abs(super_noiseless.matrix - unitary_superoperator(u).matrix).max() < 1e-10
 
 
 def test_schedule_propagator_trivial_cases():
     d = 3
-    basis = ControlBasis.ladder(d)
-    zero = PulseSchedule(0.25, np.zeros((4, basis.n_controls)))
+    n_controls = 2 * (d - 1)
+    zero = PulseSchedule(0.25, np.zeros((4, n_controls)))
     noise = NoiseModel.single(0.4, spin_z(d))
-    noiseless, with_noise = schedule_to_propagator(zero, basis, noise, [0.0, 1.0])
+    noiseless, with_noise = schedule_to_propagator(zero, noise, [0.0, 1.0])
     assert np.abs(noiseless.matrix - np.eye(d * d)).max() < 1e-14
     reference = propagate(liouvillian(Operator(np.zeros((d, d))), noise), 1.0)
     assert np.abs(with_noise.matrix - reference.matrix).max() < 1e-12
@@ -191,16 +189,16 @@ def test_schedule_propagator_trivial_cases():
 
 def test_schedule_propagator_validation():
     d = 2
-    basis = ControlBasis.ladder(d)
-    sched = PulseSchedule(0.25, np.zeros((4, basis.n_controls)))
+    n_controls = 2 * (d - 1)
+    sched = PulseSchedule(0.25, np.zeros((4, n_controls)))
     noise = NoiseModel.single(1.0, spin_z(d))
     for scales in ([], [[0.1]], [-0.1], [np.nan], [np.inf]):
         with pytest.raises(ValueError):
-            schedule_to_propagator(sched, basis, noise, scales)
+            schedule_to_propagator(sched, noise, scales)
     with pytest.raises(ValueError):
-        schedule_to_propagator(sched, basis, NoiseModel.single(1.0, spin_z(3)), [0.1])
+        schedule_to_propagator(sched, NoiseModel.single(1.0, spin_z(3)), [0.1])
     with pytest.raises(ValueError):
-        schedule_to_propagator(PulseSchedule(0.25, np.zeros((4, 1))), basis, noise, [0.1])
+        schedule_to_propagator(PulseSchedule(0.25, np.zeros((4, 1))), noise, [0.1])
 
 
 def test_schedule_propagator_matches_slot_products():
@@ -212,10 +210,10 @@ def test_schedule_propagator_matches_slot_products():
     rng = np.random.default_rng(22)
     scales = (0.0, 1e-4, 0.1, 1.0, 3.0)
     for d in (2, 3, 4, 5):
-        basis = ControlBasis.ladder(d)
-        small = rng.uniform(-2, 2, size=(3 * d, basis.n_controls))
+        n_controls = 2 * (d - 1)
+        small = rng.uniform(-2, 2, size=(3 * d, n_controls))
         small[0] = 0.0
-        large = rng.uniform(-15, 15, size=(8 * d, basis.n_controls)) * 8 * d
+        large = rng.uniform(-15, 15, size=(8 * d, n_controls)) * 8 * d
         models = {
             "Jz": NoiseModel.single(1.0, spin_z(d)),
             "Jx": NoiseModel.single(1.0, spin_xy(d)[0]),
@@ -225,12 +223,12 @@ def test_schedule_propagator_matches_slot_products():
         for amps in (small, large):
             sched = PulseSchedule(1.0 / amps.shape[0], amps)
             for name, noise in models.items():
-                channels = schedule_to_propagator(sched, basis, noise, scales)
+                channels = schedule_to_propagator(sched, noise, scales)
                 assert len(channels) == len(scales)
                 for s, got in zip(scales, channels):
                     scaled = NoiseModel(tuple((s * gamma, op) for gamma, op in noise.terms))
                     expected = np.eye(d * d, dtype=complex)
-                    for h in np.tensordot(amps, basis.controls, axes=(1, 0)):
+                    for h in np.tensordot(amps, ladder_controls(d), axes=(1, 0)):
                         slot = propagate(liouvillian(Operator(h), scaled), sched.slot_duration)
                         expected = slot.matrix @ expected
                     assert np.abs(got.matrix - expected).max() <= 1e-13, (d, name, s)
@@ -272,10 +270,8 @@ def test_large_norm_gate_agi_matches_exact():
     d = 3
     gate_seed, grape_seed = np.random.SeedSequence([4, d, 40]).spawn(2)
     target = Operator(HaarSampler(d, gate_seed).unitary())
-    basis = ControlBasis.ladder(d)
     res = grape_optimize(
         target,
-        basis,
         n_slots=experiments.GATE_SLOTS_PER_LEVEL * d,
         total_time=experiments.GATE_TOTAL_TIME,
         goal_infidelity=experiments.GATE_GOAL_INFIDELITY,
@@ -283,7 +279,7 @@ def test_large_norm_gate_agi_matches_exact():
     )
     sched = res.schedule
     assert np.abs(sched.amplitudes).max() * sched.slot_duration > 10
-    w, v = np.linalg.eigh(np.tensordot(sched.amplitudes, basis.controls, axes=(1, 0)))
+    w, v = np.linalg.eigh(np.tensordot(sched.amplitudes, ladder_controls(d), axes=(1, 0)))
     u = np.eye(d, dtype=complex)
     for x in (v * np.exp(-1j * sched.slot_duration * w)[:, None, :]) @ v.conj().transpose(0, 2, 1):
         u = x @ u
@@ -291,10 +287,10 @@ def test_large_norm_gate_agi_matches_exact():
     exact = 1.0 - (d * f_pro + 1.0) / (d + 1.0)
     grid = np.geomspace(1e-5, 1e-3, 9)
     noise = NoiseModel.single(1.0, spin_z(d))
-    noiseless, *channels = schedule_to_propagator(sched, basis, noise, np.concatenate([[0.0], grid]))
+    noiseless, *channels = schedule_to_propagator(sched, noise, np.concatenate([[0.0], grid]))
     assert abs(agi_exact(noiseless, target) - exact) <= 2e-14
     for gt, got in zip(grid, channels):
-        expected = complex_schedule_channel(sched, basis, NoiseModel.single(gt, spin_z(d)))
+        expected = complex_schedule_channel(sched, NoiseModel.single(gt, spin_z(d)))
         assert np.abs(got.matrix - expected.matrix).max() <= 1e-13, gt
 
 
@@ -303,11 +299,11 @@ def test_schedule_propagator_scales_are_independent():
     rng = np.random.default_rng(3)
     scales = (0.0, 1e-5, 0.5, 2.0)
     for d in (2, 3, 4):
-        basis = ControlBasis.ladder(d)
-        sched = PulseSchedule(0.1, rng.uniform(-2, 2, size=(3 * d, basis.n_controls)))
+        n_controls = 2 * (d - 1)
+        sched = PulseSchedule(0.1, rng.uniform(-2, 2, size=(3 * d, n_controls)))
         noise = NoiseModel(((0.3, spin_z(d)), (0.1, spin_plus(d))))
-        for s, many in zip(scales, schedule_to_propagator(sched, basis, noise, scales)):
-            (one,) = schedule_to_propagator(sched, basis, noise, [s])
+        for s, many in zip(scales, schedule_to_propagator(sched, noise, scales)):
+            (one,) = schedule_to_propagator(sched, noise, [s])
             assert np.abs(many.matrix - one.matrix).max() <= 1e-15, (d, s)
 
 
@@ -316,9 +312,9 @@ def test_gate_rows_match_the_complex_route(monkeypatch):
     # grid point, the route the work item took before the real product
     seen = []
 
-    def recording_grape(target, basis, **kwargs):
-        res = grape_optimize(target, basis, **kwargs)
-        seen.append((target, basis, res))
+    def recording_grape(target, **kwargs):
+        res = grape_optimize(target, **kwargs)
+        seen.append((target, res))
         return res
 
     agis = []
@@ -334,12 +330,12 @@ def test_gate_rows_match_the_complex_route(monkeypatch):
     rows = experiments._gate_rows(spec, workers=1)
     assert len(rows) == len(seen) == 6 and len(agis) == 6 * len(grid)
     worst = 0.0
-    for k, (target, basis, res) in enumerate(seen):
-        d = basis.dim
+    for k, (target, res) in enumerate(seen):
+        d = target.dim
         expected = [
             agi_exact(
                 complex_schedule_channel(
-                    res.schedule, basis, NoiseModel.single(gt / experiments.GATE_TOTAL_TIME, spin_z(d))
+                    res.schedule, NoiseModel.single(gt / experiments.GATE_TOTAL_TIME, spin_z(d))
                 ),
                 target,
             )
@@ -353,11 +349,10 @@ def test_gate_rows_match_the_complex_route(monkeypatch):
 def test_schedule_propagator_agi_sanity():
     # a synthesized gate under weak dephasing lands near the universal slope
     d = 2
-    basis = ControlBasis.ladder(d)
     target = Operator(HaarSampler(d, seed=8).unitary())
-    res = grape_optimize(target, basis, n_slots=16, total_time=1.0, goal_infidelity=1e-8, seed=4)
+    res = grape_optimize(target, n_slots=16, total_time=1.0, goal_infidelity=1e-8, seed=4)
     gt = 1e-4
-    (chan,) = schedule_to_propagator(res.schedule, basis, NoiseModel.single(1.0, spin_z(d)), [gt])
+    (chan,) = schedule_to_propagator(res.schedule, NoiseModel.single(1.0, spin_z(d)), [gt])
     agi = agi_exact(chan, target)
     assert abs(agi - gt / 6) / (gt / 6) < 0.02
 
