@@ -12,14 +12,13 @@ import functools
 
 import numpy as np
 
-from .operators import NoiseModel, Operator
+from .operators import NoiseModel, Operator, is_integer, require_dimension
 
 
 def c_qudit_dephasing(d: int) -> float:
-    """Slope d(d-1)/12 for a single dephasing qudit (collapse J_z)."""
-    if d < 1:
-        raise ValueError("invalid dimension: d must be >= 1")
-    return d * (d - 1) / 12
+    """Slope d(d-1)/12 for a single dephasing qudit (collapse J_z): the
+    ensemble law of ``c_qudits_dephasing`` at N = 1."""
+    return c_qudits_dephasing(d, 1)
 
 
 @functools.cache
@@ -28,32 +27,28 @@ def c_general(collapse: Operator) -> float:
     operator; reduces to Tr(L^dag L)/(d+1) for traceless L.  It is also the
     Haar average of ``fidelity.collapse_variance`` over pure states (degree-2
     Weingarten integrals), the fluctuation-dissipation form of the slope.
+    Tr(L^dag L) is the O(d^2) sum of |L_ij|^2.
 
     Cached per operator (operators are immutable): a slope scan and every
     check of it ask for the slope of the same cached collapse model."""
     d = collapse.dim
     l = collapse.entries
-    return float(
-        (np.real(np.trace(l.conj().T @ l)) - abs(np.trace(l)) ** 2 / d) / (d + 1)
-    )
+    return float((np.vdot(l, l).real - abs(np.trace(l)) ** 2 / d) / (d + 1))
 
 
 def c_qubits_dephasing(n: int) -> float:
-    """Slope n 2^n / (4 (2^n + 1)) for n identically dephasing qubits."""
-    if n < 0:
-        raise ValueError("qubit count must be non-negative")
-    if n == 0:
+    """Slope n 2^n / (4 (2^n + 1)) for n identically dephasing qubits: the
+    ensemble law of ``c_qudits_dephasing`` at d = 2, and 0 for n = 0."""
+    if is_integer(n) and n == 0:
         return 0.0
-    return n * 2**n / (4 * (2**n + 1))
+    return c_qudits_dephasing(2, n)
 
 
 def c_qudits_dephasing(d: int, n_qudits: int) -> float:
     """Slope for an ensemble of N identically dephasing qudits:
     N d^N (d^2 - 1) / (12 (d^N + 1))."""
-    if d < 1:
-        raise ValueError("invalid dimension: d must be >= 1")
-    if n_qudits < 1:
-        raise ValueError("ensemble size must be >= 1")
+    require_dimension(d)
+    require_dimension(n_qudits, "ensemble size")
     dn = d**n_qudits
     return n_qudits * dn * (d * d - 1) / (12 * (dn + 1))
 

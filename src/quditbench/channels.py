@@ -19,7 +19,7 @@ from .lindblad import (
     DensityMatrix, SuperOperator, commutator_superoperator, dissipator,
     unitary_superoperator, unvec, vec,
 )
-from .operators import NoiseModel, Operator
+from .operators import NoiseModel, Operator, nonnegative_values
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,8 +80,7 @@ def kraus_multi(noise: NoiseModel, t: float) -> KrausSet:
     Supports heterogeneous rates: E_0 = 1 - sum_k (gamma_k t / 2) L_k^dag L_k
     and E_k = sqrt(gamma_k t) L_k, one per noise term.
     """
-    if not (np.isfinite(t) and t >= 0):
-        raise ValueError(f"time must be non-negative and finite, got {t}")
+    nonnegative_values(t, "time")
     d = noise.dim
     e0 = np.eye(d, dtype=complex)
     tail = []

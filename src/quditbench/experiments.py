@@ -22,7 +22,7 @@ import numpy as np
 from .analytic import c_general, c_qubits_dephasing, c_qudit_dephasing, critical_ratio, naive_ratio
 from .fidelity import HaarSampler, agi_curve, agi_exact, agi_first_order
 from .fitting import FitResult, deviation_stats, fit_slope, relative_deviation
-from .operators import NoiseModel, Operator, spin_plus, spin_xy, spin_z
+from .operators import NoiseModel, Operator, is_integer, require_dimension, spin_plus, spin_xy, spin_z
 from .pulses import grape_optimize, schedule_to_propagator
 
 # Beyond this Hilbert dimension the critical-curve experiment switches from
@@ -35,11 +35,6 @@ EXACT_CHANNEL_DIM_LIMIT = 32
 # first-order slope, relative, is not a first-order ratio and is flagged:
 # the tolerance acceptance criterion 3 applies to the ratios.
 FIRST_ORDER_GAP_TOL = 0.01
-
-
-def _is_int(value) -> bool:
-    """Python or NumPy integer; a bool is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -64,21 +59,25 @@ class ExperimentSpec:
         if self.name not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.name!r}")
         lo, hi, n = self.gamma_t_grid
-        if not (0 <= lo < hi <= 1.0) or not _is_int(n) or n < 2:
+        if not (0 <= lo < hi <= 1.0) or not is_integer(n) or n < 2:
             raise ValueError(f"invalid gamma_t grid {self.gamma_t_grid}")
-        if not self.dims or any(not _is_int(d) or d < 1 for d in self.dims):
-            raise ValueError(f"invalid dims {self.dims}")
+        if not self.dims:
+            raise ValueError("invalid dims: need at least one")
+        for d in self.dims:
+            require_dimension(d, "dims entry")
         if len(set(self.dims)) != len(self.dims):
             raise ValueError(f"repeated dimension in dims {self.dims}")
+        if self.scale not in ("desk", "paper"):
+            raise ValueError(f"unknown scale {self.scale!r}")
         if self.gates not in ("identity", "cue"):
             raise ValueError(f"unknown gate spec {self.gates!r}")
-        if not _is_int(self.n_gates):
+        if not is_integer(self.n_gates):
             raise ValueError(f"n_gates must be an integer, got {self.n_gates!r}")
         if self.gates == "cue" and self.n_gates < 1:
             raise ValueError("cue gates need n_gates >= 1")
         if self.gates == "cue" and min(self.dims) < 2:
             raise ValueError(f"cue gates need every dimension >= 2, got dims {self.dims}")
-        if not _is_int(self.seed) or self.seed < 0:
+        if not is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.output_path is not None and Path(self.output_path).suffix == ".json":
             raise ValueError(f"output path {self.output_path!r} would be overwritten by its .json summary")
@@ -91,8 +90,6 @@ class ExperimentSpec:
 def default_spec(name: str, scale: str = "desk", seed: int = 0) -> ExperimentSpec:
     """The registry's spec for ``name``: desk scale keeps runtimes CI-friendly,
     paper scale restores the published parameter ranges."""
-    if scale not in ("desk", "paper"):
-        raise ValueError(f"unknown scale {scale!r}")
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}")
     entry = EXPERIMENTS[name]

@@ -33,7 +33,7 @@ from .lindblad import (
     real_coordinates,
     unitary_superoperator,
 )
-from .operators import PURITY_ATOL, NoiseModel, Operator
+from .operators import PURITY_ATOL, NoiseModel, Operator, nonnegative_values, require_dimension, require_unitary
 
 # Input states per Monte Carlo batch.  Each batch draws its real parts, then
 # its imaginary parts, so the chunk fixes the RNG draw order: another value
@@ -58,8 +58,7 @@ class HaarSampler:
     _rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError("invalid dimension: d must be >= 1")
+        require_dimension(self.dim)
         self._rng = np.random.Generator(np.random.PCG64(self.seed))
 
     def unitaries(self, n: int) -> np.ndarray:
@@ -139,13 +138,6 @@ def agi_kraus(kraus) -> float:
     return float(1.0 - (d + total) / (d * (d + 1)))
 
 
-def _gamma_t_values(gamma_t_grid) -> np.ndarray:
-    x = np.asarray(gamma_t_grid, dtype=float)
-    if not (np.isfinite(x).all() and (x >= 0).all()):
-        raise ValueError(f"gamma_t values must be finite and non-negative, got {gamma_t_grid}")
-    return x
-
-
 def agi_first_order(noise: NoiseModel, gamma_t_grid) -> np.ndarray:
     """AGI of the identity gate under the first-order Kraus set of ``noise``
     (``channels.kraus_multi``) for every x = gamma_t of a grid:
@@ -162,7 +154,7 @@ def agi_first_order(noise: NoiseModel, gamma_t_grid) -> np.ndarray:
     curve, and it does not subtract |Tr E_0|^2 ~ d^2 from d^2 + d.
     A negative or non-finite gamma_t raises.
     """
-    x = _gamma_t_values(gamma_t_grid)
+    x = nonnegative_values(gamma_t_grid, "gamma_t values")
     d = noise.dim
     s = sum(gamma * np.vdot(op.entries, op.entries).real for gamma, op in noise.terms)
     t = sum(gamma * abs(np.trace(op.entries)) ** 2 for gamma, op in noise.terms)
@@ -170,17 +162,12 @@ def agi_first_order(noise: NoiseModel, gamma_t_grid) -> np.ndarray:
     return (x * (d * s - t) - (x * s) ** 2 / 4) / (d * (d + 1)) + 0.0
 
 
-def _require_unitary(gate: Operator) -> None:
-    if not gate.is_unitary():
-        raise ValueError("target gate must be unitary within 1e-10")
-
-
 def process_fidelity(channel: SuperOperator, target_gate: Operator) -> float:
     """Entanglement/process fidelity Tr(S_U^dag S) / d^2 of a channel
     relative to a target unitary."""
     if channel.hilbert_dim != target_gate.dim:
         raise ValueError("channel and target dimensions differ")
-    _require_unitary(target_gate)
+    require_unitary(target_gate)
     d = channel.hilbert_dim
     su = unitary_superoperator(target_gate).matrix
     # Tr(S_U^dag S) = sum_kl conj(S_U[k, l]) S[k, l]: O(d^4) work
@@ -214,7 +201,7 @@ def agi_curve(noise: NoiseModel, gamma_t_grid) -> np.ndarray:
     repeated eigenvalue cancels in the sum.  A negative or non-finite gamma_t
     raises.
     """
-    grid = _gamma_t_values(gamma_t_grid)
+    grid = nonnegative_values(gamma_t_grid, "gamma_t values")
     z = dissipator_spectrum(noise)
     d = noise.dim
     sums = np.array([np.expm1(gt * z).real.sum() for gt in grid])
@@ -225,8 +212,7 @@ def agi_curve(noise: NoiseModel, gamma_t_grid) -> np.ndarray:
 def process_from_average(agi: float, dim: int) -> float:
     """Convert an average gate infidelity to a process infidelity:
     E_p = (D + 1) * AGI / D."""
-    if dim < 1:
-        raise ValueError("invalid dimension: D must be >= 1")
+    require_dimension(dim)
     if not 0 <= agi <= 1:
         raise ValueError(f"AGI must lie in [0, 1], got {agi}")
     return float((dim + 1) * agi / dim)
@@ -250,7 +236,7 @@ def agi_monte_carlo(
         raise ValueError("need at least 2 samples")
     if sampler.dim != channel.hilbert_dim:
         raise ValueError("sampler dimension must match the channel")
-    _require_unitary(target_gate)
+    require_unitary(target_gate)
     su = unitary_superoperator(target_gate).matrix
     basis = hermitian_basis(channel.hilbert_dim)
     r_mat = (basis.conj().T @ (su.conj().T @ (channel.matrix @ basis))).real

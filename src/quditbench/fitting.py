@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .operators import finite_values, nonnegative_values
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -32,16 +34,12 @@ def fit_slope(gamma_t, agi) -> FitResult:
     carry no weight; they still enter the reported 1 - R^2, which is computed
     unweighted against the fitted model.
     """
-    x = np.asarray(gamma_t, dtype=float)
-    y = np.asarray(agi, dtype=float)
+    x = nonnegative_values(gamma_t, "gamma_t values")
+    y = finite_values(agi, "agi values")
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("gamma_t and agi must be 1-d arrays of equal length")
     if x.size < 2:
         raise ValueError("need at least 2 points")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("gamma_t and agi must be finite")
-    if np.any(x < 0):
-        raise ValueError("gamma_t values must be non-negative")
     if np.all(x == x[0]):
         raise ValueError("degenerate fit: all gamma_t values identical")
 

@@ -25,7 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .operators import HERMITICITY_ATOL, POSITIVITY_ATOL, TRACE_ATOL, NoiseModel, Operator
+from .operators import (
+    HERMITICITY_ATOL, POSITIVITY_ATOL, TRACE_ATOL, NoiseModel, Operator, frozen_matrix,
+    nonnegative_values,
+)
 
 # Dense superoperators above this Hilbert dimension are impractical
 # (matrices beyond 16384^2); experiments cap out well below.
@@ -56,9 +59,7 @@ class DensityMatrix:
     check: bool = True
 
     def __post_init__(self) -> None:
-        arr = np.array(self.entries, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {arr.shape}")
+        arr = frozen_matrix(self.entries, "density matrix")
         if self.check:
             if np.abs(arr - arr.conj().T).max() > HERMITICITY_ATOL:
                 raise ValueError("density matrix is not Hermitian within 1e-12")
@@ -66,7 +67,6 @@ class DensityMatrix:
                 raise ValueError(f"density matrix trace {np.trace(arr)} is not 1 within 1e-12")
             if np.linalg.eigvalsh((arr + arr.conj().T) / 2).min() < -POSITIVITY_ATOL:
                 raise ValueError("density matrix has eigenvalue below -1e-10")
-        arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
     @property
@@ -81,9 +81,12 @@ class DensityMatrix:
 
     @classmethod
     def pure(cls, state: np.ndarray) -> "DensityMatrix":
-        """Projector onto a (normalized) state vector."""
+        """Projector onto a state vector, normalized here; a zero or non-finite one raises."""
         psi = np.asarray(state, dtype=complex).reshape(-1)
-        psi = psi / np.linalg.norm(psi)
+        norm = np.linalg.norm(psi)
+        if not 0 < norm < math.inf:
+            raise ValueError(f"state vector must be finite and nonzero, got norm {norm}")
+        psi = psi / norm
         return cls(np.outer(psi, psi.conj()))
 
     @classmethod
@@ -98,11 +101,9 @@ class SuperOperator:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.matrix, dtype=complex)
-        d = math.isqrt(arr.shape[0]) if arr.ndim == 2 else 0
-        if d < 1 or arr.shape != (d * d, d * d):
-            raise ValueError(f"superoperator must be a square d^2 x d^2 matrix, got {arr.shape}")
-        arr.setflags(write=False)
+        arr = frozen_matrix(self.matrix, "superoperator")
+        if math.isqrt(arr.shape[0]) ** 2 != arr.shape[0]:
+            raise ValueError(f"superoperator must be a d^2 x d^2 matrix, got {arr.shape}")
         object.__setattr__(self, "matrix", arr)
 
     @property
@@ -226,8 +227,7 @@ def propagate(gen: SuperOperator, t: float) -> SuperOperator:
     scipy's scaling-and-squaring expm (Al-Mohy & Higham 2009) exponentiates
     a diagonal generator (e.g. pure dephasing with H = 0) entrywise itself.
     """
-    if not (np.isfinite(t) and t >= 0):
-        raise ValueError(f"propagation time must be non-negative and finite, got {t}")
+    nonnegative_values(t, "propagation time")
     return SuperOperator(expm(gen.matrix * t))
 
 

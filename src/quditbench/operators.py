@@ -1,4 +1,4 @@
-"""Operator algebra for d-level systems: spin matrices, site embeddings, noise models.
+"""d-level spin matrices, site embeddings, noise models, and the shared tolerances and input checks.
 
 Conventions: hbar = 1 throughout.  J_z carries the descending diagonal
 (d-1)/2, (d-3)/2, ..., -(d-1)/2, so a qubit has S_z eigenvalues +-1/2
@@ -9,7 +9,6 @@ every decay rate gamma by a factor 4.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,53 @@ UNITARITY_ATOL = 1e-10
 PURITY_ATOL = 1e-10
 
 
+def is_integer(value) -> bool:
+    """Python or NumPy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def require_dimension(value, name: str = "dimension") -> None:
+    """Raise unless ``value`` is an integer >= 1 (see ``is_integer``)."""
+    if not (is_integer(value) and value >= 1):
+        raise ValueError(f"invalid {name}: must be an integer >= 1, got {value!r}")
+
+
+def frozen_matrix(entries, what: str) -> np.ndarray:
+    """Read-only complex copy of ``entries``, which must form a finite,
+    non-empty square matrix."""
+    arr = np.array(entries, dtype=complex)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
+        raise ValueError(f"{what} must be a non-empty square matrix, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} entries must be finite")
+    arr.setflags(write=False)
+    return arr
+
+
+def finite_values(values, what: str) -> np.ndarray:
+    """``values`` as a float array; raises unless every entry is finite."""
+    arr = np.asarray(values, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be finite, got {arr}")
+    return arr
+
+
+def nonnegative_values(values, what: str) -> np.ndarray:
+    """``values`` (times, rates, gamma_t grids) as a float array; raises
+    unless every entry is finite and >= 0."""
+    arr = np.asarray(values, dtype=float)
+    if not (np.isfinite(arr).all() and (arr >= 0).all()):
+        raise ValueError(f"{what} must be finite and non-negative, got {arr}")
+    return arr
+
+
+def require_unitary(gate: Operator) -> None:
+    """Raise unless ``gate`` is unitary within ``UNITARITY_ATOL``."""
+    defect = gate.entries.conj().T @ gate.entries - np.eye(gate.dim)
+    if np.abs(defect).max() > UNITARITY_ATOL:
+        raise ValueError(f"target gate must be unitary within {UNITARITY_ATOL}")
+
+
 @dataclass(frozen=True, eq=False)
 class Operator:
     """Dense complex square matrix; its structure (diagonal, Hermitian) is
@@ -34,15 +80,7 @@ class Operator:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.entries, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"operator entries must be square, got shape {arr.shape}")
-        if arr.shape[0] < 1:
-            raise ValueError("invalid dimension: operator must be at least 1x1")
-        if not np.isfinite(arr).all():
-            raise ValueError("operator entries must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "entries", frozen_matrix(self.entries, "operator"))
 
     @property
     def dim(self) -> int:
@@ -51,16 +89,11 @@ class Operator:
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
 
-    def is_unitary(self) -> bool:
-        defect = self.entries.conj().T @ self.entries - np.eye(self.dim)
-        return bool(np.abs(defect).max() <= UNITARITY_ATOL)
-
 
 @functools.cache
 def identity(d: int) -> Operator:
     """Identity operator on a d-level system (cached: operators are immutable)."""
-    if d < 1:
-        raise ValueError("invalid dimension: d must be >= 1")
+    require_dimension(d)
     return Operator(np.eye(d))
 
 
@@ -69,8 +102,7 @@ def spin_z(d: int) -> Operator:
 
     Traceless and Hermitian, with Tr(J_z^2) = d(d^2-1)/12.
     """
-    if d < 1:
-        raise ValueError("invalid dimension: d must be >= 1")
+    require_dimension(d)
     m = (d - 1) / 2 - np.arange(d)
     return Operator(np.diag(m.astype(complex)))
 
@@ -88,8 +120,7 @@ def spin_xy(d: int) -> tuple[Operator, Operator]:
 
     Both are Hermitian and traceless and satisfy [J_x, J_y] = i J_z.
     """
-    if d < 1:
-        raise ValueError("invalid dimension: d must be >= 1")
+    require_dimension(d)
     jp = _spin_raising(d)
     jm = jp.conj().T
     jx = Operator((jp + jm) / 2)
@@ -99,8 +130,7 @@ def spin_xy(d: int) -> tuple[Operator, Operator]:
 
 def spin_plus(d: int) -> Operator:
     """Raising operator J_+ = J_x + i J_y (the ladder matrix)."""
-    if d < 1:
-        raise ValueError("invalid dimension: d must be >= 1")
+    require_dimension(d)
     return Operator(_spin_raising(d))
 
 
@@ -111,8 +141,7 @@ def embed_site(op: Operator, site: int, n_sites: int) -> Operator:
     result has dimension op.dim ** n_sites and site=1 is the leftmost
     tensor factor.
     """
-    if n_sites < 1:
-        raise ValueError("invalid dimension: n_sites must be >= 1")
+    require_dimension(n_sites, "n_sites")
     if not 1 <= site <= n_sites:
         raise IndexError(f"site {site} out of range 1..{n_sites}")
     d = op.dim
@@ -133,15 +162,13 @@ class NoiseModel:
     terms: tuple[tuple[float, Operator], ...]
 
     def __post_init__(self) -> None:
-        terms = tuple((float(g), op) for g, op in self.terms)
-        if not terms:
+        if not self.terms:
             raise ValueError("noise model needs at least one (rate, operator) term")
-        dims = {op.dim for _, op in terms}
+        rates = nonnegative_values([g for g, _ in self.terms], "decay rates")
+        dims = {op.dim for _, op in self.terms}
         if len(dims) > 1:
             raise ValueError(f"collapse operators have mixed dimensions {sorted(dims)}")
-        for g, _ in terms:
-            if not 0 <= g < math.inf:
-                raise ValueError(f"decay rate must be finite and non-negative, got {g}")
+        terms = tuple((float(g), op) for g, (_, op) in zip(rates, self.terms))
         object.__setattr__(self, "terms", terms)
 
     @property

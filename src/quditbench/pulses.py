@@ -40,7 +40,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .lindblad import SuperOperator, commutator_superoperator, dissipator, hermitian_basis
-from .operators import NoiseModel, Operator
+from .operators import (
+    NoiseModel, Operator, finite_values, nonnegative_values, require_dimension, require_unitary,
+)
 
 # _real_expm: the degree of its Taylor polynomial and the coefficients 1/k!.
 _TAYLOR_DEGREE = 18
@@ -59,6 +61,7 @@ def ladder_controls(d: int) -> np.ndarray:
 
     Cached, so the GRAPE kernel looks it up on every call; sharing is safe
     because the array is read-only."""
+    require_dimension(d)
     if d < 2:
         raise ValueError("ladder controls need d >= 2")
     stack = np.zeros((2 * (d - 1), d, d), dtype=complex)
@@ -79,11 +82,9 @@ class PulseSchedule:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.amplitudes, dtype=float)
+        arr = np.array(finite_values(self.amplitudes, "amplitudes"))
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise ValueError("amplitudes must be a (n_slots, n_controls) matrix")
-        if not np.isfinite(arr).all():
-            raise ValueError("amplitudes must be finite")
         if not (np.isfinite(self.slot_duration) and self.slot_duration > 0):
             raise ValueError("slot duration must be positive and finite")
         arr.setflags(write=False)
@@ -210,14 +211,12 @@ def grape_optimize(
     from fresh random amplitudes, ``GRAPE_RUNS`` runs in all, and returns the
     best run with ``converged=False``.
     """
-    if n_slots < 1:
-        raise ValueError("n_slots must be >= 1")
+    require_dimension(n_slots, "n_slots")
     if not (np.isfinite(total_time) and total_time > 0):
         raise ValueError("total_time must be positive and finite")
     if not (np.isfinite(goal_infidelity) and goal_infidelity > 0):
         raise ValueError("goal_infidelity must be positive and finite")
-    if not target.is_unitary():
-        raise ValueError("target gate must be unitary within 1e-10")
+    require_unitary(target)
 
     dt = total_time / n_slots
     tgt = target.entries
@@ -284,11 +283,9 @@ def schedule_to_propagator(
     ladder = ladder_controls(d)
     if schedule.n_controls != len(ladder):
         raise ValueError(f"schedule has {schedule.n_controls} controls; a d = {d} qudit has {len(ladder)}")
-    scales = np.asarray(scales, dtype=float)
+    scales = nonnegative_values(scales, "scales")
     if scales.ndim != 1 or scales.size < 1:
         raise ValueError(f"scales must be a nonempty 1-d sequence, got shape {scales.shape}")
-    if not (np.isfinite(scales).all() and (scales >= 0).all()):
-        raise ValueError("scales must be finite and non-negative")
     b = hermitian_basis(d)
     bdag = b.conj().T
     dt = schedule.slot_duration

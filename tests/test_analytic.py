@@ -26,6 +26,9 @@ def test_c_qudit_dephasing_values():
     assert abs(c_qudit_dephasing(22) - 38.5) < 1e-12
     with pytest.raises(ValueError):
         c_qudit_dephasing(0)
+    for bad in (2.5, float("nan")):
+        with pytest.raises(ValueError, match="integer"):
+            c_qudit_dephasing(bad)
 
 
 def test_c_general_reductions():

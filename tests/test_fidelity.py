@@ -124,6 +124,9 @@ def test_haar_unitary_is_unitary_and_deterministic():
     from_int, from_seq = HaarSampler(5, seed=42), HaarSampler(5, seed=np.random.SeedSequence(42))
     assert np.array_equal(from_int.unitary(), from_seq.unitary())
     assert np.array_equal(from_int.states(7), from_seq.states(7))
+    # a non-integer dimension fails at construction, not at the first draw
+    with pytest.raises(ValueError, match="integer"):
+        HaarSampler(2.5, 0)
 
 
 def test_haar_moments():

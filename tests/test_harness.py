@@ -45,6 +45,9 @@ def test_spec_validation():
     for name in EXPERIMENTS:
         with pytest.raises(ValueError, match="seed"):
             replace(default_spec(name), seed=-1)
+    # only default_spec used to check the scale, which goes into the summary header
+    with pytest.raises(ValueError, match="scale"):
+        ExperimentSpec("slopes-qudit", (2,), (0.0, 1e-4, 11), scale="banana")
     with pytest.raises(ValueError, match="repeated dimension"):
         ExperimentSpec("critical-curve", (1, 2, 1), (0.0, 1e-4, 11))
     # dims, grid counts, n_gates and seeds are integers; a bool is not one

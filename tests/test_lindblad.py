@@ -104,6 +104,12 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
     rho = DensityMatrix.pure(np.array([1.0, 1.0]))
     assert abs(rho.purity() - 1.0) < 1e-12
+    # NaN passes every comparison, so finiteness is checked on its own
+    with pytest.raises(ValueError, match="finite"):
+        DensityMatrix([[np.nan, 0], [0, 1]])
+    for state in ([np.nan, 1], [0, 0]):
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            DensityMatrix.pure(state)
 
 
 def test_liouvillian_trivial():
@@ -261,6 +267,8 @@ def test_apply_channel_basics():
     for shape in ((4,), (4, 9), (8, 8), (0, 0), (2, 4, 4)):
         with pytest.raises(ValueError):
             SuperOperator(np.zeros(shape))
+    with pytest.raises(ValueError, match="finite"):
+        SuperOperator(np.full((4, 4), np.nan))
 
 
 def test_maximally_mixed_is_fixed_point_of_hermitian_dissipator():

@@ -24,6 +24,11 @@ def test_spin_z_qubit():
 def test_spin_z_invalid_dimension():
     with pytest.raises(ValueError):
         spin_z(0)
+    # a dimension is an integer: 2.5 does not round to 3, and a bool is not one
+    for build in (spin_z, spin_xy, spin_plus):
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match="integer"):
+                build(bad)
 
 
 def test_spin_z_trace_identities():

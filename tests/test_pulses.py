@@ -151,8 +151,9 @@ def test_grape_unreachable_target_keeps_the_best_of_three_runs(monkeypatch):
 
 
 def test_grape_validation():
-    with pytest.raises(ValueError):
-        grape_optimize(identity(2), n_slots=0, total_time=1.0)
+    for n_slots in (0, 2.5):
+        with pytest.raises(ValueError, match="n_slots"):
+            grape_optimize(identity(2), n_slots=n_slots, total_time=1.0)
     with pytest.raises(ValueError):
         grape_optimize(Operator(np.diag([1.0, 0.3])), n_slots=4, total_time=1.0)
     with pytest.raises(ValueError):
