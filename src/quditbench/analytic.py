@@ -9,6 +9,7 @@ dimension d beats log2(d) identically dephasing qubits.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -80,10 +81,11 @@ def critical_ratio(d: float) -> float:
 
     A single qudit of dimension d = 2^n outperforms n identically dephasing
     qubits only when tau_qubits / tau_qudit exceeds this value.  Real d >= 2
-    is accepted (the multiqudit reduction gives the same expression).
+    is accepted (the multiqudit reduction gives the same expression); a
+    non-finite d raises.
     """
-    if not d > 1:
-        raise ValueError(f"critical ratio requires d > 1, got {d}")
+    if not 1 < d < math.inf:
+        raise ValueError(f"critical ratio requires finite d > 1, got {d}")
     return (d * d - 1) / (3 * np.log2(d))
 
 
@@ -92,10 +94,10 @@ def naive_ratio(d: float) -> float:
 
     Shares the asymptotic growth of ``critical_ratio`` but overstates the
     requirement at small d (e.g. 21.33 vs the exact 7 at d = 8); reports emit
-    both numbers.
+    both numbers.  A non-finite d raises.
     """
-    if not d > 1:
-        raise ValueError(f"naive ratio requires d > 1, got {d}")
+    if not 1 < d < math.inf:
+        raise ValueError(f"naive ratio requires finite d > 1, got {d}")
     return d * d / np.log2(d)
 
 

@@ -40,8 +40,14 @@ from .operators import PURITY_ATOL, NoiseModel, Operator, nonnegative_values, re
 # gives other samples under the same seed.
 MONTE_CARLO_CHUNK = 20_000
 # Columns per real product inside a chunk.  It only splits the algebra of
-# states already drawn, so it changes no draw; it bounds the temporaries.
-MONTE_CARLO_BLOCK = 2_000
+# states already drawn, so it changes no draw and no output bit; it bounds
+# the temporaries (r, r @ R and their product: 0.6 MB each at d = 12).  At
+# 2 000 they were 2.3 MB each and came as fresh pages every block: the
+# benchmark's four 20 000-sample oracles (d = 6, 8, 10, 12) took ~5 000
+# minor page faults at 2 000 and ~2 200 at every block from 1 000 down to
+# 125, and ran fastest at 500 (0.87 of the time at 2 000; 0.92 at 1 000 and
+# 250, 0.97 at 125; one BLAS thread).
+MONTE_CARLO_BLOCK = 500
 
 
 @dataclass(eq=False)
@@ -119,6 +125,7 @@ def haar_variance_monte_carlo(
     """
     if sampler.dim != collapse.dim:
         raise ValueError("sampler dimension must match the operator")
+    require_dimension(n_samples, "sample count")
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
     psi = sampler.states(n_samples)  # (n, d)
@@ -196,9 +203,9 @@ def agi_curve(noise: NoiseModel, gamma_t_grid) -> np.ndarray:
     whose first-order term -Re sum z / (d (d + 1)) = -Tr D / (d (d + 1)) is
     ``analytic.c_general``.  expm1 keeps the digits that 1 - F_bar loses at
     small gamma_t; for dephasing every term is non-negative (Re z <= 0).  The
-    trace identity holds for defective generators too (J_+), and
-    sum f(eigenvalues) is backward stable, so the eigenvalue scatter of a
-    repeated eigenvalue cancels in the sum.  A negative or non-finite gamma_t
+    trace identity holds for defective generators too (J_+, J_+ with J_-),
+    and on the ``eigvals`` route sum f(eigenvalues) is backward stable, so
+    the eigenvalue scatter of a repeated eigenvalue cancels in the sum.  A negative or non-finite gamma_t
     raises.
     """
     grid = nonnegative_values(gamma_t_grid, "gamma_t values")
@@ -232,6 +239,7 @@ def agi_monte_carlo(
     R = Re(B^dag S_U^dag S B), formed once.  r being real, this holds for
     any superoperator, Hermiticity-preserving or not.
     """
+    require_dimension(n_samples, "sample count")
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
     if sampler.dim != channel.hilbert_dim:

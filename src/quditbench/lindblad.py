@@ -14,7 +14,9 @@ generator and channel above is a real matrix.
 
 ``dissipator_spectrum`` alone decides, from the entries, how the spectrum
 of a purely dissipative generator is found: entrywise for diagonal L_k, by a
-d x d ``eigvalsh`` for one L == L^dag, by ``eigvals(dissipator)`` otherwise.
+d x d ``eigvalsh`` for one L == L^dag, entrywise again for weighted shifts
+(triangular L_k of one orientation with diagonal L_k^dag L_k: J_+, J_-), and
+by ``eigvals(dissipator)`` otherwise.
 """
 
 from __future__ import annotations
@@ -186,24 +188,53 @@ def dissipator_spectrum(noise: NoiseModel) -> np.ndarray:
     z_ii = 0 hold exactly; the result is vec(z), the dissipator diagonal.  A
     single Hermitian collapse operator L = V diag(l) V^dag gives a dissipator
     unitarily equivalent (by conj(V) kron V) to that of diag(l), so the same
-    expression runs on one d x d ``eigvalsh``, with no generator built and no
-    dimension ceiling (J_x, J_x + J_y + J_z); ``eigvalsh`` reads one triangle,
-    so this needs L == L^dag exactly.  Any other noise (J_+, several terms, a
-    nearly Hermitian L) takes one ``eigvals`` of ``dissipator(noise)``.
+    expression runs on one d x d ``eigvalsh`` (J_x, J_x + J_y + J_z);
+    ``eigvalsh`` reads one triangle, so this needs L == L^dag exactly.
+    Weighted shifts (J_+, J_-, ladder operators, and sums of them with
+    diagonal terms) are triangular L_k, all in one orientation, with
+    L_k^dag L_k = diag(n^k) exactly diagonal: the dissipator is then
+    triangular and its spectrum its diagonal, the same expression with
+    |l_i^k|^2 replaced by the squared column norm n_i^k: z_ij gains
+    -(e_i + e_j) / 2, with e_i = sum_k gamma_k sum_{m != i} |L^k_mi|^2.
+    These three routes build no generator and have no dimension ceiling.
+    Any other noise (J_+ with J_-, several non-diagonal terms, a nearly
+    Hermitian L) takes one ``eigvals`` of ``dissipator(noise)``.
     """
     d = noise.dim
     gamma, op = noise.terms[0]
-    if all(np.count_nonzero(op.entries - np.diag(np.diag(op.entries))) == 0 for _, op in noise.terms):
+    z = np.zeros((d, d), dtype=complex)
+    if all(_is_diagonal(op.entries) for _, op in noise.terms):
         terms = [(gamma, np.diag(op.entries)) for gamma, op in noise.terms]
     elif len(noise) == 1 and np.array_equal(op.entries, op.entries.conj().T):
         terms = [(gamma, np.linalg.eigvalsh(op.entries).astype(complex))]
+    elif _is_weighted_shift(noise):
+        terms = [(gamma, np.diag(op.entries)) for gamma, op in noise.terms]
+        e = sum(gamma * _off_diagonal_column_norms(op.entries) for gamma, op in noise.terms)
+        z.real = -0.5 * np.add.outer(e, e)
     else:
         return np.linalg.eigvals(dissipator(noise))
-    z = np.zeros((d, d), dtype=complex)
     for gamma, l in terms:
         z.real -= 0.5 * gamma * np.abs(l[:, None] - l[None, :]) ** 2
         z.imag += gamma * (np.outer(l.imag, l.real) - np.outer(l.real, l.imag))
     return vec(z)
+
+
+def _is_diagonal(entries: np.ndarray) -> bool:
+    return np.count_nonzero(entries - np.diag(np.diag(entries))) == 0
+
+
+def _is_weighted_shift(noise: NoiseModel) -> bool:
+    """Every L_k triangular in one common orientation, every L_k^dag L_k diagonal."""
+    ops = [op.entries for _, op in noise.terms]
+    upper = not any(np.tril(l, -1).any() for l in ops)
+    lower = not any(np.triu(l, 1).any() for l in ops)
+    return (upper or lower) and all(_is_diagonal(l.conj().T @ l) for l in ops)
+
+
+def _off_diagonal_column_norms(entries: np.ndarray) -> np.ndarray:
+    """e_i = sum_{m != i} |L_mi|^2, exactly 0 for a diagonal L."""
+    off = entries - np.diag(np.diag(entries))
+    return (off.real**2 + off.imag**2).sum(axis=0)
 
 
 def liouvillian(h: Operator, noise: NoiseModel) -> SuperOperator:

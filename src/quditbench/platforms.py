@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
-from math import isinf, isnan
+from math import isinf
 
 from .analytic import critical_ratio, max_advantageous_dimension, naive_ratio
+from .operators import require_dimension
 
 _UNKNOWN = "unknown"
 
@@ -28,11 +29,13 @@ class PlatformRecord:
     note: str = ""
 
     def __post_init__(self) -> None:
-        if self.d < 2 or self.n_sites < 1:
-            raise ValueError(f"invalid platform geometry d={self.d}, n={self.n_sites}")
+        require_dimension(self.d, "platform dimension")
+        require_dimension(self.n_sites, "platform site count")
+        if self.d < 2:
+            raise ValueError(f"platform dimension must be >= 2, got {self.d}")
         for v in (self.t2, self.gate_time):
-            if v is not None and v < 0:
-                raise ValueError("times must be non-negative")
+            if v is not None and not v >= 0:
+                raise ValueError(f"times must be non-negative numbers, got {v}")
 
     @property
     def tau(self) -> float | None:
@@ -45,15 +48,10 @@ class PlatformRecord:
 
 
 def _parse_time(text: str) -> float | None:
+    """A time field: None for "unknown", else the float ("inf" included);
+    ``PlatformRecord`` rejects NaN and negative times."""
     text = text.strip()
-    if text == _UNKNOWN:
-        return None
-    if text == "inf":
-        return float("inf")
-    value = float(text)
-    if isnan(value):
-        raise ValueError(f"time {text!r} is not a number")
-    return value
+    return None if text == _UNKNOWN else float(text)
 
 
 def parse_records(text: str) -> list[PlatformRecord]:

@@ -88,7 +88,7 @@ def test_critical_ratio_table():
     assert abs(critical_ratio(4) - 2.5) < 1e-12
     assert abs(critical_ratio(8) - 7.0) < 1e-12
     assert abs(critical_ratio(64) - 227.5) < 1e-12
-    for bad in (1, float("nan")):
+    for bad in (1, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             critical_ratio(bad)
 
@@ -104,7 +104,7 @@ def test_naive_ratio_flagged_difference():
     # the intuitive d^2/log2 d comparator disagrees with the exact curve
     assert abs(naive_ratio(8) - 64 / 3) < 1e-12
     assert naive_ratio(8) > critical_ratio(8)
-    for bad in (1, float("nan")):
+    for bad in (1, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             naive_ratio(bad)
 

@@ -389,9 +389,30 @@ def test_agi_monte_carlo_matches_two_product_reference():
             assert abs(se / ref_se - 1.0) <= 1e-12
 
 
+def test_agi_monte_carlo_does_not_depend_on_the_block(monkeypatch):
+    import quditbench.fidelity as fidelity
+    from quditbench.experiments import collapse_model
+
+    d = 12
+    channel = propagate(liouvillian(zero_h(d), collapse_model("JxJyJz", d)), 1e-3)
+    n = fidelity.MONTE_CARLO_CHUNK + 1_003  # crosses a chunk and ragged blocks
+    results = []
+    for block in (7, fidelity.MONTE_CARLO_BLOCK, 2_000):
+        monkeypatch.setattr(fidelity, "MONTE_CARLO_BLOCK", block)
+        results.append(agi_monte_carlo(channel, identity(d), n, HaarSampler(d, seed=15)))
+    for mean, se in results[1:]:
+        assert abs(mean / results[0][0] - 1.0) <= 1e-15
+        assert abs(se / results[0][1] - 1.0) <= 1e-15
+
+
 def test_agi_monte_carlo_validation():
     with pytest.raises(ValueError):
         agi_monte_carlo(SuperOperator.identity(2), identity(2), 1, HaarSampler(2, seed=0))
+    for bad in (2.5, True, 0):
+        with pytest.raises(ValueError, match="sample count"):
+            agi_monte_carlo(SuperOperator.identity(2), identity(2), bad, HaarSampler(2, seed=0))
+        with pytest.raises(ValueError, match="sample count"):
+            haar_variance_monte_carlo(identity(2), bad, HaarSampler(2, seed=0))
     with pytest.raises(ValueError):
         agi_monte_carlo(SuperOperator.identity(2), Operator(np.diag([1.0, 2.0])), 10, HaarSampler(2, seed=0))
 

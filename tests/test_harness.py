@@ -242,16 +242,18 @@ def test_agi_curve_routes_by_noise_structure():
     for d in (2, 3, 7, 12):
         for kind in ("Jx", "JxJyJz", "Jplus"):
             _assert_matches_dense(collapse_model(kind, d), grid)
-    # the dense route keeps the dissipator's dimension ceiling; the Hermitian
-    # route builds no generator and runs past it, for any exactly Hermitian
-    # matrix the caller passes
+    # the dense route (J_+ with J_-: triangular both ways) keeps the
+    # dissipator's dimension ceiling; the Hermitian and weighted-shift routes
+    # build no generator and run past it, for any exactly Hermitian matrix
+    # the caller passes
     big = MAX_HILBERT_DIM + 1
+    jp = collapse_model("Jplus", big).terms[0][1]
     with pytest.raises(ValueError, match="dimension ceiling"):
-        agi_curve(collapse_model("Jplus", big), grid)
+        agi_curve(NoiseModel(((1.0, jp), (0.5, Operator(jp.entries.T)))), grid)
     fine = np.linspace(0.0, 1e-8, 11)
     rng = np.random.default_rng(17)
     a = rng.standard_normal((big, big)) + 1j * rng.standard_normal((big, big))
-    for op in (collapse_model("Jx", big).terms[0][1], Operator((a + a.conj().T) / 2)):
+    for op in (collapse_model("Jx", big).terms[0][1], Operator((a + a.conj().T) / 2), jp):
         curve = agi_curve(NoiseModel.single(1.0, op), fine)
         assert np.all(np.isfinite(curve))
         slope = fit_slope(fine, curve).slope_c
@@ -502,6 +504,15 @@ def test_platform_record_validation():
         PlatformRecord("x", 1, 1, 1.0, 1.0, "src")
     with pytest.raises(ValueError):
         PlatformRecord("x", 2, 1, -1.0, 1.0, "src")
+    # dimensions go through require_dimension; NaN times are rejected
+    for d, n in ((2.5, 1), (2, True), (True, 1)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            PlatformRecord("x", d, n, 1.0, 1.0, "src")
+    for t2, gate_time in ((float("nan"), 1.0), (1.0, float("nan"))):
+        with pytest.raises(ValueError, match="non-negative"):
+            PlatformRecord("x", 2, 1, t2, gate_time, "src")
+    # an unlimited T2 stays legal and gives tau = 0
+    assert PlatformRecord("x", 2, 1, float("inf"), 1.0, "src").tau == 0.0
 
 
 # ---------------------------------------------------------------------------

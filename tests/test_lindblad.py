@@ -297,14 +297,23 @@ def test_first_order_agreement():
         assert residual < 10 * gt**2 * np.linalg.norm(l, 2) ** 4
 
 
+def jplus_jminus(d):
+    """J_+ and J_- as two terms: triangular in opposite orientations, so
+    ``dissipator_spectrum`` takes its dense route."""
+    jp = spin_plus(d)
+    return NoiseModel(((1.0, jp), (0.5, Operator(jp.entries.conj().T))))
+
+
 def test_dimension_ceiling():
     with pytest.raises(ValueError, match="dimension ceiling exceeded"):
         liouvillian(zero_h(129), NoiseModel.single(0.0, spin_z(129)))
     # every dense generator goes through dissipator, which holds the ceiling
     jplus = NoiseModel.single(1.0, spin_plus(129))
-    for build in (dissipator, dissipator_spectrum, lambda noise: liouvillian(zero_h(129), noise)):
+    for build in (dissipator, lambda noise: liouvillian(zero_h(129), noise)):
         with pytest.raises(ValueError, match="dimension ceiling exceeded"):
             build(jplus)
+    with pytest.raises(ValueError, match="dimension ceiling exceeded"):
+        dissipator_spectrum(jplus_jminus(129))
 
 
 def test_dissipator_spectrum_of_diagonal_noise_is_the_dissipator_diagonal():
@@ -342,12 +351,66 @@ def test_dissipator_spectrum_routes_by_noise_structure():
         near[0, 1] += 1e-14
         for noise in (
             NoiseModel.single(0.6, Operator(near)),
-            NoiseModel.single(1.0, spin_plus(d)),
             NoiseModel(((1.0, spin_z(d)), (0.1, jy))),
             NoiseModel(((0.7, jy), (1.9, spin_plus(d)))),
         ):
             dense = np.linalg.eigvals(liouvillian(zero_h(d), noise).matrix)
             assert np.array_equal(dissipator_spectrum(noise), dense)
+
+
+def _spectrum_and_dense_calls(noise, monkeypatch):
+    """dissipator_spectrum(noise) and how often it built the dense dissipator."""
+    import quditbench.lindblad as lindblad
+
+    calls = []
+    monkeypatch.setattr(lindblad, "dissipator", lambda noise: calls.append(noise) or dissipator(noise))
+    return dissipator_spectrum(noise), len(calls)
+
+
+def test_dissipator_spectrum_of_weighted_shifts_is_the_dissipator_diagonal(monkeypatch):
+    # triangular L_k in one orientation with L_k^dag L_k diagonal: the
+    # dissipator is triangular, its spectrum its diagonal, built entrywise
+    rng = np.random.default_rng(29)
+    for d in (2, 3, 7, 12):
+        jp = spin_plus(d)
+        jm = Operator(jp.entries.conj().T)
+        weights = rng.standard_normal(d - 1) + 1j * rng.standard_normal(d - 1)
+        phases = Operator(np.diag(np.exp(1j * rng.standard_normal(d))))
+        for noise in (
+            NoiseModel.single(1.0, jp),
+            NoiseModel.single(0.4, jm),
+            NoiseModel(((0.3, spin_z(d)), (0.1, jp))),
+            NoiseModel(((1.3, Operator(np.diag(weights, k=-1))), (0.2, phases))),
+        ):
+            z, dense_calls = _spectrum_and_dense_calls(noise, monkeypatch)
+            assert dense_calls == 0
+            diss = dissipator(noise)
+            eig = np.linalg.eigvals(diss)
+            scale = np.abs(eig).max()
+            assert np.abs(z - np.diag(diss)).max() <= 1e-14 * scale, d
+            assert np.abs(np.sort(z) - np.sort(eig)).max() <= 1e-14 * scale, d
+            assert np.all(z.real <= 0)
+        # mixed orientations, or columns that are not orthogonal: dense
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        upper = np.triu(a, 1 if d > 2 else 0)  # strictly upper where d allows
+        for noise in (jplus_jminus(d), NoiseModel.single(1.0, Operator(upper))):
+            z, dense_calls = _spectrum_and_dense_calls(noise, monkeypatch)
+            assert dense_calls == 1
+            assert np.array_equal(z, np.linalg.eigvals(dissipator(noise)))
+
+
+def test_weighted_shift_spectrum_runs_past_the_ceiling():
+    import tracemalloc
+
+    d = 129  # MAX_HILBERT_DIM + 1: one d^2 x d^2 complex array is 4.4 GB
+    tracemalloc.start()
+    try:
+        z = dissipator_spectrum(NoiseModel.single(1.0, spin_plus(d)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert z.shape == (d * d,) and np.all(z.real <= 0)
+    assert peak < 16 * d * d * 16  # a few d x d arrays, nothing of size d^4
 
 
 def test_library_operators_are_exactly_hermitian():
@@ -360,4 +423,4 @@ def test_library_operators_are_exactly_hermitian():
             assert np.array_equal(op.entries, op.entries.conj().T), d
     # the dense route keeps the generator's dimension ceiling
     with pytest.raises(ValueError, match="dimension ceiling"):
-        dissipator_spectrum(NoiseModel.single(1.0, spin_plus(129)))
+        dissipator_spectrum(jplus_jminus(129))
