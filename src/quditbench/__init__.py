@@ -23,7 +23,6 @@ from .fidelity import (
     collapse_variance,
     haar_variance_monte_carlo,
     process_fidelity,
-    process_from_average,
 )
 from .fitting import FitResult, deviation_stats, fit_slope, relative_deviation
 from .lindblad import (

@@ -16,11 +16,14 @@ Five routes are provided and cross-checked against each other:
 * ``agi_monte_carlo`` -- direct Haar-measure sampling (independent oracle).
   Each pure input is written by its d^2 real coordinates in an orthonormal
   Hermitian basis, so a block of samples costs one real product with the
-  d^2 x d^2 matrix Re(B^dag S_U^dag S B), formed once per call.
+  d^2 x d^2 matrix Re(B^dag S_U^dag S B), formed once per call.  The states
+  stream in blocks of ``MONTE_CARLO_BLOCK``: a call holds the real parts of
+  one ``MONTE_CARLO_CHUNK`` (n d reals) and one block's complex temporaries.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,16 +40,18 @@ from .operators import PURITY_ATOL, NoiseModel, Operator, nonnegative_values, re
 
 # Input states per Monte Carlo batch.  Each batch draws its real parts, then
 # its imaginary parts, so the chunk fixes the RNG draw order: another value
-# gives other samples under the same seed.
+# gives other samples under the same seed.  A batch holds its n x d real
+# parts (1.9 MB at d = 12) until its last block is drawn.
 MONTE_CARLO_CHUNK = 20_000
-# Columns per real product inside a chunk.  It only splits the algebra of
-# states already drawn, so it changes no draw and no output bit; it bounds
-# the temporaries (r, r @ R and their product: 0.6 MB each at d = 12).  At
-# 2 000 they were 2.3 MB each and came as fresh pages every block: the
-# benchmark's four 20 000-sample oracles (d = 6, 8, 10, 12) took ~5 000
-# minor page faults at 2 000 and ~2 200 at every block from 1 000 down to
-# 125, and ran fastest at 500 (0.87 of the time at 2 000; 0.92 at 1 000 and
-# 250, 0.97 at 125; one BLAS thread).
+# States per block inside a chunk.  Each block draws its imaginary parts just
+# before use, continuing the chunk's stream, so the block changes no draw and
+# no output bit.  It bounds every complex temporary: the block's states
+# (96 kB at d = 12), their real coordinates r, r @ R and their product
+# (0.6 MB each).  At 2 000 these were 2.3 MB each and came as fresh pages
+# every block: the benchmark's four 20 000-sample oracles (d = 6, 8, 10,
+# 12) took ~5 000 minor page faults at 2 000 and ~2 200 at every block from
+# 1 000 down to 125, and ran fastest at 500 (0.87 of the time at 2 000;
+# 0.92 at 1 000 and 250, 0.97 at 125; one BLAS thread).
 MONTE_CARLO_BLOCK = 500
 
 
@@ -73,6 +78,7 @@ class HaarSampler:
         QR of a complex standard-Gaussian matrix with the R-diagonal phase
         correction (Mezzadri construction).
         """
+        require_dimension(n, "sample count")
         d = self.dim
         z = (self._rng.standard_normal((n, d, d)) + 1j * self._rng.standard_normal((n, d, d)))
         z /= np.sqrt(2)
@@ -87,11 +93,22 @@ class HaarSampler:
         """n Haar (Fubini-Study) random pure state vectors, shape (n, d).
 
         A normalized complex standard-Gaussian vector has exactly the
-        distribution of the first column of a Haar unitary.
+        distribution of the first column of a Haar unitary.  The real parts
+        of all n states are drawn first, then their imaginary parts.
         """
-        d = self.dim
-        z = self._rng.standard_normal((n, d)) + 1j * self._rng.standard_normal((n, d))
-        return z / np.linalg.norm(z, axis=1, keepdims=True)
+        require_dimension(n, "sample count")
+        (psi,) = self._state_blocks(n, n)
+        return psi
+
+    def _state_blocks(self, n: int, block: int) -> Iterator[np.ndarray]:
+        """The states of ``states(n)`` as consecutive blocks of ``block`` rows
+        (the last one ragged), bit for bit: the n x d real parts are drawn at
+        once, each block's imaginary parts only when the block is requested."""
+        real = self._rng.standard_normal((n, self.dim))
+        for start in range(0, n, block):
+            part = real[start : start + block]
+            z = part + 1j * self._rng.standard_normal(part.shape)
+            yield z / np.linalg.norm(z, axis=1, keepdims=True)
 
     def state(self) -> np.ndarray:
         return self.states(1)[0]
@@ -121,18 +138,22 @@ def haar_variance_monte_carlo(
     """Monte Carlo estimate of the Haar-averaged collapse variance.
 
     Returns (mean, standard error of the mean); oracle for the closed form
-    ``analytic.c_general``.
+    ``analytic.c_general``.  The samples are one chunk of ``states``, read
+    in blocks of ``MONTE_CARLO_BLOCK``.
     """
     if sampler.dim != collapse.dim:
         raise ValueError("sampler dimension must match the operator")
     require_dimension(n_samples, "sample count")
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
-    psi = sampler.states(n_samples)  # (n, d)
-    lpsi = psi @ collapse.entries.T  # row n holds L|psi_n>
-    term1 = np.einsum("ni,ni->n", lpsi.conj(), lpsi).real
-    term2 = np.abs(np.einsum("ni,ni->n", psi.conj(), lpsi)) ** 2
-    samples = term1 - term2
+    samples = np.empty(n_samples)
+    done = 0
+    for psi in sampler._state_blocks(n_samples, MONTE_CARLO_BLOCK):
+        lpsi = psi @ collapse.entries.T  # row n holds L|psi_n>
+        term1 = np.einsum("ni,ni->n", lpsi.conj(), lpsi).real
+        term2 = np.abs(np.einsum("ni,ni->n", psi.conj(), lpsi)) ** 2
+        samples[done : done + len(psi)] = term1 - term2
+        done += len(psi)
     return float(samples.mean()), float(samples.std(ddof=1) / np.sqrt(n_samples))
 
 
@@ -216,15 +237,6 @@ def agi_curve(noise: NoiseModel, gamma_t_grid) -> np.ndarray:
     return 0.0 - sums / (d * (d + 1))
 
 
-def process_from_average(agi: float, dim: int) -> float:
-    """Convert an average gate infidelity to a process infidelity:
-    E_p = (D + 1) * AGI / D."""
-    require_dimension(dim)
-    if not 0 <= agi <= 1:
-        raise ValueError(f"AGI must lie in [0, 1], got {agi}")
-    return float((dim + 1) * agi / dim)
-
-
 def agi_monte_carlo(
     channel: SuperOperator, target_gate: Operator, n_samples: int, sampler: HaarSampler
 ) -> tuple[float, float]:
@@ -252,10 +264,9 @@ def agi_monte_carlo(
     done = 0
     while done < n_samples:
         n = min(MONTE_CARLO_CHUNK, n_samples - done)
-        psi = sampler.states(n)  # (n, d)
-        for start in range(0, n, MONTE_CARLO_BLOCK):
-            r = real_coordinates(psi[start : start + MONTE_CARLO_BLOCK])
+        for psi in sampler._state_blocks(n, MONTE_CARLO_BLOCK):
+            r = real_coordinates(psi)
             fid = np.einsum("nk,nk->n", r @ r_mat, r)
-            samples[done + start : done + start + len(r)] = 1.0 - fid
-        done += n
+            samples[done : done + len(r)] = 1.0 - fid
+            done += len(r)
     return float(samples.mean()), float(samples.std(ddof=1) / np.sqrt(n_samples))

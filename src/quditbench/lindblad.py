@@ -21,6 +21,7 @@ by ``eigvals(dissipator)`` otherwise.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -117,6 +118,17 @@ class SuperOperator:
         return cls(np.eye(d * d))
 
 
+@functools.cache
+def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs a < b of ``np.triu_indices(d, 1)``, read-only: the
+    order of the off-diagonal coordinates in ``hermitian_basis`` and
+    ``real_coordinates``.  Cached, as the Monte Carlo asks once per block."""
+    pairs = np.triu_indices(d, 1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
+
+
 def hermitian_basis(d: int) -> np.ndarray:
     """Orthonormal Hermitian basis of d x d matrices as the unitary d^2 x d^2
     matrix B whose column k is vec(G_k): G = E_aa, then (E_ab + E_ba)/sqrt2,
@@ -127,7 +139,7 @@ def hermitian_basis(d: int) -> np.ndarray:
     B^dag S B is the real matrix of its action on the real coordinates of a
     Hermitian matrix (the coherence-vector form).
     """
-    a, b = np.triu_indices(d, 1)
+    a, b = _upper_pairs(d)
     m = len(a)
     basis = np.zeros((d * d, d, d), dtype=complex)
     basis[np.arange(d), np.arange(d), np.arange(d)] = 1.0
@@ -142,7 +154,7 @@ def real_coordinates(psi: np.ndarray) -> np.ndarray:
     """Coordinates Tr(G_k |psi><psi|) in ``hermitian_basis``, shape (n, d^2),
     of n pure states given as the rows of psi: |psi_a|^2,
     sqrt2 Re(conj(psi_a) psi_b), sqrt2 Im(conj(psi_a) psi_b)."""
-    a, b = np.triu_indices(psi.shape[1], 1)
+    a, b = _upper_pairs(psi.shape[1])
     pair = np.sqrt(2) * psi[:, a].conj() * psi[:, b]
     return np.concatenate([np.abs(psi) ** 2, pair.real, pair.imag], axis=1)
 

@@ -23,7 +23,6 @@ from quditbench import (
     kraus_multi,
     liouvillian,
     process_fidelity,
-    process_from_average,
     propagate,
     spin_plus,
     spin_xy,
@@ -145,6 +144,21 @@ def test_haar_moments():
 def test_haar_states_normalized():
     psi = HaarSampler(6, seed=0).states(100)
     assert np.abs(np.linalg.norm(psi, axis=1) - 1).max() < 1e-12
+
+
+def test_state_blocks_are_the_states():
+    d, n = 5, 1_003  # blocks of 7 and 500 leave a ragged last block
+    for block in (1, 7, 500, n, n + 3):
+        for warm_up in (False, True):
+            streamed, reference = HaarSampler(d, seed=16), HaarSampler(d, seed=16)
+            if warm_up:  # the stream carries on unbroken after other draws
+                streamed.unitaries(3)
+                reference.unitaries(3)
+            blocks = list(streamed._state_blocks(n, block))
+            assert [len(b) for b in blocks[:-1]] == [block] * (len(blocks) - 1)
+            assert 1 <= len(blocks[-1]) <= block
+            assert np.array_equal(np.concatenate(blocks), reference.states(n))
+            assert np.array_equal(streamed.states(3), reference.states(3))
 
 
 # ---------------------------------------------------------------------------
@@ -405,35 +419,53 @@ def test_agi_monte_carlo_does_not_depend_on_the_block(monkeypatch):
         assert abs(se / results[0][1] - 1.0) <= 1e-15
 
 
+def test_haar_variance_monte_carlo_matches_all_at_once():
+    from quditbench.fidelity import MONTE_CARLO_BLOCK
+
+    d = 4
+    n = 2 * MONTE_CARLO_BLOCK + 3  # ragged last block
+    collapse = Operator(spin_plus(d).entries + 0.3j * spin_z(d).entries)
+    psi = HaarSampler(d, seed=17).states(n)
+    lpsi = psi @ collapse.entries.T
+    samples = np.einsum("ni,ni->n", lpsi.conj(), lpsi).real - np.abs(np.einsum("ni,ni->n", psi.conj(), lpsi)) ** 2
+    reference = (float(samples.mean()), float(samples.std(ddof=1) / np.sqrt(n)))
+    assert haar_variance_monte_carlo(collapse, n, HaarSampler(d, seed=17)) == reference
+
+
+def test_agi_monte_carlo_memory_is_bounded_by_the_block():
+    import tracemalloc
+
+    d = 12
+    channel = dephasing_channel(d, 1e-3)
+    sampler = HaarSampler(d, seed=18)
+    tracemalloc.start()
+    try:
+        agi_monte_carlo(channel, identity(d), 20_000, sampler)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the chunk's real parts are 1.8 MiB; drawing it whole as complex states
+    # and their coordinates peaked at ~9 MiB
+    assert peak < 6 * 2**20
+
+
 def test_agi_monte_carlo_validation():
     with pytest.raises(ValueError):
         agi_monte_carlo(SuperOperator.identity(2), identity(2), 1, HaarSampler(2, seed=0))
-    for bad in (2.5, True, 0):
+    sampler = HaarSampler(2, seed=0)
+    for bad in (2.5, True, -1, 0):
         with pytest.raises(ValueError, match="sample count"):
-            agi_monte_carlo(SuperOperator.identity(2), identity(2), bad, HaarSampler(2, seed=0))
+            agi_monte_carlo(SuperOperator.identity(2), identity(2), bad, sampler)
         with pytest.raises(ValueError, match="sample count"):
-            haar_variance_monte_carlo(identity(2), bad, HaarSampler(2, seed=0))
+            haar_variance_monte_carlo(identity(2), bad, sampler)
+        with pytest.raises(ValueError, match="sample count"):
+            sampler.states(bad)
+        with pytest.raises(ValueError, match="sample count"):
+            sampler.unitaries(bad)
+    # a rejected count draws nothing
+    assert np.array_equal(sampler.states(4), HaarSampler(2, seed=0).states(4))
     with pytest.raises(ValueError):
         agi_monte_carlo(SuperOperator.identity(2), Operator(np.diag([1.0, 2.0])), 10, HaarSampler(2, seed=0))
-
-
-# ---------------------------------------------------------------------------
-# process fidelity conversion
-# ---------------------------------------------------------------------------
-
-
-def test_process_from_average_closed_forms():
-    gt = 1e-5
-    for d in (2, 3, 8):
-        agi = gt / 12 * d * (d - 1)
-        assert abs(process_from_average(agi, d) - gt / 12 * (d * d - 1)) < 1e-18
-    for n in (1, 2, 5):
-        dim = 2**n
-        agi = gt / 4 * n * dim / (dim + 1)
-        assert abs(process_from_average(agi, dim) - gt / 4 * n) < 1e-18
-    assert process_from_average(0.0, 7) == 0.0
-    with pytest.raises(ValueError):
-        process_from_average(0.1, 0)
 
 
 def _dense_agis(noise, grid):
