@@ -4,7 +4,6 @@ from types import ModuleType as _ModuleType
 
 from .analytic import (
     c_general,
-    c_heterogeneous,
     c_qubits_dephasing,
     c_qudit_dephasing,
     c_qudits_dephasing,

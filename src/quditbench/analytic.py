@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .operators import NoiseModel, Operator, is_integer, require_dimension
+from .operators import Operator, is_integer, require_dimension
 
 
 def c_qudit_dephasing(d: int) -> float:
@@ -52,28 +52,6 @@ def c_qudits_dephasing(d: int, n_qudits: int) -> float:
     require_dimension(n_qudits, "ensemble size")
     dn = d**n_qudits
     return n_qudits * dn * (d * d - 1) / (12 * (dn + 1))
-
-
-def c_heterogeneous(noise_per_site: list[NoiseModel]) -> float:
-    """Slope coefficient of t for an N-qudit ensemble with per-site noise:
-
-        (d^(N-1) / (d^N + 1)) * sum_k gamma_k (Tr(L_k^dag L_k) - |Tr L_k|^2 / d).
-
-    N is the number of site models and d their common dimension.  Each site
-    may carry several (gamma, L) terms; all are summed.  The rates are folded
-    in, so the returned value multiplies t (not gamma*t).
-    """
-    dims = {noise.dim for noise in noise_per_site}
-    if len(dims) != 1:
-        raise ValueError(f"sites need one common dimension, got {sorted(dims)}")
-    (d,) = dims
-    n_qudits = len(noise_per_site)
-    total = 0.0
-    for noise in noise_per_site:
-        for gamma, op in noise.terms:
-            total += gamma * (d + 1) * c_general(op)
-    dn = float(d) ** n_qudits
-    return float(dn / d / (dn + 1) * total)
 
 
 def critical_ratio(d: float) -> float:

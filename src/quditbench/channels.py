@@ -15,11 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lindblad import (
-    DensityMatrix, SuperOperator, commutator_superoperator, dissipator,
-    unitary_superoperator, unvec, vec,
-)
-from .operators import NoiseModel, Operator, nonnegative_values
+from .lindblad import DensityMatrix, commutator_superoperator, dissipator, unvec, vec
+from .operators import NoiseModel, Operator, is_integer, nonnegative_values
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,9 +42,6 @@ class KrausSet:
     def hilbert_dim(self) -> int:
         return self.ops[0].dim
 
-    def __len__(self) -> int:
-        return len(self.ops)
-
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
         if rho.dim != self.hilbert_dim:
             raise ValueError(f"state dimension {rho.dim} != {self.hilbert_dim}")
@@ -63,10 +57,6 @@ class KrausSet:
         for op in self.ops:
             acc = acc + op.entries.conj().T @ op.entries
         return acc
-
-    def to_superoperator(self) -> SuperOperator:
-        mat = sum(unitary_superoperator(op).matrix for op in self.ops)
-        return SuperOperator(mat)
 
 
 def kraus_first_order(collapse: Operator, gamma_t: float) -> KrausSet:
@@ -109,9 +99,11 @@ def expansion_terms(
     For H = 0 this collapses to Phi_kk = D^k / k! (all mixed terms vanish).
     Returns {(l, k): matrix} for 1 <= l <= k <= order.
     """
-    if order not in (1, 2, 3):
-        raise ValueError(f"unsupported expansion order {order}; must be 1, 2 or 3")
+    if not (is_integer(order) and order in (1, 2, 3)):
+        raise ValueError(f"unsupported expansion order {order!r}; must be 1, 2 or 3")
     d = h.dim
+    if noise.dim != d:
+        raise ValueError(f"noise dimension {noise.dim} != Hamiltonian dimension {d}")
     diss = dissipator(noise)
     comm = commutator_superoperator(h.entries)
     zero = np.zeros((d * d, d * d), dtype=complex)
@@ -141,6 +133,8 @@ def perturbative_expansion(
     is the global expansion strength multiplying the (possibly weighted)
     noise terms.  All monomials gamma^l t^k with k <= order are retained.
     """
+    nonnegative_values(gamma, "expansion strength")
+    nonnegative_values(t, "time")
     if rho_star.dim != h.dim:
         raise ValueError(f"state dimension {rho_star.dim} != Hamiltonian dimension {h.dim}")
     terms = expansion_terms(h, noise, order)

@@ -110,9 +110,6 @@ class HaarSampler:
             z = part + 1j * self._rng.standard_normal(part.shape)
             yield z / np.linalg.norm(z, axis=1, keepdims=True)
 
-    def state(self) -> np.ndarray:
-        return self.states(1)[0]
-
 
 def collapse_variance(target: DensityMatrix, collapse: Operator) -> float:
     """Variance of a collapse operator in a pure target state:

@@ -76,9 +76,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def trace(self) -> complex:
-        return complex(np.trace(self.entries))
-
     def purity(self) -> float:
         return float(np.real(np.trace(self.entries @ self.entries)))
 
@@ -91,10 +88,6 @@ class DensityMatrix:
             raise ValueError(f"state vector must be finite and nonzero, got norm {norm}")
         psi = psi / norm
         return cls(np.outer(psi, psi.conj()))
-
-    @classmethod
-    def maximally_mixed(cls, d: int) -> "DensityMatrix":
-        return cls(np.eye(d) / d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,10 +105,6 @@ class SuperOperator:
     @property
     def hilbert_dim(self) -> int:
         return math.isqrt(self.matrix.shape[0])
-
-    @classmethod
-    def identity(cls, d: int) -> "SuperOperator":
-        return cls(np.eye(d * d))
 
 
 @functools.cache

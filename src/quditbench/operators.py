@@ -142,6 +142,8 @@ def embed_site(op: Operator, site: int, n_sites: int) -> Operator:
     tensor factor.
     """
     require_dimension(n_sites, "n_sites")
+    if not is_integer(site):
+        raise ValueError(f"site must be an integer, got {site!r}")
     if not 1 <= site <= n_sites:
         raise IndexError(f"site {site} out of range 1..{n_sites}")
     d = op.dim

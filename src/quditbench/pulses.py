@@ -92,49 +92,8 @@ class PulseSchedule:
         object.__setattr__(self, "slot_duration", float(self.slot_duration))
 
     @property
-    def n_slots(self) -> int:
-        return self.amplitudes.shape[0]
-
-    @property
     def n_controls(self) -> int:
         return self.amplitudes.shape[1]
-
-    @property
-    def total_time(self) -> float:
-        return self.slot_duration * self.n_slots
-
-    def to_text(self) -> str:
-        """Serialize to the documented text format.
-
-        Line 1: ``slots controls slot_duration`` (duration as repr, so the
-        round trip is exact); then one whitespace-separated amplitude row
-        per slot.
-        """
-        lines = [f"{self.n_slots} {self.n_controls} {self.slot_duration!r}"]
-        for row in self.amplitudes:
-            lines.append(" ".join(repr(float(v)) for v in row))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "PulseSchedule":
-        lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-        if not lines:
-            raise ValueError("schedule text has no header line")
-        n_slots, n_controls, duration = lines[0].split()
-        rows = [[float(v) for v in ln.split()] for ln in lines[1:]]
-        amps = np.array(rows, dtype=float)
-        if amps.shape != (int(n_slots), int(n_controls)):
-            raise ValueError("schedule text header does not match the amplitude rows")
-        return cls(float(duration), amps)
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_text())
-
-    @classmethod
-    def load(cls, path) -> "PulseSchedule":
-        with open(path) as fh:
-            return cls.from_text(fh.read())
 
 
 def infidelity_and_gradient(

@@ -2,8 +2,9 @@
 
 Each one computes its result by a route of its own (fixed-step RK4, the
 Uhlmann formula, one ``expm`` or ``expm_frechet`` per pulse slot, complex
-slot generators, ...), so agreement with the library is evidence that both
-are right.  Nothing in ``quditbench`` calls them.
+slot generators, a Kraus set summed as conjugation superoperators, ...), so
+agreement with the library is evidence that both are right.  Nothing in
+``quditbench`` calls them.
 """
 
 import numpy as np
@@ -41,6 +42,12 @@ def rk4_propagate(gen: SuperOperator, t: float) -> SuperOperator:
         k4 = m @ (s + h * k3)
         s = s + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
     return SuperOperator(s)
+
+
+def kraus_superoperator(kraus) -> SuperOperator:
+    """Superoperator sum_k conj(E_k) kron E_k of a Kraus set, in the
+    column-stacked layout of ``lindblad``."""
+    return SuperOperator(sum(np.kron(op.entries.conj(), op.entries) for op in kraus.ops))
 
 
 def choi_matrix(channel: SuperOperator) -> np.ndarray:

@@ -141,7 +141,7 @@ def test_criterion_06_kraus_residual_order():
     grid = np.logspace(-6, -3, 7)
     slopes = {}
     for d in (2, 4, 8):
-        rho = DensityMatrix.pure(HaarSampler(d, seed=d).state())
+        rho = DensityMatrix.pure(HaarSampler(d, seed=d).states(1)[0])
         gen = _dephasing_gen(d)
         res = []
         for gt in grid:

@@ -7,7 +7,6 @@ from quditbench import (
     NoiseModel,
     Operator,
     c_general,
-    c_heterogeneous,
     c_qubits_dephasing,
     c_qudit_dephasing,
     c_qudits_dephasing,
@@ -58,21 +57,6 @@ def test_c_qudits_dephasing_reductions():
         rhs = Fraction(n * 2**n, 4 * (2**n + 1))
         assert lhs == rhs
         assert abs(c_qudits_dephasing(2, n) - c_qubits_dephasing(n)) < 1e-13
-
-
-def test_c_heterogeneous():
-    sz = spin_z(2)
-    # identical terms reduce to the homogeneous ensemble formula
-    noise = [NoiseModel.single(1.0, sz) for _ in range(3)]
-    assert abs(c_heterogeneous(noise) - c_qudits_dephasing(2, 3)) < 1e-12
-    # a single site reduces to gamma * c_general
-    g = 0.7
-    assert abs(c_heterogeneous([NoiseModel.single(g, sz)]) - g * c_general(sz)) < 1e-13
-    # d and N come from the sites, which must share one dimension
-    with pytest.raises(ValueError, match="common dimension"):
-        c_heterogeneous([NoiseModel.single(1.0, sz), NoiseModel.single(1.0, spin_z(3))])
-    with pytest.raises(ValueError, match="common dimension"):
-        c_heterogeneous([])
 
 
 def test_c_general_additivity_over_orthogonal_parts():

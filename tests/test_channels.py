@@ -17,6 +17,8 @@ from quditbench import (
 from quditbench.channels import KrausSet, expansion_terms
 from quditbench.lindblad import vec
 
+from oracles import kraus_superoperator
+
 
 def zero_h(d):
     return Operator(np.zeros((d, d)))
@@ -35,7 +37,7 @@ def test_kraus_first_order_forms():
             kraus_first_order(spin_z(2), bad)
         with pytest.raises(ValueError, match="time"):
             kraus_multi(NoiseModel.single(1.0, spin_z(2)), bad)
-    assert len(kraus_first_order(spin_z(2), 0.0)) == 1
+    assert len(kraus_first_order(spin_z(2), 0.0).ops) == 1
     gt = 1e-3
     for d in (2, 5):
         ks = kraus_first_order(spin_z(d), gt)
@@ -104,7 +106,7 @@ def test_kraus_multi_reduction_and_traces():
         assert np.abs(a.entries - b.entries).max() < 1e-15
     # two dephasing qubits: Tr(E_0) = 4 (1 - 2 gamma t / 8) = 4 - gamma t
     ks = kraus_multi(NoiseModel.site_dephasing(2), gt)
-    assert len(ks) == 3
+    assert len(ks.ops) == 3
     assert abs(ks.ops[0].trace() - (4 - gt)) < 1e-13
     assert abs(abs(ks.ops[0].trace()) ** 2 - (16 - 8 * gt + gt * gt)) < 1e-12
 
@@ -114,7 +116,7 @@ def test_kraus_superoperator_agrees_with_apply():
     terms = NoiseModel.site_dephasing(2).terms
     ks = kraus_multi(NoiseModel(tuple((0.7, op) for _, op in terms)), gt)
     rho = DensityMatrix.pure(np.arange(1, 5.0))
-    via_super = apply_channel(ks.to_superoperator(), rho)
+    via_super = apply_channel(kraus_superoperator(ks), rho)
     assert np.abs(via_super.entries - ks.apply(rho).entries).max() < 1e-14
 
 
@@ -125,7 +127,7 @@ def test_heterogeneous_rates_match_haar_oracle():
         HaarSampler,
         agi_kraus,
         agi_monte_carlo,
-        c_heterogeneous,
+        c_qubits_dephasing,
         embed_site,
         identity,
     )
@@ -135,11 +137,11 @@ def test_heterogeneous_rates_match_haar_oracle():
     l1, l2 = embed_site(sz, 1, 2), embed_site(sz, 2, 2)
     noise = NoiseModel(((2 * g2, l1), (g2, l2)))
     ks = kraus_multi(noise, t)
-    mean, se = agi_monte_carlo(ks.to_superoperator(), identity(4), 50_000, HaarSampler(4, seed=77))
+    mean, se = agi_monte_carlo(kraus_superoperator(ks), identity(4), 50_000, HaarSampler(4, seed=77))
     assert abs(mean - agi_kraus(ks)) < 3 * se
-    # and both sit on the heterogeneous first-order line
-    per_site = [NoiseModel.single(2 * g2, sz), NoiseModel.single(g2, sz)]
-    linear = t * c_heterogeneous(per_site)
+    # and both sit on the heterogeneous first-order line: each site adds its
+    # rate times its share c_qubits_dephasing(2) / 2 of the unit-rate pair's slope
+    linear = t * (2 * g2 + g2) * c_qubits_dephasing(2) / 2
     assert abs(agi_kraus(ks) - linear) < 5 * (max(2 * g2, g2) * t) ** 2
 
 
@@ -226,6 +228,26 @@ def test_expansion_with_hamiltonian_residual_order():
 
 def test_expansion_rejects_unsupported_order():
     d = 2
-    rho = DensityMatrix.maximally_mixed(d)
+    rho = DensityMatrix(np.eye(d) / d)
+    noise = NoiseModel.single(1.0, spin_z(d))
     with pytest.raises(ValueError):
-        perturbative_expansion(rho, zero_h(d), NoiseModel.single(1.0, spin_z(d)), 1.0, 1e-3, 4)
+        perturbative_expansion(rho, zero_h(d), noise, 1.0, 1e-3, 4)
+    # an order is the integer 1, 2 or 3: True and 2.0 are not orders
+    for bad in (True, 2.0):
+        with pytest.raises(ValueError, match="order"):
+            perturbative_expansion(rho, zero_h(d), noise, 1.0, 1e-3, bad)
+        with pytest.raises(ValueError, match="order"):
+            expansion_terms(zero_h(d), noise, bad)
+    # the noise model must act on the Hamiltonian's space, at orders 1 and 2
+    rho3 = DensityMatrix(np.eye(3) / 3)
+    for order in (1, 2):
+        with pytest.raises(ValueError, match="noise dimension 4 != Hamiltonian dimension 3"):
+            perturbative_expansion(rho3, zero_h(3), NoiseModel.single(1.0, spin_z(4)), 1.0, 1e-3, order)
+        with pytest.raises(ValueError, match="noise dimension 4 != Hamiltonian dimension 3"):
+            expansion_terms(zero_h(3), NoiseModel.single(1.0, spin_z(4)), order)
+    # rates and times are finite and non-negative
+    for bad in (-1e-3, np.nan, np.inf):
+        with pytest.raises(ValueError, match="time"):
+            perturbative_expansion(rho, zero_h(d), noise, 1.0, bad, 1)
+        with pytest.raises(ValueError, match="strength"):
+            perturbative_expansion(rho, zero_h(d), noise, bad, 1e-3, 1)

@@ -32,7 +32,7 @@ from quditbench import (
 from quditbench.fitting import fit_slope
 from quditbench.lindblad import SuperOperator
 
-from oracles import state_fidelity
+from oracles import kraus_superoperator, state_fidelity
 
 
 def zero_h(d):
@@ -51,7 +51,7 @@ def dephasing_channel(d, gamma_t):
 def test_state_fidelity_pure_cases():
     psi = DensityMatrix.pure(np.array([1.0, 1.0]))
     assert abs(state_fidelity(psi, psi) - 1.0) < 1e-12
-    mixed = DensityMatrix.maximally_mixed(4)
+    mixed = DensityMatrix(np.eye(4) / 4)
     target = DensityMatrix.pure(np.array([1, 0, 0, 0.0]))
     assert abs(state_fidelity(mixed, target) - 0.25) < 1e-12
     up = DensityMatrix.pure(np.array([1.0, 0.0]))
@@ -70,7 +70,7 @@ def test_state_fidelity_uhlmann_commuting_oracle():
 
 
 def test_state_fidelity_rejects_garbage():
-    good = DensityMatrix.maximally_mixed(2)
+    good = DensityMatrix(np.eye(2) / 2)
     bad = DensityMatrix(np.diag([3.0, -2.0]) + 0j, check=False)
     with pytest.raises(ValueError):
         state_fidelity(bad, good)
@@ -93,7 +93,7 @@ def test_collapse_variance_plus_state():
 
 def test_collapse_variance_requires_pure_state():
     with pytest.raises(ValueError):
-        collapse_variance(DensityMatrix.maximally_mixed(2), spin_z(2))
+        collapse_variance(DensityMatrix(np.eye(2) / 2), spin_z(2))
 
 
 def test_collapse_variance_predicts_state_infidelity():
@@ -270,19 +270,19 @@ def test_agi_first_order_matches_exact_rationals_and_kraus():
 
 
 def test_agi_exact_identity_channel():
-    assert abs(agi_exact(SuperOperator.identity(3), identity(3))) < 1e-14
+    assert abs(agi_exact(SuperOperator(np.eye(9)), identity(3))) < 1e-14
 
 
 def test_agi_exact_requires_unitary_target():
     with pytest.raises(ValueError):
-        agi_exact(SuperOperator.identity(2), Operator(np.diag([1.0, 0.5])))
+        agi_exact(SuperOperator(np.eye(4)), Operator(np.diag([1.0, 0.5])))
 
 
 def test_agi_exact_matches_agi_kraus_on_first_order_channel():
     gt = 1e-4
     for d in (2, 4):
         ks = kraus_first_order(spin_z(d), gt)
-        a = agi_exact(ks.to_superoperator(), identity(d))
+        a = agi_exact(kraus_superoperator(ks), identity(d))
         b = agi_kraus(ks)
         assert abs(a - b) < 1e-13
 
@@ -451,11 +451,11 @@ def test_agi_monte_carlo_memory_is_bounded_by_the_block():
 
 def test_agi_monte_carlo_validation():
     with pytest.raises(ValueError):
-        agi_monte_carlo(SuperOperator.identity(2), identity(2), 1, HaarSampler(2, seed=0))
+        agi_monte_carlo(SuperOperator(np.eye(4)), identity(2), 1, HaarSampler(2, seed=0))
     sampler = HaarSampler(2, seed=0)
     for bad in (2.5, True, -1, 0):
         with pytest.raises(ValueError, match="sample count"):
-            agi_monte_carlo(SuperOperator.identity(2), identity(2), bad, sampler)
+            agi_monte_carlo(SuperOperator(np.eye(4)), identity(2), bad, sampler)
         with pytest.raises(ValueError, match="sample count"):
             haar_variance_monte_carlo(identity(2), bad, sampler)
         with pytest.raises(ValueError, match="sample count"):
@@ -465,7 +465,7 @@ def test_agi_monte_carlo_validation():
     # a rejected count draws nothing
     assert np.array_equal(sampler.states(4), HaarSampler(2, seed=0).states(4))
     with pytest.raises(ValueError):
-        agi_monte_carlo(SuperOperator.identity(2), Operator(np.diag([1.0, 2.0])), 10, HaarSampler(2, seed=0))
+        agi_monte_carlo(SuperOperator(np.eye(4)), Operator(np.diag([1.0, 2.0])), 10, HaarSampler(2, seed=0))
 
 
 def _dense_agis(noise, grid):

@@ -695,9 +695,19 @@ def test_package_exports_names_not_submodules():
         "platforms": ("serialize_records",),
         "experiments": ("agi_curve_kraus",),
         "fitting": ("DeviationStats",),
+        "analytic": ("c_heterogeneous",),
     }
     for module, names in removed.items():
         for name in names:
             assert name not in quditbench.__all__, name
             assert not hasattr(importlib.import_module(f"quditbench.{module}"), name), name
-    assert not hasattr(quditbench.HaarSampler, "split")
+    removed_attributes = {
+        quditbench.PulseSchedule: ("to_text", "from_text", "save", "load", "total_time", "n_slots"),
+        quditbench.SuperOperator: ("identity",),
+        quditbench.DensityMatrix: ("maximally_mixed", "trace"),
+        quditbench.KrausSet: ("to_superoperator", "__len__"),
+        quditbench.HaarSampler: ("split", "state"),
+    }
+    for cls, names in removed_attributes.items():
+        for name in names:
+            assert not hasattr(cls, name), (cls.__name__, name)

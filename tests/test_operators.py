@@ -81,6 +81,10 @@ def test_embed_site_basics():
         embed_site(sz, 3, 2)
     with pytest.raises(IndexError):
         embed_site(sz, 0, 2)
+    # a site is an integer: 1.5 is not one, and a bool is not site 1
+    for bad in (1.5, True, 2.0):
+        with pytest.raises(ValueError, match="site"):
+            embed_site(sz, bad, 2)
 
 
 def test_embedded_collapse_operators():

@@ -358,17 +358,6 @@ def test_schedule_propagator_agi_sanity():
     assert abs(agi - gt / 6) / (gt / 6) < 0.02
 
 
-def test_schedule_text_roundtrip(tmp_path):
-    rng = np.random.default_rng(0)
-    sched = PulseSchedule(0.0625, rng.standard_normal((16, 4)))
-    path = tmp_path / "schedule.txt"
-    sched.save(path)
-    loaded = PulseSchedule.load(path)
-    assert loaded.slot_duration == sched.slot_duration
-    assert np.array_equal(loaded.amplitudes, sched.amplitudes)
-    assert loaded.total_time == sched.total_time
-
-
 def test_schedule_validation():
     with pytest.raises(ValueError):
         PulseSchedule(0.0, np.zeros((4, 2)))
@@ -383,7 +372,3 @@ def test_schedule_validation():
         amps[2, 1] = bad
         with pytest.raises(ValueError):
             PulseSchedule(0.1, amps)
-    # surplus amplitude rows after the header's slot count
-    for text in ("", "# only a comment\n", "\n  \n", "1 2 0.5\n1 2\n3 4\n"):
-        with pytest.raises(ValueError):
-            PulseSchedule.from_text(text)
