@@ -15,10 +15,10 @@ Five routes are provided and cross-checked against each other:
   once the spectrum is known, and free of cancellation,
 * ``agi_monte_carlo`` -- direct Haar-measure sampling (independent oracle).
   Each pure input is written by its d^2 real coordinates in an orthonormal
-  Hermitian basis, so a block of samples costs one real product with the
-  d^2 x d^2 matrix Re(B^dag S_U^dag S B), formed once per call.  The states
-  stream in blocks of ``MONTE_CARLO_BLOCK``: a call holds the real parts of
-  one ``MONTE_CARLO_CHUNK`` (n d reals) and one block's complex temporaries.
+  Hermitian basis: a block costs one triangular product with T = triu(R +
+  R^T), R = Re(B^dag S_U^dag S B), formed once per call.  States stream in
+  blocks of ``MONTE_CARLO_BLOCK``: a call holds the real parts of one
+  ``MONTE_CARLO_CHUNK`` (n d reals) and one block's complex temporaries.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dtrmm
 
 from .lindblad import (
     DensityMatrix,
@@ -45,13 +46,13 @@ from .operators import PURITY_ATOL, NoiseModel, Operator, nonnegative_values, re
 MONTE_CARLO_CHUNK = 20_000
 # States per block inside a chunk.  Each block draws its imaginary parts just
 # before use, continuing the chunk's stream, so the block changes no draw and
-# no output bit.  It bounds every complex temporary: the block's states
-# (96 kB at d = 12), their real coordinates r, r @ R and their product
-# (0.6 MB each).  At 2 000 these were 2.3 MB each and came as fresh pages
-# every block: the benchmark's four 20 000-sample oracles (d = 6, 8, 10,
-# 12) took ~5 000 minor page faults at 2 000 and ~2 200 at every block from
-# 1 000 down to 125, and ran fastest at 500 (0.87 of the time at 2 000;
-# 0.92 at 1 000 and 250, 0.97 at 125; one BLAS thread).
+# no output bit.  It bounds every temporary: the block's states (96 kB at
+# d = 12), their real coordinates r and T r^T (0.6 MB each).  At 2 000 these
+# are 2.3 MB each and come as fresh pages every block: the benchmark's four
+# 20 000-sample oracles (d = 6, 8, 10, 12) took ~10 000 minor page faults at
+# 2 000, ~2 400 at 1 000 and 700-800 from 500 down to 125, and ran fastest
+# at 500 (0.79 of the time at 2 000, 0.99 at 1 000, 0.89 at 125; 250 tied,
+# slower in 11 of 20 fresh-process pairs; one BLAS thread).
 MONTE_CARLO_BLOCK = 500
 
 
@@ -245,25 +246,33 @@ def agi_monte_carlo(
     With vec(rho0) = B r, where B is ``lindblad.hermitian_basis`` and r the
     real coordinates of rho0 (``lindblad.real_coordinates``), the fidelity
     is Re vec(rho0)^dag S_U^dag S vec(rho0) = r^T R r with the real matrix
-    R = Re(B^dag S_U^dag S B), formed once.  r being real, this holds for
-    any superoperator, Hermiticity-preserving or not.
+    R = Re(B^dag S_U^dag S B).  r being real, this holds for any
+    superoperator, Hermiticity-preserving or not, and equals r^T T r with T
+    the upper triangle of R + R^T and diagonal R_kk: formed once, and applied
+    to each block by the triangular product ``dtrmm``, half the flops of r @ R.
     """
     require_dimension(n_samples, "sample count")
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
+    if channel.hilbert_dim != target_gate.dim:
+        raise ValueError("channel and target dimensions differ")
     if sampler.dim != channel.hilbert_dim:
         raise ValueError("sampler dimension must match the channel")
     require_unitary(target_gate)
     su = unitary_superoperator(target_gate).matrix
     basis = hermitian_basis(channel.hilbert_dim)
     r_mat = (basis.conj().T @ (su.conj().T @ (channel.matrix @ basis))).real
+    # Fortran order, as dtrmm reads it; the loop keeps no other d^2 x d^2 matrix
+    tri = np.asfortranarray(np.triu(r_mat + r_mat.T))
+    np.fill_diagonal(tri, r_mat.diagonal())
+    del su, r_mat
     samples = np.empty(n_samples)
     done = 0
     while done < n_samples:
         n = min(MONTE_CARLO_CHUNK, n_samples - done)
         for psi in sampler._state_blocks(n, MONTE_CARLO_BLOCK):
             r = real_coordinates(psi)
-            fid = np.einsum("nk,nk->n", r @ r_mat, r)
+            fid = np.einsum("kn,nk->n", dtrmm(1.0, tri, r.T), r)
             samples[done : done + len(r)] = 1.0 - fid
             done += len(r)
     return float(samples.mean()), float(samples.std(ddof=1) / np.sqrt(n_samples))

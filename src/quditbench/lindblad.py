@@ -21,7 +21,6 @@ by ``eigvals(dissipator)`` otherwise.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -107,45 +106,27 @@ class SuperOperator:
         return math.isqrt(self.matrix.shape[0])
 
 
-@functools.cache
-def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The index pairs a < b of ``np.triu_indices(d, 1)``, read-only: the
-    order of the off-diagonal coordinates in ``hermitian_basis`` and
-    ``real_coordinates``.  Cached, as the Monte Carlo asks once per block."""
-    pairs = np.triu_indices(d, 1)
-    for index in pairs:
-        index.setflags(write=False)
-    return pairs
-
-
 def hermitian_basis(d: int) -> np.ndarray:
     """Orthonormal Hermitian basis of d x d matrices as the unitary d^2 x d^2
-    matrix B whose column k is vec(G_k): G = E_aa, then (E_ab + E_ba)/sqrt2,
-    then i(E_ba - E_ab)/sqrt2 for a < b (pairs in ``np.triu_indices``
-    order), matching ``real_coordinates``.
+    matrix B whose column a d + b is vec(G_ab), G_ab = ((1 + i) E_ab +
+    (1 - i) E_ba) / 2: G_aa = E_aa, and each pair G_ab, G_ba is
+    (E_ab + E_ba)/sqrt2, i(E_ba - E_ab)/sqrt2 rotated by 45 degrees.
 
     A Hermiticity-preserving superoperator S is real in this basis:
-    B^dag S B is the real matrix of its action on the real coordinates of a
-    Hermitian matrix (the coherence-vector form).
+    B^dag S B is the real matrix of its action on the real coordinates
+    Tr(G_ab rho) = Re rho_ab + Im rho_ab of a Hermitian rho (the
+    coherence-vector form).
     """
-    a, b = _upper_pairs(d)
-    m = len(a)
-    basis = np.zeros((d * d, d, d), dtype=complex)
-    basis[np.arange(d), np.arange(d), np.arange(d)] = 1.0
-    sym, anti = d + np.arange(m), d + m + np.arange(m)
-    basis[sym, a, b] = basis[sym, b, a] = 1 / np.sqrt(2)
-    basis[anti, b, a] = 1j / np.sqrt(2)
-    basis[anti, a, b] = -1j / np.sqrt(2)
-    return vec(basis).T
+    e = np.eye(d * d).reshape(d, d, d, d)  # e[a, b] = E_ab
+    return vec(((1 + 1j) * e + (1 - 1j) * e.transpose(1, 0, 2, 3)).reshape(d * d, d, d) / 2).T
 
 
 def real_coordinates(psi: np.ndarray) -> np.ndarray:
-    """Coordinates Tr(G_k |psi><psi|) in ``hermitian_basis``, shape (n, d^2),
-    of n pure states given as the rows of psi: |psi_a|^2,
-    sqrt2 Re(conj(psi_a) psi_b), sqrt2 Im(conj(psi_a) psi_b)."""
-    a, b = _upper_pairs(psi.shape[1])
-    pair = np.sqrt(2) * psi[:, a].conj() * psi[:, b]
-    return np.concatenate([np.abs(psi) ** 2, pair.real, pair.imag], axis=1)
+    """Coordinates in ``hermitian_basis``, shape (n, d^2), of n pure states
+    given as the rows of psi = p + i q: entry (a, b) of (p + q) p^T +
+    (q - p) q^T, as one batched (n, d, 2) @ (n, 2, d) product."""
+    p, q = psi.real, psi.imag
+    return (np.stack([p + q, q - p], axis=2) @ np.stack([p, q], axis=1)).reshape(len(psi), -1)
 
 
 def unitary_superoperator(u: Operator) -> SuperOperator:

@@ -73,6 +73,18 @@ def ladder_controls(d: int) -> np.ndarray:
     return stack
 
 
+@functools.cache
+def _real_frame(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """B = ``lindblad.hermitian_basis(d)``, B^dag and the real control stack
+    B^dag (-i [H_k, .]) B of ``ladder_controls(d)``, read-only, cached alike."""
+    b = hermitian_basis(d)
+    bdag = b.conj().T
+    frame = (b, bdag, (bdag @ (-1j * commutator_superoperator(ladder_controls(d))) @ b).real)
+    for arr in frame:
+        arr.setflags(write=False)
+    return frame
+
+
 @dataclass(frozen=True, eq=False)
 class PulseSchedule:
     """Piecewise-constant control amplitudes: one row per slot, one column
@@ -231,12 +243,12 @@ def schedule_to_propagator(
 
     Both parts of a slot generator preserve Hermiticity, so in the
     orthonormal Hermitian basis B (``lindblad.hermitian_basis``) they are
-    real: the control stack C_k = B^dag (-i [H_k, .]) B and the dissipator
-    D = B^dag dissipator(noise) B are formed once per call.  Each scale s
-    runs one real exponential stack (``_real_expm``) of the slot generators
-    (sum_k u_jk C_k + s D) dt and multiplies the slots in order; each
-    channel is mapped back as B S B^dag.  A channel depends only on its own
-    scale, not on the other entries of ``scales``.
+    real: the control stack C_k = B^dag (-i [H_k, .]) B is formed once per
+    d (``_real_frame``) and the dissipator D = B^dag dissipator(noise) B once
+    per call.  Each scale s runs one real exponential stack (``_real_expm``)
+    of the slot generators (sum_k u_jk C_k + s D) dt and multiplies the slots
+    in order; each channel is mapped back as B S B^dag.  A channel depends
+    only on its own scale, not on the other entries of ``scales``.
     """
     d = noise.dim
     ladder = ladder_controls(d)
@@ -245,10 +257,8 @@ def schedule_to_propagator(
     scales = nonnegative_values(scales, "scales")
     if scales.ndim != 1 or scales.size < 1:
         raise ValueError(f"scales must be a nonempty 1-d sequence, got shape {scales.shape}")
-    b = hermitian_basis(d)
-    bdag = b.conj().T
+    b, bdag, controls = _real_frame(d)
     dt = schedule.slot_duration
-    controls = (bdag @ (-1j * commutator_superoperator(ladder)) @ b).real
     drift = np.tensordot(schedule.amplitudes, controls, axes=(1, 0)) * dt
     unit = (bdag @ dissipator(noise) @ b).real * dt
     channels = []

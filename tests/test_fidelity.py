@@ -403,6 +403,25 @@ def test_agi_monte_carlo_matches_two_product_reference():
             assert abs(se / ref_se - 1.0) <= 1e-12
 
 
+def test_agi_monte_carlo_triangular_form_matches_full_quadratic_form():
+    # r^T T r with T = triu(R + R^T), diagonal R_kk, against r^T R r with the
+    # full R = Re(B^dag S_U^dag S B) on the same real coordinates
+    from quditbench.lindblad import hermitian_basis, real_coordinates
+
+    d, n = 4, 1_001
+    rng = np.random.default_rng(19)
+    channel = SuperOperator(rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d)))
+    target = Operator(HaarSampler(d, seed=20).unitary())
+    b = hermitian_basis(d)
+    su = unitary_superoperator(target).matrix
+    r_mat = (b.conj().T @ su.conj().T @ channel.matrix @ b).real
+    r = real_coordinates(HaarSampler(d, seed=21).states(n))
+    samples = 1.0 - np.einsum("nk,kl,nl->n", r, r_mat, r)
+    mean, se = agi_monte_carlo(channel, target, n, HaarSampler(d, seed=21))
+    assert abs(mean / samples.mean() - 1.0) <= 1e-13
+    assert abs(se / (samples.std(ddof=1) / np.sqrt(n)) - 1.0) <= 1e-13
+
+
 def test_agi_monte_carlo_does_not_depend_on_the_block(monkeypatch):
     import quditbench.fidelity as fidelity
     from quditbench.experiments import collapse_model
@@ -466,6 +485,8 @@ def test_agi_monte_carlo_validation():
     assert np.array_equal(sampler.states(4), HaarSampler(2, seed=0).states(4))
     with pytest.raises(ValueError):
         agi_monte_carlo(SuperOperator(np.eye(4)), Operator(np.diag([1.0, 2.0])), 10, HaarSampler(2, seed=0))
+    with pytest.raises(ValueError, match="channel and target dimensions differ"):
+        agi_monte_carlo(SuperOperator(np.eye(4)), identity(3), 10, HaarSampler(2, seed=0))
 
 
 def _dense_agis(noise, grid):

@@ -68,15 +68,22 @@ def test_hermitian_basis_is_unitary_and_hermitian():
         b = hermitian_basis(d)
         assert b.shape == (d * d, d * d)
         assert np.abs(b.conj().T @ b - np.eye(d * d)).max() <= 1e-15
-        for k in range(d * d):
-            g = unvec(b[:, k])
-            assert np.array_equal(g, g.conj().T), (d, k)
-        # the real coordinates of a pure state are its coordinates in B
+        eye = np.eye(d)
+        for a in range(d):
+            for c in range(d):
+                g = unvec(b[:, a * d + c])
+                # G_ac = ((1 + i) E_ac + (1 - i) E_ca) / 2, so G_aa = E_aa
+                expected = ((1 + 1j) * np.outer(eye[a], eye[c]) + (1 - 1j) * np.outer(eye[c], eye[a])) / 2
+                assert np.array_equal(g, expected), (d, a, c)
+                assert np.array_equal(g, g.conj().T), (d, a, c)
+        # the real coordinates of a pure state are its coordinates in B,
+        # Re rho + Im rho entrywise
         psi = rng.standard_normal((4, d)) + 1j * rng.standard_normal((4, d))
         r = real_coordinates(psi)
         assert np.isrealobj(r) and r.shape == (4, d * d)
-        rhos = vec(np.einsum("na,nb->nab", psi, psi.conj()))
-        assert np.abs(r @ b.T - rhos).max() <= 1e-14, d
+        rhos = np.einsum("na,nb->nab", psi, psi.conj())
+        assert np.abs(r - (rhos.real + rhos.imag).reshape(4, d * d)).max() <= 1e-14, d
+        assert np.abs(r @ b.T - vec(rhos)).max() <= 1e-14, d
 
 
 def test_generators_are_real_in_the_hermitian_basis():
