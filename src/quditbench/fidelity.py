@@ -8,17 +8,17 @@ Five routes are provided and cross-checked against each other:
 * ``agi_first_order`` -- that formula for the first-order Kraus set of a
   noise model, in closed form over a gamma_t grid from two traces per noise
   term, free of the cancellation against |Tr E_0|^2 ~ d^2,
-* ``agi_exact``  -- deterministic, via the process fidelity of the dense
+* ``agi_exact``  -- deterministic, via the process fidelity of the real
   superoperator (general channels, and the oracle for the fast path),
 * ``agi_curve`` -- identity gate under a purely dissipative generator, over
   a gamma_t grid from ``lindblad.dissipator_spectrum``, O(d^2) per point
   once the spectrum is known, and free of cancellation,
 * ``agi_monte_carlo`` -- direct Haar-measure sampling (independent oracle).
-  Each pure input is written by its d^2 real coordinates in an orthonormal
-  Hermitian basis: a block costs one triangular product with T = triu(R +
-  R^T), R = Re(B^dag S_U^dag S B), formed once per call.  States stream in
-  blocks of ``MONTE_CARLO_BLOCK``: a call holds the real parts of one
-  ``MONTE_CARLO_CHUNK`` (n d reals) and one block's complex temporaries.
+  Each input's d^2 real coordinates come straight off its Gaussian draws: a
+  block costs one triangular product with T = triu(M + M^T), M = R_U^T R,
+  formed once per call.  Draws stream in blocks of ``MONTE_CARLO_BLOCK``: a
+  call holds the real parts of one ``MONTE_CARLO_CHUNK`` (n d reals) and
+  one block's temporaries.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .lindblad import (
     DensityMatrix,
     SuperOperator,
     dissipator_spectrum,
-    hermitian_basis,
     real_coordinates,
     unitary_superoperator,
 )
@@ -46,7 +45,7 @@ from .operators import PURITY_ATOL, NoiseModel, Operator, nonnegative_values, re
 MONTE_CARLO_CHUNK = 20_000
 # States per block inside a chunk.  Each block draws its imaginary parts just
 # before use, continuing the chunk's stream, so the block changes no draw and
-# no output bit.  It bounds every temporary: the block's states (96 kB at
+# no output bit.  It bounds every temporary: the block's draws (48 kB each at
 # d = 12), their real coordinates r and T r^T (0.6 MB each).  At 2 000 these
 # are 2.3 MB each and come as fresh pages every block: the benchmark's four
 # 20 000-sample oracles (d = 6, 8, 10, 12) took ~10 000 minor page faults at
@@ -98,18 +97,23 @@ class HaarSampler:
         of all n states are drawn first, then their imaginary parts.
         """
         require_dimension(n, "sample count")
-        (psi,) = self._state_blocks(n, n)
-        return psi
+        return _unit_states(*next(self._state_blocks(n, n)))
 
-    def _state_blocks(self, n: int, block: int) -> Iterator[np.ndarray]:
-        """The states of ``states(n)`` as consecutive blocks of ``block`` rows
-        (the last one ragged), bit for bit: the n x d real parts are drawn at
-        once, each block's imaginary parts only when the block is requested."""
+    def _state_blocks(self, n: int, block: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The draws (p, q) of ``states(n)``, whose states are the normalized
+        rows of p + i q, in blocks of ``block`` rows (the last one ragged):
+        the n x d real parts are drawn at once, each block's imaginary parts
+        only when the block is requested."""
         real = self._rng.standard_normal((n, self.dim))
         for start in range(0, n, block):
             part = real[start : start + block]
-            z = part + 1j * self._rng.standard_normal(part.shape)
-            yield z / np.linalg.norm(z, axis=1, keepdims=True)
+            yield part, self._rng.standard_normal(part.shape)
+
+
+def _unit_states(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The rows of p + i q, normalized."""
+    z = p + 1j * q
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
 def collapse_variance(target: DensityMatrix, collapse: Operator) -> float:
@@ -146,7 +150,8 @@ def haar_variance_monte_carlo(
         raise ValueError("need at least 2 samples")
     samples = np.empty(n_samples)
     done = 0
-    for psi in sampler._state_blocks(n_samples, MONTE_CARLO_BLOCK):
+    for draws in sampler._state_blocks(n_samples, MONTE_CARLO_BLOCK):
+        psi = _unit_states(*draws)
         lpsi = psi @ collapse.entries.T  # row n holds L|psi_n>
         term1 = np.einsum("ni,ni->n", lpsi.conj(), lpsi).real
         term2 = np.abs(np.einsum("ni,ni->n", psi.conj(), lpsi)) ** 2
@@ -189,15 +194,15 @@ def agi_first_order(noise: NoiseModel, gamma_t_grid) -> np.ndarray:
 
 
 def process_fidelity(channel: SuperOperator, target_gate: Operator) -> float:
-    """Entanglement/process fidelity Tr(S_U^dag S) / d^2 of a channel
-    relative to a target unitary."""
+    """Entanglement/process fidelity Tr(R_U^T R) / d^2 of a channel R
+    relative to a target unitary U, R_U = ``unitary_superoperator(U)``."""
     if channel.hilbert_dim != target_gate.dim:
         raise ValueError("channel and target dimensions differ")
     require_unitary(target_gate)
     d = channel.hilbert_dim
-    su = unitary_superoperator(target_gate).matrix
-    # Tr(S_U^dag S) = sum_kl conj(S_U[k, l]) S[k, l]: O(d^4) work
-    return float(np.vdot(su, channel.matrix).real / d**2)
+    ru = unitary_superoperator(target_gate).matrix
+    # Tr(R_U^T R) = sum_kl R_U[k, l] R[k, l]: O(d^4) work
+    return float(np.vdot(ru, channel.matrix) / d**2)
 
 
 def agi_exact(channel: SuperOperator, target_gate: Operator) -> float:
@@ -243,13 +248,13 @@ def agi_monte_carlo(
     Each sample is 1 - F(E[rho0], U rho0 U^dag) with rho0 drawn from the
     Fubini-Study measure; returns (mean, standard error of the mean).
 
-    With vec(rho0) = B r, where B is ``lindblad.hermitian_basis`` and r the
-    real coordinates of rho0 (``lindblad.real_coordinates``), the fidelity
-    is Re vec(rho0)^dag S_U^dag S vec(rho0) = r^T R r with the real matrix
-    R = Re(B^dag S_U^dag S B).  r being real, this holds for any
-    superoperator, Hermiticity-preserving or not, and equals r^T T r with T
-    the upper triangle of R + R^T and diagonal R_kk: formed once, and applied
-    to each block by the triangular product ``dtrmm``, half the flops of r @ R.
+    The inputs are those of ``sampler.states``, psi = (p + i q) / |p + i q|,
+    read straight off the draws p and q: with r the real coordinates of
+    (p + i q)(p + i q)^dag (``lindblad.real_coordinates``), the fidelity is
+    r^T M r / (|p|^2 + |q|^2)^2, M = R_U^T R with R_U the target's
+    conjugation channel.  r^T M r = r^T T r with T the upper triangle of
+    M + M^T and diagonal M_kk: formed once, and applied to each block by the
+    triangular product ``dtrmm``, half the flops of r @ M.
     """
     require_dimension(n_samples, "sample count")
     if n_samples < 2:
@@ -259,20 +264,19 @@ def agi_monte_carlo(
     if sampler.dim != channel.hilbert_dim:
         raise ValueError("sampler dimension must match the channel")
     require_unitary(target_gate)
-    su = unitary_superoperator(target_gate).matrix
-    basis = hermitian_basis(channel.hilbert_dim)
-    r_mat = (basis.conj().T @ (su.conj().T @ (channel.matrix @ basis))).real
+    m = unitary_superoperator(target_gate).matrix.T @ channel.matrix
     # Fortran order, as dtrmm reads it; the loop keeps no other d^2 x d^2 matrix
-    tri = np.asfortranarray(np.triu(r_mat + r_mat.T))
-    np.fill_diagonal(tri, r_mat.diagonal())
-    del su, r_mat
+    tri = np.asfortranarray(np.triu(m + m.T))
+    np.fill_diagonal(tri, m.diagonal())
+    del m
     samples = np.empty(n_samples)
     done = 0
     while done < n_samples:
         n = min(MONTE_CARLO_CHUNK, n_samples - done)
-        for psi in sampler._state_blocks(n, MONTE_CARLO_BLOCK):
-            r = real_coordinates(psi)
-            fid = np.einsum("kn,nk->n", dtrmm(1.0, tri, r.T), r)
+        for p, q in sampler._state_blocks(n, MONTE_CARLO_BLOCK):
+            r = real_coordinates(p, q)
+            norm2 = np.einsum("ni,ni->n", p, p) + np.einsum("ni,ni->n", q, q)
+            fid = np.einsum("kn,nk->n", dtrmm(1.0, tri, r.T), r) / (norm2 * norm2)
             samples[done : done + len(r)] = 1.0 - fid
             done += len(r)
     return float(samples.mean()), float(samples.std(ddof=1) / np.sqrt(n_samples))

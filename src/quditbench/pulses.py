@@ -17,36 +17,22 @@ Daleckii-Krein divided differences of exp(-i dt x), in the closed sinc form
 that holds at every eigenvalue gap, so there is no degeneracy threshold.
 
 The noisy channel of a schedule, for a whole grid of noise-rate scales at
-once, is a real product in the orthonormal Hermitian operator basis of
-``lindblad.hermitian_basis``, where every Lindblad generator is a real
-matrix (the coherence-vector form: Alicki & Lendi, Quantum Dynamical
-Semigroups and Applications, LNP 286, 1987): per scale, one real
-exponential stack over the slots and their ordered real product.  The
-exponentials are this module's own scaling and squaring with one Taylor
-polynomial (``_real_expm``), not scipy's real ``expm``: on slot matrices
-with 1-norm past ~5, which synthesized pulses reach, scipy 1.17's real
-kernel is up to two orders of magnitude less accurate than its complex one
-(2e-13 against 4e-15 entrywise on one slot of a desk-scale gate-dependence
-pulse).
+once, is per scale one real exponential stack over the slots
+(``lindblad.expm``) and their ordered real product.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import factorial
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .lindblad import SuperOperator, commutator_superoperator, dissipator, hermitian_basis
+from .lindblad import SuperOperator, commutator_superoperator, dissipator, expm, real_form
 from .operators import (
     NoiseModel, Operator, finite_values, nonnegative_values, require_dimension, require_unitary,
 )
-
-# _real_expm: the degree of its Taylor polynomial and the coefficients 1/k!.
-_TAYLOR_DEGREE = 18
-_TAYLOR_COEFFS = tuple(1.0 / factorial(k) for k in range(_TAYLOR_DEGREE + 1))
 
 # grape_optimize: L-BFGS-B runs per target (the first plus restarts) and the
 # iteration cap of each run.
@@ -74,15 +60,12 @@ def ladder_controls(d: int) -> np.ndarray:
 
 
 @functools.cache
-def _real_frame(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """B = ``lindblad.hermitian_basis(d)``, B^dag and the real control stack
-    B^dag (-i [H_k, .]) B of ``ladder_controls(d)``, read-only, cached alike."""
-    b = hermitian_basis(d)
-    bdag = b.conj().T
-    frame = (b, bdag, (bdag @ (-1j * commutator_superoperator(ladder_controls(d))) @ b).real)
-    for arr in frame:
-        arr.setflags(write=False)
-    return frame
+def _real_controls(d: int) -> np.ndarray:
+    """The generators -i [H_k, .] of ``ladder_controls(d)`` as one read-only
+    stack of ``lindblad.real_form`` matrices, cached alike."""
+    stack = real_form(-1j * commutator_superoperator(ladder_controls(d)))
+    stack.setflags(write=False)
+    return stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,14 +224,11 @@ def schedule_to_propagator(
     product runs slot 1 first.  With s = 0 this is conjugation by the
     schedule unitary, up to rounding.
 
-    Both parts of a slot generator preserve Hermiticity, so in the
-    orthonormal Hermitian basis B (``lindblad.hermitian_basis``) they are
-    real: the control stack C_k = B^dag (-i [H_k, .]) B is formed once per
-    d (``_real_frame``) and the dissipator D = B^dag dissipator(noise) B once
-    per call.  Each scale s runs one real exponential stack (``_real_expm``)
-    of the slot generators (sum_k u_jk C_k + s D) dt and multiplies the slots
-    in order; each channel is mapped back as B S B^dag.  A channel depends
-    only on its own scale, not on the other entries of ``scales``.
+    In the real form of ``lindblad`` the control generators C_k of
+    -i [H_k, .] are formed once per d (``_real_controls``) and the
+    dissipator D once per call; each scale s runs one ``lindblad.expm``
+    stack of the slot generators (sum_k u_jk C_k + s D) dt and multiplies
+    the slots in order.  A channel depends only on its own scale.
     """
     d = noise.dim
     ladder = ladder_controls(d)
@@ -257,55 +237,14 @@ def schedule_to_propagator(
     scales = nonnegative_values(scales, "scales")
     if scales.ndim != 1 or scales.size < 1:
         raise ValueError(f"scales must be a nonempty 1-d sequence, got shape {scales.shape}")
-    b, bdag, controls = _real_frame(d)
     dt = schedule.slot_duration
-    drift = np.tensordot(schedule.amplitudes, controls, axes=(1, 0)) * dt
-    unit = (bdag @ dissipator(noise) @ b).real * dt
+    drift = np.tensordot(schedule.amplitudes, _real_controls(d), axes=(1, 0)) * dt
+    unit = real_form(dissipator(noise)) * dt
     channels = []
     for s in scales:
         total = np.eye(d * d)
-        for slot in _real_expm(drift + s * unit):
+        for slot in expm(drift + s * unit):
             total = slot @ total
-        channels.append(SuperOperator(b @ total @ bdag))
+        channels.append(SuperOperator(total))
     return channels
 
-
-def _real_expm(a: np.ndarray) -> np.ndarray:
-    """exp of each matrix of a real (n, k, k) stack by scaling and squaring.
-
-    Each matrix A is halved s times, the fewest that bring its 1-norm to
-    <= 1 (an exact scaling), and exp(X), X = A / 2^s, is taken as the
-    degree-18 Taylor polynomial squared s times.  For ||X||_1 <= 1 the
-    dropped terms have 1-norm <= sum_{k >= 19} 1/k! < 8.7e-18, and
-    ||exp(X)||_1 >= 1 / ||exp(-X)||_1 >= e^-1, so the relative truncation is
-    below 2.4e-17, under the unit roundoff 2^-53 = 1.1e-16.
-
-    The polynomial is evaluated by Paterson-Stockmeyer (SIAM J. Comput. 2,
-    60 (1973)) in powers of X^4: from X^2, X^3 and X^4, four Horner steps
-    over the blocks B_j = sum_{i < 4} X^i / (4j + i)!, seven products in
-    all.  Squaring step k squares only the matrices with s > k, so no result
-    depends on the rest of the stack.
-    """
-    norms = np.abs(a).sum(axis=-2).max(axis=-1)
-    mantissa, exponent = np.frexp(norms)
-    squarings = np.maximum(exponent - (mantissa == 0.5), 0)
-    x = np.ldexp(a, -squarings[:, None, None])
-    x2 = x @ x
-    x3 = x2 @ x
-    x4 = x2 @ x2
-    c = _TAYLOR_COEFFS
-    diag = np.arange(a.shape[-1])
-    out = c[17] * x
-    out += c[18] * x2
-    out[:, diag, diag] += c[16]
-    for j in (12, 8, 4, 0):
-        out = x4 @ out
-        out += c[j + 1] * x
-        out += c[j + 2] * x2
-        out += c[j + 3] * x3
-        out[:, diag, diag] += c[j]
-    for step in range(squarings.max(initial=0)):
-        squared = squarings > step
-        part = out[squared]
-        out[squared] = part @ part
-    return out

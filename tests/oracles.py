@@ -2,15 +2,16 @@
 
 Each one computes its result by a route of its own (fixed-step RK4, the
 Uhlmann formula, one ``expm`` or ``expm_frechet`` per pulse slot, complex
-slot generators, a Kraus set summed as conjugation superoperators, ...), so
-agreement with the library is evidence that both are right.  Nothing in
-``quditbench`` calls them.
+column-stacked generators and channels taken to the library's real form by
+the dense Hermitian basis, a Kraus set summed as conjugation superoperators,
+a long-double gate channel, ...), so agreement with the library is evidence
+that both are right.  Nothing in ``quditbench`` calls them.
 """
 
 import numpy as np
 from scipy.linalg import expm, expm_frechet
 
-from quditbench.lindblad import DensityMatrix, SuperOperator, commutator_superoperator, dissipator
+from quditbench.lindblad import DensityMatrix, SuperOperator, commutator_superoperator, dissipator, vec
 from quditbench.operators import PURITY_ATOL, Operator
 from quditbench.pulses import ladder_controls
 
@@ -21,6 +22,41 @@ RK4_STEP_BOUND = 0.01
 STATE_HERMITICITY_ATOL = 1e-10
 STATE_TRACE_ATOL = 1e-6
 STATE_POSITIVITY_ATOL = 1e-6
+
+
+def hermitian_basis(d: int) -> np.ndarray:
+    """Orthonormal Hermitian basis of d x d matrices as the unitary d^2 x d^2
+    matrix B whose column a d + b is vec(G_ab), G_ab = ((1 + i) E_ab +
+    (1 - i) E_ba) / 2 (column-stacked): G_aa = E_aa, and each pair G_ab,
+    G_ba is (E_ab + E_ba)/sqrt2, i(E_ba - E_ab)/sqrt2 rotated by 45 degrees."""
+    e = np.eye(d * d).reshape(d, d, d, d)  # e[a, b] = E_ab
+    return vec(((1 + 1j) * e + (1 - 1j) * e.transpose(1, 0, 2, 3)).reshape(d * d, d, d) / 2).T
+
+
+def real_superoperator(s: np.ndarray) -> SuperOperator:
+    """The library's form B^dag S B of a Hermiticity-preserving column-stacked
+    superoperator S, by two dense products with ``hermitian_basis``; raises
+    if B^dag S B is not real to rounding, i.e. S does not preserve
+    Hermiticity."""
+    b = hermitian_basis(round(np.sqrt(s.shape[0])))
+    m = b.conj().T @ s @ b
+    if np.abs(m.imag).max() > 1e-12 * max(1.0, np.abs(m).max()):
+        raise ValueError("superoperator does not preserve Hermiticity")
+    return SuperOperator(m.real)
+
+
+def column_stacked(channel: SuperOperator) -> np.ndarray:
+    """The column-stacked matrix B R B^dag of a real superoperator R."""
+    b = hermitian_basis(channel.hilbert_dim)
+    return b @ channel.matrix @ b.conj().T
+
+
+def expm_propagate(h: Operator, noise, t: float) -> SuperOperator:
+    """Channel exp(G t) from scipy's complex ``expm`` of the column-stacked
+    generator G = -i [H, .] + dissipator(noise); reference for the library's
+    real ``liouvillian`` and ``propagate``."""
+    gen = -1j * commutator_superoperator(h.entries) + dissipator(noise)
+    return real_superoperator(expm(gen * t))
 
 
 def rk4_propagate(gen: SuperOperator, t: float) -> SuperOperator:
@@ -34,7 +70,7 @@ def rk4_propagate(gen: SuperOperator, t: float) -> SuperOperator:
     norm = np.linalg.norm(m, ord=2)
     n_steps = max(1, int(np.ceil(norm * t / RK4_STEP_BOUND)))
     h = t / n_steps
-    s = np.eye(m.shape[0], dtype=complex)
+    s = np.eye(m.shape[0])
     for _ in range(n_steps):
         k1 = m @ s
         k2 = m @ (s + 0.5 * h * k1)
@@ -45,9 +81,9 @@ def rk4_propagate(gen: SuperOperator, t: float) -> SuperOperator:
 
 
 def kraus_superoperator(kraus) -> SuperOperator:
-    """Superoperator sum_k conj(E_k) kron E_k of a Kraus set, in the
-    column-stacked layout of ``lindblad``."""
-    return SuperOperator(sum(np.kron(op.entries.conj(), op.entries) for op in kraus.ops))
+    """Superoperator of a Kraus set: sum_k conj(E_k) kron E_k in the
+    column-stacked layout, taken to the real form."""
+    return real_superoperator(sum(np.kron(op.entries.conj(), op.entries) for op in kraus.ops))
 
 
 def choi_matrix(channel: SuperOperator) -> np.ndarray:
@@ -55,7 +91,7 @@ def choi_matrix(channel: SuperOperator) -> np.ndarray:
     entangled state); eigenvalues >= 0 iff the channel is completely positive.
     """
     d = channel.hilbert_dim
-    s4 = channel.matrix.reshape(d, d, d, d)  # [b, a, d, c] for S[(ab),(cd)]
+    s4 = column_stacked(channel).reshape(d, d, d, d)  # [b, a, d, c] for S[(ab),(cd)]
     return np.transpose(s4, (3, 1, 2, 0)).reshape(d * d, d * d)
 
 
@@ -140,12 +176,66 @@ def gradient_per_slot(amps, target, dt) -> np.ndarray:
 def complex_schedule_channel(schedule, noise) -> SuperOperator:
     """Channel of a pulse schedule under one noise model from the complex
     slot generators -i [H_j, .] + dissipator(noise): one complex ``expm``
-    stack and one complex ordered product (slot 1 first), rather than the
-    library's real Hermitian-basis product over a grid of rate scales."""
+    stack and one complex ordered product (slot 1 first), taken to the real
+    form at the end, rather than the library's real product over a grid of
+    rate scales."""
     d = noise.dim
     hs = np.tensordot(schedule.amplitudes, ladder_controls(d), axes=(1, 0))
     gens = -1j * commutator_superoperator(hs) + dissipator(noise)
     total = np.eye(d * d, dtype=complex)
     for slot in expm(gens * schedule.slot_duration):
         total = slot @ total
-    return SuperOperator(total)
+    return real_superoperator(total)
+
+
+# long_double_gate_agis: the degree of its Taylor series.
+LONG_DOUBLE_TAYLOR_DEGREE = 29
+
+
+def long_double_gate_agis(schedule, noise, scales, target: Operator) -> np.ndarray:
+    """AGI of a schedule's channel against a target unitary for each noise
+    rate scale s, in numpy long double throughout, as a reference for the
+    float64 gate route (``schedule_to_propagator`` then ``agi_exact``).
+
+    The slot generators B^dag (-i [H_j, .] + s dissipator(noise)) B dt are
+    formed from the float64 inputs in long double; each one is halved until
+    its 1-norm is at most 1/2, exponentiated by its Taylor series of degree
+    ``LONG_DOUBLE_TAYLOR_DEGREE`` (truncation below 1e-38) and squared back;
+    the slots are multiplied in order, and the AGI is 1 - (d F_p + 1) /
+    (d + 1) with F_p = Tr(R_U^T R) / d^2.  numpy multiplies long-double
+    matrices in its own loops, not BLAS.  Where long double is float64 this
+    is no more precise than the route it checks.
+    """
+    ld, cld = np.longdouble, np.clongdouble
+    d = noise.dim
+    b = hermitian_basis(d).astype(cld)
+    bdag = b.conj().T
+    eye = np.eye(d, dtype=cld)
+    diss = np.zeros((d * d, d * d), dtype=cld)
+    for gamma, op in noise.terms:
+        l = op.entries.astype(cld)
+        ldl = l.conj().T @ l
+        diss += ld(gamma) * (np.kron(l.conj(), l) - (np.kron(eye, ldl) + np.kron(ldl.T, eye)) / 2)
+    hs = np.tensordot(schedule.amplitudes.astype(ld), ladder_controls(d).astype(cld), axes=(1, 0))
+    dt = ld(schedule.slot_duration)
+    drift = (bdag @ (-1j * commutator_superoperator(hs)) @ b).real * dt
+    unit = (bdag @ diss @ b).real * dt
+    u = target.entries.astype(cld)
+    ru = (bdag @ np.kron(u.conj(), u) @ b).real
+    agis = []
+    for s in np.asarray(scales, dtype=float).astype(ld):
+        a = drift + s * unit
+        squarings = np.maximum(np.frexp(np.abs(a).sum(axis=-2).max(axis=-1).astype(float))[1] + 1, 0)
+        x = a / np.ldexp(ld(1), squarings)[:, None, None]
+        slots = np.broadcast_to(np.eye(d * d, dtype=ld), x.shape)
+        for k in range(LONG_DOUBLE_TAYLOR_DEGREE, 0, -1):
+            slots = np.eye(d * d, dtype=ld) + (x @ slots) / ld(k)
+        for step in range(squarings.max(initial=0)):
+            squared = squarings > step
+            slots[squared] = slots[squared] @ slots[squared]
+        total = np.eye(d * d, dtype=ld)
+        for slot in slots:
+            total = slot @ total
+        fp = (ru * total).sum() / ld(d * d)
+        agis.append(1 - (d * fp + 1) / ld(d + 1))
+    return np.array(agis, dtype=ld)

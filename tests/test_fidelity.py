@@ -32,7 +32,7 @@ from quditbench import (
 from quditbench.fitting import fit_slope
 from quditbench.lindblad import SuperOperator
 
-from oracles import kraus_superoperator, state_fidelity
+from oracles import column_stacked, kraus_superoperator, real_superoperator, state_fidelity
 
 
 def zero_h(d):
@@ -155,9 +155,11 @@ def test_state_blocks_are_the_states():
                 streamed.unitaries(3)
                 reference.unitaries(3)
             blocks = list(streamed._state_blocks(n, block))
-            assert [len(b) for b in blocks[:-1]] == [block] * (len(blocks) - 1)
-            assert 1 <= len(blocks[-1]) <= block
-            assert np.array_equal(np.concatenate(blocks), reference.states(n))
+            assert [len(p) for p, _ in blocks[:-1]] == [block] * (len(blocks) - 1)
+            assert 1 <= len(blocks[-1][0]) <= block
+            # the states are the normalized rows of p + i q, bit for bit
+            z = np.concatenate([p + 1j * q for p, q in blocks])
+            assert np.array_equal(z / np.linalg.norm(z, axis=1, keepdims=True), reference.states(n))
             assert np.array_equal(streamed.states(3), reference.states(3))
 
 
@@ -367,17 +369,19 @@ def test_agi_monte_carlo_cross_checks_exact():
 
 
 def _agi_monte_carlo_two_products(channel, target_gate, n_samples, sampler):
-    """Reference: Re <S_U v, S v> per sample, v = vec(|psi><psi|), drawn in
-    the same chunks as agi_monte_carlo."""
+    """Reference: Re <S_U v, S v> per sample, v = vec(|psi><psi|), with the
+    column-stacked S and S_U = conj(U) kron U, drawn in the same chunks as
+    agi_monte_carlo."""
     from quditbench.fidelity import MONTE_CARLO_CHUNK
     from quditbench.lindblad import vec
 
-    su = unitary_superoperator(target_gate).matrix
+    su = np.kron(target_gate.entries.conj(), target_gate.entries)
+    s = column_stacked(channel)
     samples = []
     for done in range(0, n_samples, MONTE_CARLO_CHUNK):
         psi = sampler.states(min(MONTE_CARLO_CHUNK, n_samples - done))
         vecs = vec(psi[:, :, None] * psi.conj()[:, None, :]).T
-        fid = np.einsum("kn,kn->n", (su @ vecs).conj(), channel.matrix @ vecs).real
+        fid = np.einsum("kn,kn->n", (su @ vecs).conj(), s @ vecs).real
         samples.append(1.0 - fid)
     samples = np.concatenate(samples)
     return samples.mean(), samples.std(ddof=1) / np.sqrt(n_samples)
@@ -390,10 +394,11 @@ def test_agi_monte_carlo_matches_two_product_reference():
     d = 3
     n = MONTE_CARLO_CHUNK + MONTE_CARLO_BLOCK + 1  # crosses a chunk and a block boundary
     # complex channel entries and a complex target catch a sign slip in the
-    # imaginary coordinates; a generic complex matrix pins the Re(R) reduction
+    # imaginary coordinates; a generic real matrix (a generic
+    # Hermiticity-preserving map) pins the R_U^T R reduction
     jxyz = propagate(liouvillian(zero_h(d), collapse_model("JxJyJz", d)), 1e-2)
     rng = np.random.default_rng(12)
-    generic = SuperOperator(rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d)))
+    generic = SuperOperator(rng.standard_normal((d * d, d * d)))
     target = Operator(HaarSampler(d, seed=13).unitary())
     for channel in (jxyz, generic):
         for gate in (target, identity(d)):
@@ -403,23 +408,51 @@ def test_agi_monte_carlo_matches_two_product_reference():
             assert abs(se / ref_se - 1.0) <= 1e-12
 
 
-def test_agi_monte_carlo_triangular_form_matches_full_quadratic_form():
-    # r^T T r with T = triu(R + R^T), diagonal R_kk, against r^T R r with the
-    # full R = Re(B^dag S_U^dag S B) on the same real coordinates
-    from quditbench.lindblad import hermitian_basis, real_coordinates
+def _agi_monte_carlo_quadratic_form(channel, target_gate, n_samples, sampler):
+    """Reference: r^T M r per sample with the full M = R_U^T R and r the
+    real coordinates of the normalized states of ``sampler.states``, drawn
+    in the same chunks as agi_monte_carlo."""
+    from quditbench.fidelity import MONTE_CARLO_CHUNK
+    from quditbench.lindblad import real_coordinates
 
+    m = unitary_superoperator(target_gate).matrix.T @ channel.matrix
+    samples = []
+    for done in range(0, n_samples, MONTE_CARLO_CHUNK):
+        psi = sampler.states(min(MONTE_CARLO_CHUNK, n_samples - done))
+        r = real_coordinates(psi.real, psi.imag)
+        samples.append(1.0 - np.einsum("nk,kl,nl->n", r, m, r))
+    samples = np.concatenate(samples)
+    return samples.mean(), samples.std(ddof=1) / np.sqrt(n_samples)
+
+
+def test_agi_monte_carlo_triangular_form_matches_full_quadratic_form():
+    # r^T T r with T = triu(M + M^T), diagonal M_kk, against r^T M r with the
+    # full M = R_U^T R on the coordinates of the normalized states
     d, n = 4, 1_001
     rng = np.random.default_rng(19)
-    channel = SuperOperator(rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d)))
+    channel = SuperOperator(rng.standard_normal((d * d, d * d)))
     target = Operator(HaarSampler(d, seed=20).unitary())
-    b = hermitian_basis(d)
-    su = unitary_superoperator(target).matrix
-    r_mat = (b.conj().T @ su.conj().T @ channel.matrix @ b).real
-    r = real_coordinates(HaarSampler(d, seed=21).states(n))
-    samples = 1.0 - np.einsum("nk,kl,nl->n", r, r_mat, r)
     mean, se = agi_monte_carlo(channel, target, n, HaarSampler(d, seed=21))
-    assert abs(mean / samples.mean() - 1.0) <= 1e-13
-    assert abs(se / (samples.std(ddof=1) / np.sqrt(n)) - 1.0) <= 1e-13
+    ref_mean, ref_se = _agi_monte_carlo_quadratic_form(channel, target, n, HaarSampler(d, seed=21))
+    assert abs(mean / ref_mean - 1.0) <= 1e-13
+    assert abs(se / ref_se - 1.0) <= 1e-13
+
+
+def test_agi_monte_carlo_on_raw_draws_matches_normalised_states():
+    # each block is read off the raw draws (p, q) and divided by
+    # (|p|^2 + |q|^2)^2; the normalized states of HaarSampler.states give the
+    # same samples, past a chunk boundary and with a ragged last block
+    from quditbench.experiments import collapse_model
+    from quditbench.fidelity import MONTE_CARLO_BLOCK, MONTE_CARLO_CHUNK
+
+    n = MONTE_CARLO_CHUNK + 2 * MONTE_CARLO_BLOCK + 7
+    for d in (2, 6):
+        channel = propagate(liouvillian(zero_h(d), collapse_model("Jplus", d)), 0.05)
+        target = Operator(HaarSampler(d, seed=24).unitary())
+        mean, se = agi_monte_carlo(channel, target, n, HaarSampler(d, seed=25))
+        ref_mean, ref_se = _agi_monte_carlo_quadratic_form(channel, target, n, HaarSampler(d, seed=25))
+        assert abs(mean / ref_mean - 1.0) <= 1e-13, d
+        assert abs(se / ref_se - 1.0) <= 1e-13, d
 
 
 def test_agi_monte_carlo_does_not_depend_on_the_block(monkeypatch):
@@ -505,10 +538,15 @@ def test_process_fidelity_matches_trace_form():
         kraus = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(3)]
         s = sum(np.kron(k.conj(), k) for k in kraus) / (3 * d)
         gate = Operator(HaarSampler(d, seed=d).unitary())
-        su = unitary_superoperator(gate).matrix
+        su = np.kron(gate.entries.conj(), gate.entries)
         old = np.real(np.trace(su.conj().T @ s)) / d**2
-        new = process_fidelity(SuperOperator(s), gate)
+        channel = real_superoperator(s)
+        new = process_fidelity(channel, gate)
         assert abs(new - old) <= 1e-13 * max(1.0, abs(old))
+        # agi_exact is F_bar = (d F_p + 1) / (d + 1) of that process fidelity
+        assert abs(agi_exact(channel, gate) - d * (1.0 - old) / (d + 1)) <= 1e-13
+        # the conjugation channel of the target itself, without np.kron
+        assert np.abs(unitary_superoperator(gate).matrix - real_superoperator(su).matrix).max() <= 1e-15
 
 
 def test_agi_dephasing_matches_dense_oracle():

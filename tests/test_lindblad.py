@@ -18,14 +18,14 @@ from quditbench.lindblad import (
     SuperOperator,
     commutator_superoperator,
     dissipator,
-    hermitian_basis,
     real_coordinates,
+    real_form,
     unvec,
     vec,
 )
 from quditbench.pulses import ladder_controls
 
-from oracles import choi_matrix, rk4_propagate
+from oracles import choi_matrix, column_stacked, expm_propagate, hermitian_basis, rk4_propagate
 
 
 def zero_h(d):
@@ -79,7 +79,7 @@ def test_hermitian_basis_is_unitary_and_hermitian():
         # the real coordinates of a pure state are its coordinates in B,
         # Re rho + Im rho entrywise
         psi = rng.standard_normal((4, d)) + 1j * rng.standard_normal((4, d))
-        r = real_coordinates(psi)
+        r = real_coordinates(psi.real, psi.imag)
         assert np.isrealobj(r) and r.shape == (4, d * d)
         rhos = np.einsum("na,nb->nab", psi, psi.conj())
         assert np.abs(r - (rhos.real + rhos.imag).reshape(4, d * d)).max() <= 1e-14, d
@@ -88,18 +88,27 @@ def test_hermitian_basis_is_unitary_and_hermitian():
 
 def test_generators_are_real_in_the_hermitian_basis():
     # -i[H, .] and every dissipator preserve Hermiticity, so B^dag G B is
-    # real: the imaginary parts are rounding only
-    for d in (2, 3, 4, 5):
+    # real: the imaginary parts are rounding only; real_form's gathers give
+    # its real part, batched or not, and for any complex matrix
+    rng = np.random.default_rng(13)
+    for d in (1, 2, 3, 4, 5):
         b = hermitian_basis(d)
-        ad = -1j * commutator_superoperator(ladder_controls(d))
-        assert np.abs((b.conj().T @ ad @ b).imag).max() <= 1e-15, d
+        bdag = b.conj().T
+        if d >= 2:
+            ad = -1j * commutator_superoperator(ladder_controls(d))
+            assert np.abs((bdag @ ad @ b).imag).max() <= 1e-15, d
+            assert np.abs(real_form(ad) - (bdag @ ad @ b).real).max() <= 1e-15, d
+        generic = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+        assert np.abs(real_form(generic) - (bdag @ generic @ b).real).max() <= 1e-14, d
         for noise in (
             NoiseModel.single(1.0, spin_z(d)),
             NoiseModel.single(1.0, spin_xy(d)[0]),
             NoiseModel.single(1.0, spin_plus(d)),
             NoiseModel(((0.3, spin_z(d)), (0.1, spin_plus(d)))),
         ):
-            assert np.abs((b.conj().T @ dissipator(noise) @ b).imag).max() <= 1e-15, d
+            diss = dissipator(noise)
+            assert np.abs((bdag @ diss @ b).imag).max() <= 1e-15, d
+            assert np.abs(real_form(diss) - (bdag @ diss @ b).real).max() <= 1e-14, d
 
 
 def test_density_matrix_validation():
@@ -159,7 +168,7 @@ def test_propagate_identity_and_errors():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             propagate(gen, bad)
-    # a diagonal generator is exponentiated entrywise inside scipy's expm, bit for bit
+    # a diagonal generator is exponentiated entrywise, bit for bit as scipy's expm does
     from scipy.linalg import expm
 
     diagonal = [dephasing_generator(d) for d in (2, 6, 12)]
@@ -169,6 +178,27 @@ def test_propagate_identity_and_errors():
             got = propagate(gen, t).matrix
             assert np.array_equal(got, expm(gen.matrix * t))
             assert np.array_equal(got, np.diag(np.exp(np.diag(gen.matrix) * t)))
+
+
+def test_propagate_matches_complex_expm():
+    # the real generator and its exponential against scipy's complex expm of
+    # the column-stacked generator, on the diagonal route and the expm route
+    rng = np.random.default_rng(41)
+    for d in (2, 3, 5):
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        h = Operator((a + a.conj().T) / 2)
+        l = Operator(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        cases = (
+            (zero_h(d), NoiseModel.single(1.0, spin_z(d))),
+            (zero_h(d), NoiseModel.single(0.7, spin_plus(d))),
+            (h, NoiseModel(((0.3, l), (1.1, spin_z(d))))),
+        )
+        for hamiltonian, noise in cases:
+            gen = liouvillian(hamiltonian, noise)
+            for t in (0.0, 1e-4, 0.3, 2.0):
+                expected = expm_propagate(hamiltonian, noise, t).matrix
+                got = propagate(gen, t).matrix
+                assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max(), (d, t)
 
 
 def test_propagate_dephasing_qubit():
@@ -276,6 +306,22 @@ def test_apply_channel_basics():
             SuperOperator(np.zeros(shape))
     with pytest.raises(ValueError, match="finite"):
         SuperOperator(np.full((4, 4), np.nan))
+    with pytest.raises(ValueError, match="real"):
+        SuperOperator(np.eye(4, dtype=complex))
+
+
+def test_apply_channel_matches_column_stacked_product():
+    # a generic real matrix is a generic Hermiticity-preserving map: applied
+    # through the real coordinates against vec(rho') = S vec(rho)
+    rng = np.random.default_rng(43)
+    for d in (1, 2, 3, 6):
+        channel = SuperOperator(rng.standard_normal((d * d, d * d)))
+        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        rho = DensityMatrix(z @ z.conj().T / np.trace(z @ z.conj().T))
+        out = apply_channel(channel, rho).entries
+        assert np.array_equal(out, out.conj().T)
+        expected = unvec(column_stacked(channel) @ vec(rho.entries))
+        assert np.abs(out - expected).max() <= 1e-14 * np.abs(expected).max(), d
 
 
 def test_maximally_mixed_is_fixed_point_of_hermitian_dissipator():
@@ -353,7 +399,7 @@ def test_dissipator_spectrum_routes_by_noise_structure():
             closed = dissipator_spectrum(NoiseModel.single(0.6, eig))
             assert np.array_equal(dissipator_spectrum(NoiseModel.single(0.6, op)), closed)
         # anything else, Hermitian to 1e-14 included: one eigvals of the
-        # dissipator, equal to that of the generator with a zero Hamiltonian
+        # column-stacked dissipator
         near = herm.copy()
         near[0, 1] += 1e-14
         for noise in (
@@ -361,7 +407,7 @@ def test_dissipator_spectrum_routes_by_noise_structure():
             NoiseModel(((1.0, spin_z(d)), (0.1, jy))),
             NoiseModel(((0.7, jy), (1.9, spin_plus(d)))),
         ):
-            dense = np.linalg.eigvals(liouvillian(zero_h(d), noise).matrix)
+            dense = np.linalg.eigvals(dissipator(noise))
             assert np.array_equal(dissipator_spectrum(noise), dense)
 
 

@@ -10,6 +10,7 @@ from quditbench import (
     Operator,
     PulseSchedule,
     agi_exact,
+    fit_slope,
     grape_optimize,
     identity,
     ladder_controls,
@@ -23,9 +24,12 @@ from quditbench import (
 )
 from quditbench import experiments, pulses
 from quditbench.experiments import default_spec
-from quditbench.pulses import _real_expm, infidelity_and_gradient
+from quditbench.lindblad import expm as real_expm
+from quditbench.pulses import infidelity_and_gradient
 
-from oracles import complex_schedule_channel, gate_infidelity, gradient_per_slot, schedule_unitary
+from oracles import (
+    complex_schedule_channel, gate_infidelity, gradient_per_slot, long_double_gate_agis, schedule_unitary,
+)
 
 
 def test_ladder_basis_structure():
@@ -203,11 +207,12 @@ def test_schedule_propagator_validation():
 
 
 def test_schedule_propagator_matches_slot_products():
-    # the real Hermitian-basis product against complex per-slot channels, at
-    # small slot norms (3d slots, |u| dt <= 0.33) and at the |u| dt ~ 15
-    # that synthesized pulses reach (8d slots, as in gate-dependence); the
-    # largest entrywise gaps measured here were 2.7e-15 and 2.1e-14 (scipy's
-    # real expm gave up to 2.6e-13 on the second)
+    # the real product against the complex column-stacked one of
+    # complex_schedule_channel, at small slot norms (3d slots,
+    # |u| dt <= 0.33) and at the |u| dt ~ 15 that synthesized pulses reach
+    # (8d slots, as in gate-dependence); the largest entrywise gaps measured
+    # here were 2.7e-15 and 2.1e-14 (scipy's real expm gave up to 2.6e-13 on
+    # the second)
     rng = np.random.default_rng(22)
     scales = (0.0, 1e-4, 0.1, 1.0, 3.0)
     for d in (2, 3, 4, 5):
@@ -228,10 +233,7 @@ def test_schedule_propagator_matches_slot_products():
                 assert len(channels) == len(scales)
                 for s, got in zip(scales, channels):
                     scaled = NoiseModel(tuple((s * gamma, op) for gamma, op in noise.terms))
-                    expected = np.eye(d * d, dtype=complex)
-                    for h in np.tensordot(amps, ladder_controls(d), axes=(1, 0)):
-                        slot = propagate(liouvillian(Operator(h), scaled), sched.slot_duration)
-                        expected = slot.matrix @ expected
+                    expected = complex_schedule_channel(sched, scaled).matrix
                     assert np.abs(got.matrix - expected).max() <= 1e-13, (d, name, s)
 
 
@@ -251,15 +253,15 @@ def test_real_expm_matches_complex_expm():
                     continue
                 a *= norm / np.abs(a).sum(axis=-2).max(axis=-1)[:, None, None]
                 expected = expm(a.astype(complex)).real
-                got = _real_expm(a)
+                got = real_expm(a)
                 gap = np.abs(got - expected).max(axis=(1, 2)) / np.abs(expected).max(axis=(1, 2))
                 assert gap.max() <= 2e-14, (n, antisymmetric, norm, gap.max())
     # each matrix of a stack that mixes squaring counts comes out as it does
     # on its own
     a = rng.standard_normal((6, 9, 9)) * np.array([1e-4, 0.05, 0.3, 1.0, 4.0, 30.0])[:, None, None]
-    stacked = _real_expm(a)
+    stacked = real_expm(a)
     for i in range(len(a)):
-        assert np.array_equal(stacked[i], _real_expm(a[i : i + 1])[0]), i
+        assert np.array_equal(stacked[i], real_expm(a[i : i + 1])[0]), i
 
 
 def test_large_norm_gate_agi_matches_exact():
@@ -293,6 +295,36 @@ def test_large_norm_gate_agi_matches_exact():
     for gt, got in zip(grid, channels):
         expected = complex_schedule_channel(sched, NoiseModel.single(gt, spin_z(d)))
         assert np.abs(got.matrix - expected.matrix).max() <= 1e-13, gt
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps == np.finfo(float).eps,
+    reason="long double is float64 on this platform, so the reference is no more precise than the route",
+)
+def test_gate_agis_match_long_double_reference():
+    # the gate-dependence work item's AGIs and slope against the long-double
+    # channel of the same pulse, on the desk grid; the float64 error is the
+    # cancellation in 1 - F_bar at AGI ~ 1e-6: measured at most 8.6e-11
+    # pointwise and 8.3e-12 on the slope (x86-64 80-bit long double)
+    grid = experiments.default_spec("gate-dependence").grid()
+    for d in (2, 3, 4):
+        for g in range(2):
+            gate_seed, grape_seed = np.random.SeedSequence([4, d, g]).spawn(2)
+            target = Operator(HaarSampler(d, gate_seed).unitary())
+            res = grape_optimize(
+                target,
+                n_slots=experiments.GATE_SLOTS_PER_LEVEL * d,
+                total_time=experiments.GATE_TOTAL_TIME,
+                goal_infidelity=experiments.GATE_GOAL_INFIDELITY,
+                seed=grape_seed,
+            )
+            noise = experiments.collapse_model("Jz", d)
+            scales = grid / experiments.GATE_TOTAL_TIME
+            got = np.array([agi_exact(c, target) for c in schedule_to_propagator(res.schedule, noise, scales)])
+            ref = long_double_gate_agis(res.schedule, noise, scales, target).astype(float)
+            assert np.abs(got / ref - 1.0).max() <= 3e-10, (d, g)
+            slope, ref_slope = (fit_slope(grid, agis).slope_c for agis in (got, ref))
+            assert abs(slope / ref_slope - 1.0) <= 3e-11, (d, g)
 
 
 def test_schedule_propagator_scales_are_independent():
