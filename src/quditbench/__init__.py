@@ -33,7 +33,7 @@ from .lindblad import (
     propagate,
     unitary_superoperator,
 )
-from .operators import NoiseModel, Operator, embed_site, identity, spin_plus, spin_xy, spin_z
+from .operators import NoiseModel, Operator, identity, spin_plus, spin_xy, spin_z
 from .pulses import (
     GrapeResult,
     PulseSchedule,

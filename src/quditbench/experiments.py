@@ -233,7 +233,7 @@ def _gate_workitem(args) -> dict:
         seed=grape_seed,
     )
     channels = schedule_to_propagator(res.schedule, collapse_model("Jz", d), grid / GATE_TOTAL_TIME)
-    agis = np.array([agi_exact(channel, target) for channel in channels])
+    agis = agi_exact(channels, target)
     return _gate_row(d, index, grid, agis, res.infidelity, res.converged, res.iterations)
 
 

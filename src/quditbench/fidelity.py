@@ -9,7 +9,8 @@ Five routes are provided and cross-checked against each other:
   noise model, in closed form over a gamma_t grid from two traces per noise
   term, free of the cancellation against |Tr E_0|^2 ~ d^2,
 * ``agi_exact``  -- deterministic, via the process fidelity of the real
-  superoperator (general channels, and the oracle for the fast path),
+  superoperator (general channels, and the oracle for the fast path), also
+  for a sequence of channels against one target,
 * ``agi_curve`` -- identity gate under a purely dissipative generator, over
   a gamma_t grid from ``lindblad.dissipator_spectrum``, O(d^2) per point
   once the spectrum is known, and free of cancellation,
@@ -148,11 +149,12 @@ def haar_variance_monte_carlo(
     require_dimension(n_samples, "sample count")
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
+    lt = collapse.entries.T
     samples = np.empty(n_samples)
     done = 0
     for draws in sampler._state_blocks(n_samples, MONTE_CARLO_BLOCK):
         psi = _unit_states(*draws)
-        lpsi = psi @ collapse.entries.T  # row n holds L|psi_n>
+        lpsi = psi @ lt  # row n holds L|psi_n>
         term1 = np.einsum("ni,ni->n", lpsi.conj(), lpsi).real
         term2 = np.abs(np.einsum("ni,ni->n", psi.conj(), lpsi)) ** 2
         samples[done : done + len(psi)] = term1 - term2
@@ -182,35 +184,53 @@ def agi_first_order(noise: NoiseModel, gamma_t_grid) -> np.ndarray:
 
     whose first-order term (d s - t) / (d (d + 1)) is the sum of the terms'
     ``analytic.c_general``.  It needs O(d^2) work per noise term, once per
-    curve, and it does not subtract |Tr E_0|^2 ~ d^2 from d^2 + d.
+    curve, O(d) for a diagonal L_k (``Operator.as_diagonal``: no d x d
+    matrix for a diagonal-built one), and it does not subtract
+    |Tr E_0|^2 ~ d^2 from d^2 + d.
     A negative or non-finite gamma_t raises.
     """
     x = nonnegative_values(gamma_t_grid, "gamma_t values")
     d = noise.dim
-    s = sum(gamma * np.vdot(op.entries, op.entries).real for gamma, op in noise.terms)
-    t = sum(gamma * abs(np.trace(op.entries)) ** 2 for gamma, op in noise.terms)
+    s = t = 0.0
+    for gamma, op in noise.terms:
+        l = op.as_diagonal()
+        if l is None:
+            l = op.entries
+            trace = np.trace(l)
+        else:
+            trace = l.sum()
+        s += gamma * np.vdot(l, l).real
+        t += gamma * abs(trace) ** 2
     # + 0.0 turns a -0.0 at gamma_t = 0 into +0.0
     return (x * (d * s - t) - (x * s) ** 2 / 4) / (d * (d + 1)) + 0.0
 
 
-def process_fidelity(channel: SuperOperator, target_gate: Operator) -> float:
+def process_fidelity(channel, target_gate: Operator):
     """Entanglement/process fidelity Tr(R_U^T R) / d^2 of a channel R
-    relative to a target unitary U, R_U = ``unitary_superoperator(U)``."""
-    if channel.hilbert_dim != target_gate.dim:
+    relative to a target unitary U, R_U = ``unitary_superoperator(U)``.
+
+    ``channel`` is a ``SuperOperator`` (the result is a float) or a sequence
+    of them, such as the channels of one gate over a grid of noise scales
+    (``pulses.schedule_to_propagator``): the result is then the array of
+    their fidelities, with the target checked and R_U formed once."""
+    channels = (channel,) if isinstance(channel, SuperOperator) else tuple(channel)
+    d = target_gate.dim
+    if any(c.hilbert_dim != d for c in channels):
         raise ValueError("channel and target dimensions differ")
     require_unitary(target_gate)
-    d = channel.hilbert_dim
     ru = unitary_superoperator(target_gate).matrix
-    # Tr(R_U^T R) = sum_kl R_U[k, l] R[k, l]: O(d^4) work
-    return float(np.vdot(ru, channel.matrix) / d**2)
+    # Tr(R_U^T R) = sum_kl R_U[k, l] R[k, l]: O(d^4) work per channel
+    fps = np.array([np.vdot(ru, c.matrix) for c in channels]) / d**2
+    return float(fps[0]) if isinstance(channel, SuperOperator) else fps
 
 
-def agi_exact(channel: SuperOperator, target_gate: Operator) -> float:
+def agi_exact(channel, target_gate: Operator):
     """Deterministic AGI via the process fidelity, using
-    F_bar = (d F_p + 1) / (d + 1)."""
-    d = channel.hilbert_dim
-    fp = process_fidelity(channel, target_gate)
-    return float(1.0 - (d * fp + 1.0) / (d + 1.0))
+    F_bar = (d F_p + 1) / (d + 1); a float for one channel, an array for a
+    sequence of them (``process_fidelity``)."""
+    d = target_gate.dim
+    agi = 1.0 - (d * process_fidelity(channel, target_gate) + 1.0) / (d + 1.0)
+    return float(agi) if isinstance(channel, SuperOperator) else agi
 
 
 def agi_curve(noise: NoiseModel, gamma_t_grid) -> np.ndarray:
@@ -229,11 +249,16 @@ def agi_curve(noise: NoiseModel, gamma_t_grid) -> np.ndarray:
     small gamma_t; for dephasing every term is non-negative (Re z <= 0).  The
     trace identity holds for defective generators too (J_+, J_+ with J_-),
     and on the ``eigvals`` route sum f(eigenvalues) is backward stable, so
-    the eigenvalue scatter of a repeated eigenvalue cancels in the sum.  A negative or non-finite gamma_t
-    raises.
+    the eigenvalue scatter of a repeated eigenvalue cancels in the sum.
+    When no exponent has an imaginary part (dephasing, J_x, J_+), ``expm1``
+    runs in real arithmetic, a real d^2 vector per point; complex exponents
+    take complex ``expm1``.  Either way each point holds O(d^2), never a
+    len(grid) x d^2 table.  A negative or non-finite gamma_t raises.
     """
     grid = nonnegative_values(gamma_t_grid, "gamma_t values")
     z = dissipator_spectrum(noise)
+    if not z.imag.any():
+        z = z.real
     d = noise.dim
     sums = np.array([np.expm1(gt * z).real.sum() for gt in grid])
     # 0.0 - x rather than -x: gamma_t = 0 gives +0.0, not -0.0

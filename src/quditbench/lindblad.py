@@ -14,11 +14,12 @@ G_aa = E_aa: the coherence-vector form (Alicki & Lendi, LNP 286, 1987).
 Each G_ab touches two entries, so ``real_form`` and ``apply_channel``
 change basis by index arithmetic.  Only this module spells out a layout.
 
-``dissipator_spectrum`` alone decides, from the entries, how the spectrum
-of a purely dissipative generator is found: entrywise for diagonal L_k, by a
-d x d ``eigvalsh`` for one L == L^dag, entrywise again for weighted shifts
-(triangular L_k of one orientation with diagonal L_k^dag L_k: J_+, J_-), and
-by ``eigvals(dissipator)`` otherwise.
+``dissipator_spectrum`` alone decides, from the operators, how the spectrum
+of a purely dissipative generator is found: entrywise for diagonal L_k
+(read through ``Operator.as_diagonal``, with no d x d matrix for a
+diagonal-built one), by a d x d ``eigvalsh`` for one L == L^dag, entrywise
+again for weighted shifts (triangular L_k of one orientation with diagonal
+L_k^dag L_k: J_+, J_-), and by ``eigvals(dissipator)`` otherwise.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
-    HERMITICITY_ATOL, POSITIVITY_ATOL, TRACE_ATOL, NoiseModel, Operator, frozen_matrix,
+    HERMITICITY_ATOL, POSITIVITY_ATOL, TRACE_ATOL, NoiseModel, Operator, frozen_matrix, is_diagonal,
     nonnegative_values,
 )
 
@@ -171,7 +172,9 @@ def dissipator(noise: NoiseModel) -> np.ndarray:
 
 
 def dissipator_spectrum(noise: NoiseModel) -> np.ndarray:
-    """The d^2 eigenvalues of ``dissipator(noise)``.
+    """The d^2 eigenvalues of ``dissipator(noise)``; a real array when the
+    closed form below gives them and every l^k is real (J_z, site
+    dephasing, J_x, J_+), complex otherwise.
 
     Diagonal collapse operators L_k = diag(l^k) make the dissipator diagonal:
     the channel is the Schur multiplier rho_ij -> rho_ij exp(z_ij t) with
@@ -179,7 +182,9 @@ def dissipator_spectrum(noise: NoiseModel) -> np.ndarray:
         z_ij = sum_k gamma_k (l_i^k conj(l_j^k) - (|l_i^k|^2 + |l_j^k|^2) / 2),
 
     evaluated as -|l_i - l_j|^2 / 2 + i Im(l_i conj(l_j)), so Re z <= 0 and
-    z_ii = 0 hold exactly; the result is vec(z), the dissipator diagonal.  A
+    z_ii = 0 hold exactly; the result is vec(z), the dissipator diagonal.
+    The l^k come from ``Operator.as_diagonal``: held by a diagonal-built
+    L_k, read off the entries of a dense one that is exactly diagonal.  A
     single Hermitian collapse operator L = V diag(l) V^dag gives a dissipator
     unitarily equivalent (by conj(V) kron V) to that of diag(l), so the same
     expression runs on one d x d ``eigvalsh`` (J_x, J_x + J_y + J_z);
@@ -196,25 +201,27 @@ def dissipator_spectrum(noise: NoiseModel) -> np.ndarray:
     """
     d = noise.dim
     gamma, op = noise.terms[0]
-    z = np.zeros((d, d), dtype=complex)
-    if all(_is_diagonal(op.entries) for _, op in noise.terms):
-        terms = [(gamma, np.diag(op.entries)) for gamma, op in noise.terms]
+    shift = None
+    diagonals = [term.as_diagonal() for _, term in noise.terms]
+    if all(l is not None for l in diagonals):
+        terms = [(g, l) for (g, _), l in zip(noise.terms, diagonals)]
     elif len(noise) == 1 and np.array_equal(op.entries, op.entries.conj().T):
-        terms = [(gamma, np.linalg.eigvalsh(op.entries).astype(complex))]
+        terms = [(gamma, np.linalg.eigvalsh(op.entries))]
     elif _is_weighted_shift(noise):
         terms = [(gamma, np.diag(op.entries)) for gamma, op in noise.terms]
-        e = sum(gamma * _off_diagonal_column_norms(op.entries) for gamma, op in noise.terms)
-        z.real = -0.5 * np.add.outer(e, e)
+        shift = sum(gamma * _off_diagonal_column_norms(op.entries) for gamma, op in noise.terms)
     else:
         return np.linalg.eigvals(dissipator(noise))
+    if not any(l.imag.any() for _, l in terms):
+        terms = [(gamma, l.real) for gamma, l in terms]
+    z = np.zeros((d, d), dtype=np.result_type(*(l for _, l in terms)))
+    if shift is not None:
+        z.real = -0.5 * np.add.outer(shift, shift)
     for gamma, l in terms:
         z.real -= 0.5 * gamma * np.abs(l[:, None] - l[None, :]) ** 2
-        z.imag += gamma * (np.outer(l.imag, l.real) - np.outer(l.real, l.imag))
+        if np.iscomplexobj(z):
+            z.imag += gamma * (np.outer(l.imag, l.real) - np.outer(l.real, l.imag))
     return vec(z)
-
-
-def _is_diagonal(entries: np.ndarray) -> bool:
-    return np.count_nonzero(entries - np.diag(np.diag(entries))) == 0
 
 
 def _is_weighted_shift(noise: NoiseModel) -> bool:
@@ -222,7 +229,7 @@ def _is_weighted_shift(noise: NoiseModel) -> bool:
     ops = [op.entries for _, op in noise.terms]
     upper = not any(np.tril(l, -1).any() for l in ops)
     lower = not any(np.triu(l, 1).any() for l in ops)
-    return (upper or lower) and all(_is_diagonal(l.conj().T @ l) for l in ops)
+    return (upper or lower) and all(is_diagonal(l.conj().T @ l) for l in ops)
 
 
 def _off_diagonal_column_norms(entries: np.ndarray) -> np.ndarray:

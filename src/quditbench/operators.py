@@ -1,4 +1,4 @@
-"""d-level spin matrices, site embeddings, noise models, and the shared tolerances and input checks.
+"""d-level spin matrices, noise models (site dephasing included), and the shared tolerances and input checks.
 
 Conventions: hbar = 1 throughout.  J_z carries the descending diagonal
 (d-1)/2, (d-3)/2, ..., -(d-1)/2, so a qubit has S_z eigenvalues +-1/2
@@ -62,6 +62,11 @@ def nonnegative_values(values, what: str) -> np.ndarray:
     return arr
 
 
+def is_diagonal(entries: np.ndarray) -> bool:
+    """Every off-diagonal entry of a square matrix is exactly zero."""
+    return np.count_nonzero(entries - np.diag(np.diag(entries))) == 0
+
+
 def require_unitary(gate: Operator) -> None:
     """Raise unless ``gate`` is unitary within ``UNITARITY_ATOL``."""
     defect = gate.entries.conj().T @ gate.entries - np.eye(gate.dim)
@@ -69,25 +74,63 @@ def require_unitary(gate: Operator) -> None:
         raise ValueError(f"target gate must be unitary within {UNITARITY_ATOL}")
 
 
-@dataclass(frozen=True, eq=False)
 class Operator:
-    """Dense complex square matrix; its structure (diagonal, Hermitian) is
-    read off the entries by whoever needs it, not claimed by the caller.
-    Instances are immutable (the entry array is frozen); they can be
-    shared freely across concurrent tasks.
+    """Complex square matrix, immutable, so instances can be shared freely
+    across concurrent tasks.
+
+    ``Operator(entries)`` holds a frozen copy of the entries; whether it is
+    diagonal or Hermitian is read off them by whoever needs it, never
+    claimed by the caller.  ``Operator.from_diagonal(values)`` holds only the
+    frozen length-d diagonal: ``entries`` then builds the d x d matrix
+    afresh on each request, while ``as_diagonal`` and ``trace`` read the
+    diagonal, so the dephasing routes (``lindblad.dissipator_spectrum``,
+    ``fidelity.agi_first_order``) never allocate d^2 for it.  Either form of
+    one diagonal matrix gives those routes the same bits.
     """
 
-    entries: np.ndarray
+    __slots__ = ("_entries", "_diagonal")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", frozen_matrix(self.entries, "operator"))
+    def __init__(self, entries) -> None:
+        self._entries = frozen_matrix(entries, "operator")
+        self._diagonal = None
+
+    @classmethod
+    def from_diagonal(cls, values) -> "Operator":
+        """The diagonal operator diag(values) for a finite, non-empty vector."""
+        diagonal = np.array(values, dtype=complex)
+        if diagonal.ndim != 1 or diagonal.size == 0:
+            raise ValueError(f"diagonal must be a non-empty vector, got shape {diagonal.shape}")
+        if not np.isfinite(diagonal).all():
+            raise ValueError("diagonal entries must be finite")
+        diagonal.setflags(write=False)
+        op = cls.__new__(cls)
+        op._entries = None
+        op._diagonal = diagonal
+        return op
+
+    @property
+    def entries(self) -> np.ndarray:
+        if self._entries is not None:
+            return self._entries
+        out = np.diag(self._diagonal)
+        out.setflags(write=False)
+        return out
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return len(self._diagonal) if self._entries is None else self._entries.shape[0]
+
+    def as_diagonal(self) -> np.ndarray | None:
+        """The length-d diagonal if the operator is diagonal, else None:
+        held by a diagonal-built operator, read off the entries otherwise."""
+        if self._entries is None:
+            return self._diagonal
+        return np.diag(self._entries) if is_diagonal(self._entries) else None
 
     def trace(self) -> complex:
-        return complex(np.trace(self.entries))
+        if self._entries is None:
+            return complex(self._diagonal.sum())
+        return complex(np.trace(self._entries))
 
 
 @functools.cache
@@ -98,13 +141,14 @@ def identity(d: int) -> Operator:
 
 
 def spin_z(d: int) -> Operator:
-    """J_z for a d-level system: diag((d-1)/2, (d-3)/2, ..., -(d-1)/2).
+    """J_z for a d-level system: diag((d-1)/2, (d-3)/2, ..., -(d-1)/2),
+    built from that vector (``Operator.from_diagonal``), so it holds d
+    numbers, not d^2.
 
     Traceless and Hermitian, with Tr(J_z^2) = d(d^2-1)/12.
     """
     require_dimension(d)
-    m = (d - 1) / 2 - np.arange(d)
-    return Operator(np.diag(m.astype(complex)))
+    return Operator.from_diagonal((d - 1) / 2 - np.arange(d))
 
 
 def _spin_raising(d: int) -> np.ndarray:
@@ -132,25 +176,6 @@ def spin_plus(d: int) -> Operator:
     """Raising operator J_+ = J_x + i J_y (the ladder matrix)."""
     require_dimension(d)
     return Operator(_spin_raising(d))
-
-
-def embed_site(op: Operator, site: int, n_sites: int) -> Operator:
-    """Embed a single-site operator into an n-site tensor product.
-
-    ``site`` is 1-based; identities act on every other site, so the
-    result has dimension op.dim ** n_sites and site=1 is the leftmost
-    tensor factor.
-    """
-    require_dimension(n_sites, "n_sites")
-    if not is_integer(site):
-        raise ValueError(f"site must be an integer, got {site!r}")
-    if not 1 <= site <= n_sites:
-        raise IndexError(f"site {site} out of range 1..{n_sites}")
-    d = op.dim
-    left = np.eye(d ** (site - 1))
-    right = np.eye(d ** (n_sites - site))
-    out = np.kron(np.kron(left, op.entries), right)
-    return Operator(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,6 +211,15 @@ class NoiseModel:
 
     @classmethod
     def site_dephasing(cls, n_sites: int) -> "NoiseModel":
-        """Unit-rate per-qubit dephasing: L_k = 1 x ... x S_z^(k) x ... x 1."""
-        sz = spin_z(2)
-        return cls(tuple((1.0, embed_site(sz, k, n_sites)) for k in range(1, n_sites + 1)))
+        """Unit-rate per-qubit dephasing: L_k = 1 x ... x S_z^(k) x ... x 1.
+
+        Each L_k is built from its diagonal, O(2^n): basis state i of the
+        n-qubit register has qubit k (k = 1 leftmost) in bit n - k of i, so
+        entry i of L_k is entry (i >> (n - k)) & 1 of diag(S_z).
+        """
+        if not is_integer(n_sites):
+            raise ValueError(f"n_sites must be an integer, got {n_sites!r}")
+        sz = spin_z(2).as_diagonal()
+        index = np.arange(2**n_sites)
+        sites = range(1, n_sites + 1)
+        return cls(tuple((1.0, Operator.from_diagonal(sz[(index >> (n_sites - k)) & 1])) for k in sites))

@@ -4,15 +4,15 @@ Each one computes its result by a route of its own (fixed-step RK4, the
 Uhlmann formula, one ``expm`` or ``expm_frechet`` per pulse slot, complex
 column-stacked generators and channels taken to the library's real form by
 the dense Hermitian basis, a Kraus set summed as conjugation superoperators,
-a long-double gate channel, ...), so agreement with the library is evidence
-that both are right.  Nothing in ``quditbench`` calls them.
+a long-double gate channel, dense site operators by ``np.kron``, ...), so
+agreement with the library is evidence that both are right.  Nothing in ``quditbench`` calls them.
 """
 
 import numpy as np
 from scipy.linalg import expm, expm_frechet
 
 from quditbench.lindblad import DensityMatrix, SuperOperator, commutator_superoperator, dissipator, vec
-from quditbench.operators import PURITY_ATOL, Operator
+from quditbench.operators import PURITY_ATOL, Operator, is_integer, require_dimension
 from quditbench.pulses import ladder_controls
 
 # rk4_propagate takes steps h with ||L|| h <= this bound.
@@ -57,6 +57,26 @@ def expm_propagate(h: Operator, noise, t: float) -> SuperOperator:
     real ``liouvillian`` and ``propagate``."""
     gen = -1j * commutator_superoperator(h.entries) + dissipator(noise)
     return real_superoperator(expm(gen * t))
+
+
+def embed_site(op: Operator, site: int, n_sites: int) -> Operator:
+    """Dense single-site operator embedded into an n-site tensor product by
+    ``np.kron``; reference for the diagonals ``NoiseModel.site_dephasing``
+    builds.
+
+    ``site`` is 1-based; identities act on every other site, so the
+    result has dimension op.dim ** n_sites and site=1 is the leftmost
+    tensor factor.
+    """
+    require_dimension(n_sites, "n_sites")
+    if not is_integer(site):
+        raise ValueError(f"site must be an integer, got {site!r}")
+    if not 1 <= site <= n_sites:
+        raise IndexError(f"site {site} out of range 1..{n_sites}")
+    d = op.dim
+    left = np.eye(d ** (site - 1))
+    right = np.eye(d ** (n_sites - site))
+    return Operator(np.kron(np.kron(left, op.entries), right))
 
 
 def rk4_propagate(gen: SuperOperator, t: float) -> SuperOperator:

@@ -17,7 +17,7 @@ from quditbench import (
 from quditbench.channels import KrausSet, expansion_terms
 from quditbench.lindblad import vec
 
-from oracles import kraus_superoperator
+from oracles import embed_site, kraus_superoperator
 
 
 def zero_h(d):
@@ -128,7 +128,6 @@ def test_heterogeneous_rates_match_haar_oracle():
         agi_kraus,
         agi_monte_carlo,
         c_qubits_dephasing,
-        embed_site,
         identity,
     )
 

@@ -564,6 +564,28 @@ def test_agi_dephasing_matches_dense_oracle():
         assert np.abs(fast[1:] / dense[1:] - 1.0).max() <= 1e-10
 
 
+def test_diagonal_routes_do_not_depend_on_how_an_operator_was_built():
+    # a diagonal-built operator and the dense Operator(np.diag(v)) give the
+    # same bits on every route that reads diagonals, for real and complex v
+    rng = np.random.default_rng(53)
+    grid = np.array([0.0, 1e-9, 1e-5, 1e-3, 5e-2])
+    for d in (1, 2, 5, 12):
+        for v in (rng.standard_normal(d), rng.standard_normal(d) + 1j * rng.standard_normal(d)):
+            built, dense = Operator.from_diagonal(v), Operator(np.diag(v))
+            jz = spin_z(d)
+            pairs = [
+                (NoiseModel.single(0.7, built), NoiseModel.single(0.7, dense)),
+                (NoiseModel(((0.3, jz), (1.1, built))), NoiseModel(((0.3, Operator(jz.entries)), (1.1, dense)))),
+            ]
+            for a, b in pairs:
+                za, zb = dissipator_spectrum(a), dissipator_spectrum(b)
+                assert np.array_equal(za, zb) and za.dtype == zb.dtype
+                # real diagonals give real exponents, held as a real array
+                assert np.iscomplexobj(za) == np.iscomplexobj(v)
+                assert np.array_equal(agi_curve(a, grid), agi_curve(b, grid))
+                assert np.array_equal(agi_first_order(a, grid), agi_first_order(b, grid))
+
+
 def test_agi_dephasing_matches_expm1_reference():
     # real exponents: math.expm1 per entry, exactly summed by math.fsum
     for noise in (NoiseModel.single(1.0, spin_z(7)), NoiseModel.site_dephasing(3)):

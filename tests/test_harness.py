@@ -212,6 +212,45 @@ def test_critical_curve_flags_rows_that_are_not_first_order(tmp_path, capsys):
         assert gap["qubits"] == row["c_qubits"] / quditbench.c_qubits_dephasing(row["n"]) - 1.0
 
 
+def _cli_in_child(args, address_space=None):
+    """Run the CLI in a fresh interpreter, optionally under an address-space
+    limit set in the child alone; returns (exit code, stdout, peak RSS in MiB)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "import resource, sys\n"
+        f"if {address_space!r}: resource.setrlimit(resource.RLIMIT_AS, ({address_space!r}, {address_space!r}))\n"
+        "from quditbench.cli import main\n"
+        f"code = main({list(args)!r})\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "sys.exit(code)\n"
+    )
+    src = str(Path(quditbench.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    lines = proc.stdout.splitlines()
+    return proc.returncode, lines[:-1], int(lines[-1]) / 1024 if lines else None
+
+
+def test_critical_curve_dephasing_builds_no_dense_operator(tmp_path):
+    # J_z and the site operators are held as diagonals and the first-order
+    # route reads only those: n = 11 peaks where n = 1 does, and n = 14
+    # (d = 16384, 4 GiB per dense complex operator) runs under a 3 GB
+    # address-space limit
+    peaks = {}
+    for n in (1, 11):
+        code, _, peaks[n] = _cli_in_child(["critical-curve", "--qubits", str(n), "--out", str(tmp_path / f"{n}.csv")])
+        assert code == 0
+    assert abs(peaks[11] - peaks[1]) <= 10, peaks
+    args = ["critical-curve", "--qubits", "14", "--out", str(tmp_path / "14.csv")]
+    code, out, _ = _cli_in_child(args, address_space=3 * 10**9)
+    assert code == 0
+    assert any(line.startswith("warning: n=14: fitted slopes") for line in out), out
+
+
 def _dense_agi_curve(noise, grid):
     """The dense oracle: one expm of the generator per point, then agi_exact."""
     import numpy as np
@@ -696,6 +735,7 @@ def test_package_exports_names_not_submodules():
         "experiments": ("agi_curve_kraus",),
         "fitting": ("DeviationStats",),
         "analytic": ("c_heterogeneous",),
+        "operators": ("embed_site",),
     }
     for module, names in removed.items():
         for name in names:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from quditbench import NoiseModel, Operator, embed_site, identity, spin_plus, spin_xy, spin_z
+from oracles import embed_site
+from quditbench import NoiseModel, Operator, identity, spin_plus, spin_xy, spin_z
 
 
 def test_operator_validation():
@@ -19,6 +20,40 @@ def test_operator_validation():
 
 def test_spin_z_qubit():
     assert np.allclose(spin_z(2).entries, np.diag([0.5, -0.5]))
+
+
+def test_diagonal_built_operator_holds_its_diagonal():
+    rng = np.random.default_rng(11)
+    for v in (np.arange(3.0) - 1, rng.standard_normal(5) + 1j * rng.standard_normal(5), [2]):
+        op = Operator.from_diagonal(v)
+        assert np.array_equal(op.as_diagonal(), v) and op.as_diagonal().dtype == complex
+        assert op.dim == len(op.as_diagonal())
+        # the dense matrix is built on request, complex and frozen like any other
+        assert np.array_equal(op.entries, np.diag(v)) and op.entries.dtype == complex
+        with pytest.raises(ValueError):
+            op.entries[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            op.as_diagonal()[0] = 1.0
+        assert op.trace() == Operator(np.diag(v)).trace()
+    # J_z is built from its diagonal, with the entries of diag(m) as before
+    for d in (1, 2, 5, 12):
+        m = (d - 1) / 2 - np.arange(d)
+        assert np.array_equal(spin_z(d).entries, np.diag(m.astype(complex)))
+    for bad in (np.zeros((2, 2)), [], 3.0):
+        with pytest.raises(ValueError, match="non-empty vector"):
+            Operator.from_diagonal(bad)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Operator.from_diagonal([1.0, bad])
+
+
+def test_dense_operators_read_their_diagonal_off_the_entries():
+    v = np.array([1.0, -2.0 + 1j, 0.5])
+    assert np.array_equal(Operator(np.diag(v)).as_diagonal(), v)
+    off = np.diag(v)
+    off[0, 2] = 1e-300
+    assert Operator(off).as_diagonal() is None
+    assert spin_xy(3)[0].as_diagonal() is None
 
 
 def test_spin_z_invalid_dimension():
@@ -104,6 +139,18 @@ def test_embedded_collapse_operators():
                 assert abs(np.trace(lj.entries.conj().T @ lk.entries)) < 1e-12
 
 
+def test_site_dephasing_matches_the_kron_embedding():
+    # each L_k is built from its diagonal; the dense np.kron embedding of
+    # S_z is the reference, bit for bit
+    sz = spin_z(2)
+    for n in range(1, 6):
+        terms = NoiseModel.site_dephasing(n).terms
+        assert len(terms) == n
+        for k, (rate, op) in enumerate(terms):
+            assert rate == 1.0
+            assert np.array_equal(op.entries, embed_site(sz, k + 1, n).entries), (n, k)
+
+
 def test_noise_model_validation():
     with pytest.raises(ValueError):
         NoiseModel(((-0.5, spin_z(2)),))
@@ -117,6 +164,10 @@ def test_noise_model_validation():
         NoiseModel(())
     with pytest.raises(ValueError, match="at least one"):
         NoiseModel.site_dephasing(0)
+    # a site count is an integer: True is not one site, 2.0 is not two
+    for bad in (True, 2.0, 1.5):
+        with pytest.raises(ValueError, match="n_sites must be an integer"):
+            NoiseModel.site_dephasing(bad)
     nm = NoiseModel.site_dephasing(3)
     assert len(nm) == 3 and nm.dim == 8
 

@@ -352,9 +352,10 @@ def test_gate_rows_match_the_complex_route(monkeypatch):
 
     agis = []
 
-    def recording_agi(channel, target):
-        agis.append(agi_exact(channel, target))
-        return agis[-1]
+    def recording_agi(channels, target):
+        out = agi_exact(channels, target)
+        agis.extend(out)
+        return out
 
     monkeypatch.setattr(experiments, "grape_optimize", recording_grape)
     monkeypatch.setattr(experiments, "agi_exact", recording_agi)
