@@ -5,7 +5,8 @@ Uhlmann formula, one ``expm`` or ``expm_frechet`` per pulse slot, complex
 column-stacked generators and channels taken to the library's real form by
 the dense Hermitian basis, a Kraus set summed as conjugation superoperators,
 a long-double gate channel, dense site operators by ``np.kron``, ...), so
-agreement with the library is evidence that both are right.  Nothing in ``quditbench`` calls them.
+agreement with the library is evidence that both are right.  Nothing in
+``quditbench`` calls them.
 """
 
 import numpy as np

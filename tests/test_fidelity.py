@@ -549,6 +549,21 @@ def test_process_fidelity_matches_trace_form():
         assert np.abs(unitary_superoperator(gate).matrix - real_superoperator(su).matrix).max() <= 1e-15
 
 
+def test_fidelities_of_a_channel_sequence_equal_the_single_calls():
+    # one target against several channels: the same bits as one call each
+    rng = np.random.default_rng(59)
+    for d in (2, 4):
+        gate = Operator(HaarSampler(d, seed=d).unitary())
+        channels = [dephasing_channel(d, gt) for gt in (0.0, 1e-4, 0.3)]
+        channels.append(SuperOperator(rng.standard_normal((d * d, d * d))))
+        for f in (process_fidelity, agi_exact):
+            many = f(channels, gate)
+            assert isinstance(many, np.ndarray) and isinstance(f(channels[0], gate), float)
+            assert np.array_equal(many, [f(c, gate) for c in channels])
+        with pytest.raises(ValueError, match="dimensions differ"):
+            agi_exact([channels[0], dephasing_channel(d + 1, 0.0)], gate)
+
+
 def test_agi_dephasing_matches_dense_oracle():
     rng = np.random.default_rng(31)
     grid = np.array([0.0, 1e-4, 1e-3, 1e-2])
