@@ -41,6 +41,13 @@ MAX_HILBERT_DIM = 128
 # expm: the degree of its Taylor polynomial and the coefficients 1/k!.
 _TAYLOR_DEGREE = 18
 _TAYLOR_COEFFS = tuple(1.0 / math.factorial(k) for k in range(_TAYLOR_DEGREE + 1))
+# Its Paterson-Stockmeyer blocks B_j = sum_{i < 4} c_{4j+i} X^i, j = 0..4:
+# the X, X^2, X^3 coefficients of each block (c_19 = c_20 = 0), and the
+# identity coefficients of B_1..B_4.
+_PS_BLOCKS = np.array(
+    [[_TAYLOR_COEFFS[4 * j + i] if 4 * j + i <= _TAYLOR_DEGREE else 0.0 for i in (1, 2, 3)] for j in range(5)]
+)
+_PS_UNITS = np.array(_TAYLOR_COEFFS[4::4])[:, None]
 
 
 def vec(mat: np.ndarray) -> np.ndarray:
@@ -278,28 +285,34 @@ def expm(a: np.ndarray) -> np.ndarray:
 
     The polynomial is evaluated by Paterson-Stockmeyer (SIAM J. Comput. 2,
     60 (1973)) in powers of X^4: from X^2, X^3 and X^4, four Horner steps
-    over the blocks B_j = sum_{i < 4} X^i / (4j + i)!, seven products in
-    all.  Squaring step k squares only the matrices with s > k, so no result
-    depends on the rest of the stack.
+    over the blocks B_j = sum_{i < 4} X^i / (4j + i)!, j = 0..4, seven
+    products in all.  The five blocks come from X, X^2 and X^3 by one
+    (5 x 3) coefficient product per matrix, plus their identity terms; the
+    identity of B_0 is added after the last Horner step, so the terms of
+    order X and higher are summed before the 1.  Every product is taken
+    matrix by matrix, and squaring step k squares only the matrices with
+    s > k, so no result depends on the rest of the stack.
     """
     norms = np.abs(a).sum(axis=-2).max(axis=-1)
     mantissa, exponent = np.frexp(norms)
     squarings = np.maximum(exponent - (mantissa == 0.5), 0)
-    x = np.ldexp(a, -squarings[:, None, None])
-    x2 = x @ x
-    x3 = x2 @ x
+    n, k = a.shape[:2]
+    powers = np.empty((n, 3, k, k))
+    x, x2, x3 = powers[:, 0], powers[:, 1], powers[:, 2]
+    np.ldexp(a, -squarings[:, None, None], out=x)
+    np.matmul(x, x, out=x2)
+    np.matmul(x2, x, out=x3)
     x4 = x2 @ x2
-    c = _TAYLOR_COEFFS
-    diag = np.arange(a.shape[-1])
-    out = c[17] * x
-    out += c[18] * x2
-    out[:, diag, diag] += c[16]
-    for j in (12, 8, 4, 0):
+    blocks = _PS_BLOCKS @ powers.reshape(n, 3, k * k)
+    del powers, x, x2, x3  # three stacks fewer held through the Horner steps
+    blocks[:, 1:, :: k + 1] += _PS_UNITS
+    blocks = blocks.reshape(n, 5, k, k)
+    out = blocks[:, 4]
+    for j in (3, 2, 1, 0):
         out = x4 @ out
-        out += c[j + 1] * x
-        out += c[j + 2] * x2
-        out += c[j + 3] * x3
-        out[:, diag, diag] += c[j]
+        out += blocks[:, j]
+    # B_0's identity term last, after the terms of order X and higher
+    out.reshape(n, k * k)[:, :: k + 1] += _TAYLOR_COEFFS[0]
     for step in range(squarings.max(initial=0)):
         squared = squarings > step
         part = out[squared]

@@ -9,16 +9,20 @@ derives them from the dimension of its target gate or noise model.
 
 The GRAPE objective is the gate infidelity with its exact gradient
 (Khaneja et al., J. Magn. Reson. 172, 296 (2005)), computed for all slots
-at once with no loop over them.  Slot propagators exp(-i H_j dt) come from
-the eigendecomposition of the Hermitian H_j; their prefix products from a
-doubling scan of ceil(log2 n) batched products; each suffix from the gate
-itself, X_n ... X_{j+1} = U P_j^dag; and the derivatives from the
-Daleckii-Krein divided differences of exp(-i dt x), in the closed sinc form
-that holds at every eigenvalue gap, so there is no degeneracy threshold.
+at once with no loop over them.  A diagonal phase gauge makes each slot
+Hamiltonian a real symmetric tridiagonal with zero diagonal, whose
+eigenpairs come from one batched real SVD of its even/odd bidiagonal block
+(Golub & Kahan, SIAM J. Numer. Anal. B 2, 205 (1965)); slot propagators
+exp(-i H_j dt) follow from them, their prefix products from a doubling scan
+of ceil(log2 n) batched products, each suffix from the gate itself,
+X_n ... X_{j+1} = U P_j^dag, and the derivatives from the Daleckii-Krein
+divided differences of exp(-i dt x), in the closed sinc form that holds at
+every eigenvalue gap, so there is no degeneracy threshold.
 
 The noisy channel of a schedule, for a whole grid of noise-rate scales at
-once, is per scale one real exponential stack over the slots
-(``lindblad.expm``) and their ordered real product.
+once, exponentiates the real (scale, slot) generators by ``lindblad.expm``
+in stacks of at most ``CHANNEL_STACK_BYTES`` and multiplies each scale's
+slots in order, batched over the scales.
 """
 
 from __future__ import annotations
@@ -38,6 +42,13 @@ from .operators import (
 # iteration cap of each run.
 GRAPE_RUNS = 3
 GRAPE_MAX_ITERS = 500
+
+# schedule_to_propagator: the most bytes of one stack of slot generators
+# handed to lindblad.expm.  Stacks this small stay in cache and in reused
+# heap memory (a 2 MiB stack of one scale's slots at d = 8 faults in fresh
+# pages on every call), yet at d <= 3 hold every scale of a gate's grid, so
+# the per-call overhead is paid once per stack rather than once per scale.
+CHANNEL_STACK_BYTES = 64 * 1024
 
 
 @functools.cache
@@ -66,6 +77,40 @@ def _real_controls(d: int) -> np.ndarray:
     stack = real_form(-1j * commutator_superoperator(ladder_controls(d)))
     stack.setflags(write=False)
     return stack
+
+
+@functools.cache
+def _gauge_tables(d: int) -> tuple[np.ndarray, ...]:
+    """The fixed arrays of ``infidelity_and_gradient`` at dimension d, cached
+    and read-only alike.
+
+    ``rows``, ``cols``: where |H[k, k+1]| sits in the ceil(d/2) x floor(d/2)
+    even/odd bidiagonal block, row (k+1)//2, column k//2.  ``mix``: the real
+    d x d matrix whose first ceil(d/2) rows take the SVD factor Y (on the
+    even levels) and whose last floor(d/2) rows take Z (on the odd levels)
+    to the eigenvectors (y_i, z_i) / sqrt(2), (y_i, -z_i) / sqrt(2) and,
+    for odd d, (y_last, 0).  ``spread``: the singular values s to the matching
+    eigenvalues, s @ spread = (s, -s, 0 for odd d).  ``table``:
+    Tr(G H_k) = vec-row(G) @ table[:, k] for the ladder controls, the
+    (d^2, 2(d-1)) control trace table."""
+    controls = ladder_controls(d)
+    rows = np.array([(k + 1) // 2 for k in range(d - 1)])
+    cols = np.array([k // 2 for k in range(d - 1)])
+    even, odd = (d + 1) // 2, d // 2
+    i = np.arange(odd)
+    mix = np.zeros((d, d))
+    mix[i, i] = mix[i, odd + i] = mix[even + i, i] = np.sqrt(0.5)
+    mix[even + i, odd + i] = -np.sqrt(0.5)
+    if d % 2:
+        mix[odd, d - 1] = 1.0
+    spread = np.zeros((odd, d))
+    spread[i, i] = 1.0
+    spread[i, odd + i] = -1.0
+    table = np.ascontiguousarray(controls.transpose(0, 2, 1).reshape(len(controls), d * d).T)
+    tables = (rows, cols, mix, spread, table)
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,18 +145,42 @@ def infidelity_and_gradient(
     (2005)), as a fixed number of batched operations over the slots.
 
     Each slot unitary is X_j = V_j diag(h_j^2) V_j^dag with the half-phases
-    h_j = exp(-i dt w_j / 2) over the spectrum w_j of H_j.  The inclusive
-    prefixes P_j = X_j ... X_1 come from a doubling scan (ceil(log2 n)
-    batched products) and each suffix from the gate, X_n ... X_{j+1} =
-    U P_j^dag.  The divided differences of exp(-i dt x) are
-    -i dt h_a h_b sinc(dt (w_a - w_b) / 2 pi), exact at every eigenvalue
-    gap, degenerate ones included.
+    h_j = exp(-i dt w_j / 2) over the spectrum w_j of H_j.  The eigenpairs
+    come from the gauge H_j = Phi_j T_j Phi_j^dag: Phi_j is diagonal with
+    phases theta_{k+1} = theta_k - arg H_j[k, k+1], and T_j is real
+    symmetric tridiagonal with zero diagonal and off-diagonals
+    |H_j[k, k+1]|.  Such a matrix is a Golub-Kahan matrix (SIAM J. Numer.
+    Anal. B 2, 205 (1965)): in even/odd order it is [[0, B], [B^T, 0]] with
+    B the ceil(d/2) x floor(d/2) lower bidiagonal of its off-diagonals, so
+    one batched real SVD B = Y S Z^T gives w = (s, -s, 0 for odd d) with
+    eigenvectors (y, +-z) / sqrt(2) and the null vector (y_last, 0), and
+    V_j = Phi_j Q_j.  The inclusive prefixes P_j = X_j ... X_1 come from a
+    doubling scan (ceil(log2 n) batched products) and each suffix from the
+    gate, X_n ... X_{j+1} = U P_j^dag.  The divided differences of
+    exp(-i dt x) are -i dt h_a h_b sin(y) / y with y = dt (w_a - w_b) / 2
+    (1 at y = 0), exact at every eigenvalue gap, degenerate ones included.
+
+    Raises ``ValueError`` unless ``amps`` is an (n_slots, 2(d-1)) matrix.
     """
     d = target.shape[0]
-    controls = ladder_controls(d)
-    n_slots, n_controls = amps.shape
-    hs = (amps @ controls.reshape(n_controls, d * d)).reshape(n_slots, d, d)
-    w, v = np.linalg.eigh(hs)
+    if amps.ndim != 2 or amps.shape[1] != 2 * (d - 1):
+        raise ValueError(
+            f"amps must have 2(d-1) = {2 * (d - 1)} columns for a d = {d} target, got shape {amps.shape}"
+        )
+    n_slots = amps.shape[0]
+    even, odd = (d + 1) // 2, d // 2
+    rows, cols, mix, spread, table = _gauge_tables(d)
+    z = np.ascontiguousarray(amps, dtype=float).view(complex)  # H_j[k, k+1]
+    theta = np.zeros((n_slots, d))  # minus the phases of Phi_j
+    np.cumsum(np.angle(z), axis=1, out=theta[:, 1:])
+    bidiagonal = np.zeros((n_slots, even, odd))
+    bidiagonal[:, rows, cols] = np.abs(z)
+    y, s, zt = np.linalg.svd(bidiagonal)
+    q = np.empty((n_slots, d, d))
+    np.matmul(y, mix[:even], out=q[:, 0::2])
+    np.matmul(zt.transpose(0, 2, 1), mix[even:], out=q[:, 1::2])
+    v = np.exp(-1j * theta)[:, :, None] * q
+    w = s @ spread
     vdag = v.conj().transpose(0, 2, 1)
     half = np.exp(-0.5j * dt * w)
 
@@ -121,23 +190,25 @@ def infidelity_and_gradient(
         prefix[shift:] = prefix[shift:] @ prefix[:-shift]
         shift *= 2
     tdag_u = target.conj().T @ prefix[-1]
-    overlap = np.trace(tdag_u) / d
+    overlap = tdag_u.trace() / d
     infid = 1.0 - abs(overlap) ** 2
 
     # d infid / d u_jk = (-2/d) Re(conj(overlap) Tr(G_j H_k)) with
-    # G_j = V_j (M_j * lam_j) V_j^dag, M_j = (V_j^dag P_{j-1}) T^dag U (P_j^dag V_j)
-    # (P_0 = 1) and lam_j the symmetric divided differences over the spectrum
-    # of H_j; Tr(G_j H_k) for all j, k is one (n, d^2) @ (d^2, n_controls) product.
-    before = np.empty_like(vdag)
-    before[0] = vdag[0]
-    before[1:] = vdag[1:] @ prefix[:-1]
-    after = prefix.conj().transpose(0, 2, 1) @ v
-    lam = (-1j * dt) * half[:, :, None] * half[:, None, :] * np.sinc(
-        (0.5 / np.pi) * dt * (w[:, :, None] - w[:, None, :])
-    )
-    g = v @ (before @ tdag_u @ after * lam) @ vdag
-    tr = g.reshape(n_slots, d * d) @ controls.transpose(0, 2, 1).reshape(n_controls, d * d).T
-    grad = (-2.0 / d) * np.real(np.conj(overlap) * tr)
+    # G_j = V_j (M_j * lam_j) V_j^dag, M_j = R_j T^dag U R_j^dag,
+    # R_j = V_j^dag P_{j-1} (P_0 = 1), and lam_j = -i dt h_a conj(h_b)
+    # sin(y) / y: X_j^dag V_j = V_j diag(conj h_j^2) turns the
+    # right factor P_j^dag V_j into R_j^dag diag(conj h_j^2).  The -i dt goes
+    # into the final scalar; Tr(G_j H_k) for all j, k is one (n, d^2) @
+    # (d^2, n_controls) product with the cached control trace table.
+    before = vdag.copy()
+    np.matmul(vdag[1:], prefix[:-1], out=before[1:])
+    gap = (0.5 * dt) * (w[:, :, None] - w[:, None, :])
+    sinc = np.ones_like(gap)
+    np.divide(np.sin(gap), gap, out=sinc, where=gap != 0.0)
+    lam = half[:, :, None] * half.conj()[:, None, :] * sinc
+    g = v @ (before @ tdag_u @ before.conj().transpose(0, 2, 1) * lam) @ vdag
+    tr = g.reshape(n_slots, d * d) @ table
+    grad = np.real(((2j * dt / d) * np.conj(overlap)) * tr)
     return float(infid), grad
 
 
@@ -226,9 +297,15 @@ def schedule_to_propagator(
 
     In the real form of ``lindblad`` the control generators C_k of
     -i [H_k, .] are formed once per d (``_real_controls``) and the
-    dissipator D once per call; each scale s runs one ``lindblad.expm``
-    stack of the slot generators (sum_k u_jk C_k + s D) dt and multiplies
-    the slots in order.  A channel depends only on its own scale.
+    dissipator D once per call.  The (scale, slot) generators
+    (sum_k u_jk C_k + s D) dt are exponentiated by ``lindblad.expm`` in
+    stacks of at most ``CHANNEL_STACK_BYTES``, each a run of consecutive
+    slots for a group of scales: as many scales as fit, all of them unless a
+    matrix is large, and as many slots as then fit.  Each scale's
+    slots are multiplied in slot order, one product per slot batched over
+    the scales of a group.  Exponentials and products are taken matrix by
+    matrix, so a channel depends only on its own scale, not on the other
+    scales or how they are grouped.
     """
     d = noise.dim
     ladder = ladder_controls(d)
@@ -238,13 +315,19 @@ def schedule_to_propagator(
     if scales.ndim != 1 or scales.size < 1:
         raise ValueError(f"scales must be a nonempty 1-d sequence, got shape {scales.shape}")
     dt = schedule.slot_duration
-    drift = np.tensordot(schedule.amplitudes, _real_controls(d), axes=(1, 0)) * dt
+    amps = schedule.amplitudes
+    controls = _real_controls(d)
     unit = real_form(dissipator(noise)) * dt
-    channels = []
-    for s in scales:
-        total = np.eye(d * d)
-        for slot in expm(drift + s * unit):
-            total = slot @ total
-        channels.append(SuperOperator(total))
-    return channels
-
+    n_slots, k = len(amps), d * d
+    per_stack = max(1, CHANNEL_STACK_BYTES // (8 * k * k))
+    rows = min(scales.size, per_stack)
+    run = max(1, per_stack // rows)
+    groups = range(0, scales.size, rows)
+    totals = [np.eye(k)] * len(groups)
+    for start in range(0, n_slots, run):
+        drift = np.tensordot(amps[start : start + run], controls, axes=(1, 0)) * dt
+        for g, lo in enumerate(groups):
+            gens = drift + scales[lo : lo + rows, None, None, None] * unit
+            for slot in np.swapaxes(expm(gens.reshape(-1, k, k)).reshape(gens.shape), 0, 1):
+                totals[g] = slot @ totals[g]
+    return [SuperOperator(m) for total in totals for m in total]

@@ -69,12 +69,14 @@ def test_gradient_matches_finite_differences():
 
 
 def test_gradient_matches_per_slot_reference():
-    # slot counts that are not powers of two end the doubling scan part-way
+    # slot counts that are not powers of two end the doubling scan part-way;
+    # odd d gives the bidiagonal block a null vector
     rng = np.random.default_rng(21)
-    for d in (2, 3, 4, 5):
+    for d in (2, 3, 4, 5, 6, 7, 8):
         n_controls = 2 * (d - 1)
         for n_slots in (1, 2, 3, 5, 4 * d):
             amps = rng.uniform(-2, 2, size=(n_slots, n_controls))
+            amps[0, 2 * (d // 2 - 1) : 2 * (d // 2)] = 0.0  # one transition off: the ladder splits
             if n_slots > 1:
                 amps[1] = 0.0  # H_j = 0: every eigenvalue pair is degenerate
             target = HaarSampler(d, seed=10 + d).unitary()
@@ -87,30 +89,44 @@ def test_gradient_matches_per_slot_reference():
 def test_gradient_is_exact_at_near_degenerate_spectra():
     # one slot with tiny amplitudes has eigenvalue gaps of the same size,
     # where a difference quotient of phases cancels almost every digit
+    # (slot 3), and so has one with a transition switched off (slot 4),
+    # whose gauge phase is taken over a zero modulus
     rng = np.random.default_rng(33)
-    for d in (2, 3, 4):
+    for d in (2, 3, 4, 6, 7, 8):
         n_controls = 2 * (d - 1)
         target = HaarSampler(d, seed=20 + d).unitary()
         for scale in (1e-9, 1e-10, 1e-11):
             amps = rng.uniform(-2, 2, size=(4 * d, n_controls))
             amps[2] = scale * rng.uniform(-1, 1, size=n_controls)
+            amps[3] = scale * rng.uniform(-1, 1, size=n_controls)
+            amps[3, -2:] = 0.0
             dt = 1.0 / amps.shape[0]
             _, grad = infidelity_and_gradient(amps, target, dt)
             ref = gradient_per_slot(amps, target, dt)
-            err = np.linalg.norm(grad[2] - ref[2]) / np.linalg.norm(ref[2])
-            assert err <= 1e-13, (d, scale, err)
+            for j in (2, 3):
+                err = np.linalg.norm(grad[j] - ref[j]) / np.linalg.norm(ref[j])
+                assert err <= 1e-13, (d, scale, j, err)
 
 
 def test_infidelity_composes_slot_one_first():
     rng = np.random.default_rng(8)
-    for d in (2, 3, 4, 5):
+    for d in (2, 3, 4, 5, 6, 7, 8):
         n_controls = 2 * (d - 1)
         target = HaarSampler(d, seed=30 + d).unitary()
         for n_slots in (1, 3, 5, 8 * d):
-            schedule = PulseSchedule(1.0 / n_slots, rng.uniform(-2, 2, size=(n_slots, n_controls)))
+            amps = rng.uniform(-2, 2, size=(n_slots, n_controls))
+            amps[-1, :2] = 0.0  # the first transition off
+            schedule = PulseSchedule(1.0 / n_slots, amps)
             infid, _ = infidelity_and_gradient(schedule.amplitudes, target, schedule.slot_duration)
             exact = gate_infidelity(schedule_unitary(schedule).entries, target)
             assert abs(infid - exact) <= 1e-14, (d, n_slots)
+
+
+def test_infidelity_and_gradient_rejects_wrong_control_count():
+    target = HaarSampler(3, seed=1).unitary()
+    for amps in (np.zeros((4, 3)), np.zeros((4, 5)), np.zeros(4), np.zeros((4, 2, 2))):
+        with pytest.raises(ValueError, match="2\\(d-1\\) = 4 columns"):
+            infidelity_and_gradient(amps, target, 0.25)
 
 
 def test_grape_identity_gate():
@@ -206,15 +222,18 @@ def test_schedule_propagator_validation():
         schedule_to_propagator(PulseSchedule(0.25, np.zeros((4, 1))), noise, [0.1])
 
 
-def test_schedule_propagator_matches_slot_products():
+def test_schedule_propagator_matches_slot_products(monkeypatch):
     # the real product against the complex column-stacked one of
     # complex_schedule_channel, at small slot norms (3d slots,
     # |u| dt <= 0.33) and at the |u| dt ~ 15 that synthesized pulses reach
     # (8d slots, as in gate-dependence); the largest entrywise gaps measured
     # here were 2.7e-15 and 2.1e-14 (scipy's real expm gave up to 2.6e-13 on
-    # the second)
+    # the second).  Each call runs at three stack sizes: the default, 4 KiB,
+    # which splits every schedule but the 6-slot one across stacks, and one
+    # generator per stack.
     rng = np.random.default_rng(22)
     scales = (0.0, 1e-4, 0.1, 1.0, 3.0)
+    stack_sizes = (pulses.CHANNEL_STACK_BYTES, 4096, 1)
     for d in (2, 3, 4, 5):
         n_controls = 2 * (d - 1)
         small = rng.uniform(-2, 2, size=(3 * d, n_controls))
@@ -229,12 +248,18 @@ def test_schedule_propagator_matches_slot_products():
         for amps in (small, large):
             sched = PulseSchedule(1.0 / amps.shape[0], amps)
             for name, noise in models.items():
-                channels = schedule_to_propagator(sched, noise, scales)
-                assert len(channels) == len(scales)
-                for s, got in zip(scales, channels):
-                    scaled = NoiseModel(tuple((s * gamma, op) for gamma, op in noise.terms))
-                    expected = complex_schedule_channel(sched, scaled).matrix
-                    assert np.abs(got.matrix - expected).max() <= 1e-13, (d, name, s)
+                expected = [
+                    complex_schedule_channel(
+                        sched, NoiseModel(tuple((s * gamma, op) for gamma, op in noise.terms))
+                    ).matrix
+                    for s in scales
+                ]
+                for stack_bytes in stack_sizes:
+                    monkeypatch.setattr(pulses, "CHANNEL_STACK_BYTES", stack_bytes)
+                    channels = schedule_to_propagator(sched, noise, scales)
+                    assert len(channels) == len(scales)
+                    for s, got, want in zip(scales, channels, expected):
+                        assert np.abs(got.matrix - want).max() <= 1e-13, (d, name, s, stack_bytes)
 
 
 def test_real_expm_matches_complex_expm():
@@ -327,17 +352,23 @@ def test_gate_agis_match_long_double_reference():
             assert abs(slope / ref_slope - 1.0) <= 3e-11, (d, g)
 
 
-def test_schedule_propagator_scales_are_independent():
-    # entry i of a multi-scale call is the one-scale call at scales[i]
+def test_schedule_propagator_scales_are_independent(monkeypatch):
+    # entry i of a multi-scale call is the one-scale call at scales[i], at
+    # the default stack size and at sizes that hold all four scales with
+    # the schedule split into two runs or into single slots, two scales per
+    # stack, and one matrix per stack
     rng = np.random.default_rng(3)
     scales = (0.0, 1e-5, 0.5, 2.0)
+    default = pulses.CHANNEL_STACK_BYTES
     for d in (2, 3, 4):
         n_controls = 2 * (d - 1)
         sched = PulseSchedule(0.1, rng.uniform(-2, 2, size=(3 * d, n_controls)))
         noise = NoiseModel(((0.3, spin_z(d)), (0.1, spin_plus(d))))
-        for s, many in zip(scales, schedule_to_propagator(sched, noise, scales)):
-            (one,) = schedule_to_propagator(sched, noise, [s])
-            assert np.abs(many.matrix - one.matrix).max() <= 1e-15, (d, s)
+        for stack_bytes in (default, *(n * 8 * d**4 for n in (4 * 3 * d - 1, 6, 3, 1))):
+            monkeypatch.setattr(pulses, "CHANNEL_STACK_BYTES", stack_bytes)
+            for s, many in zip(scales, schedule_to_propagator(sched, noise, scales)):
+                (one,) = schedule_to_propagator(sched, noise, [s])
+                assert np.abs(many.matrix - one.matrix).max() <= 1e-15, (d, s, stack_bytes)
 
 
 def test_gate_rows_match_the_complex_route(monkeypatch):
