@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lindblad import DensityMatrix, commutator_superoperator, dissipator, unvec, vec
+from .lindblad import DensityMatrix, SuperOperator, apply_channel, dissipator, hamiltonian_generator
 from .operators import NoiseModel, Operator, is_integer, nonnegative_values
 
 
@@ -85,16 +85,17 @@ def kraus_multi(noise: NoiseModel, t: float) -> KrausSet:
 def expansion_terms(
     h: Operator, noise: NoiseModel, order: int
 ) -> dict[tuple[int, int], np.ndarray]:
-    """Superoperator coefficients Phi_lk of the series rho* + sum rho_lk gamma^l t^k.
+    """Real superoperator coefficients Phi_lk of the series rho* + sum rho_lk gamma^l t^k.
 
     The recursion is closed: rho_lk depends on time only through the
     noiseless state rho*(t), whose derivative is -i[H, rho*], so every
-    time derivative becomes a commutator substitution.  With A = [H, .]:
+    time derivative becomes a commutator substitution.  With G = -i[H, .]
+    (``hamiltonian_generator``) and D the dissipator:
 
         Phi_11 = D
-        Phi_l1 = 0                                   for l >= 2
-        k Phi_1k = -i (A Phi_1(k-1) - Phi_1(k-1) A)  for k >= 2
-        k Phi_lk = -i (A Phi_l(k-1) - Phi_l(k-1) A) + D Phi_(l-1)(k-1)
+        Phi_l1 = 0                                        for l >= 2
+        k Phi_1k = G Phi_1(k-1) - Phi_1(k-1) G            for k >= 2
+        k Phi_lk = G Phi_l(k-1) - Phi_l(k-1) G + D Phi_(l-1)(k-1)
 
     For H = 0 this collapses to Phi_kk = D^k / k! (all mixed terms vanish).
     Returns {(l, k): matrix} for 1 <= l <= k <= order.
@@ -105,13 +106,13 @@ def expansion_terms(
     if noise.dim != d:
         raise ValueError(f"noise dimension {noise.dim} != Hamiltonian dimension {d}")
     diss = dissipator(noise)
-    comm = commutator_superoperator(h.entries)
-    zero = np.zeros((d * d, d * d), dtype=complex)
+    gen = hamiltonian_generator(h.entries)
+    zero = np.zeros((d * d, d * d))
     terms: dict[tuple[int, int], np.ndarray] = {(1, 1): diss}
     for k in range(2, order + 1):
         for l in range(1, k + 1):
             prev_t = terms.get((l, k - 1), zero)
-            val = -1j * (comm @ prev_t - prev_t @ comm)
+            val = gen @ prev_t - prev_t @ gen
             if l >= 2:
                 val = val + diss @ terms.get((l - 1, k - 1), zero)
             terms[(l, k)] = val / k
@@ -131,17 +132,14 @@ def perturbative_expansion(
     ``rho_star`` is the noiseless solution at time t; the master equation is
     drho/dt = -i[H, rho] + gamma * (dissipator of ``noise``), i.e. ``gamma``
     is the global expansion strength multiplying the (possibly weighted)
-    noise terms.  All monomials gamma^l t^k with k <= order are retained.
+    noise terms.  All monomials gamma^l t^k with k <= order are retained in
+    the channel 1 + sum gamma^l t^k Phi_lk, applied by ``apply_channel``.
     """
     nonnegative_values(gamma, "expansion strength")
     nonnegative_values(t, "time")
     if rho_star.dim != h.dim:
         raise ValueError(f"state dimension {rho_star.dim} != Hamiltonian dimension {h.dim}")
-    terms = expansion_terms(h, noise, order)
-    out = vec(rho_star.entries).astype(complex)
-    base = vec(rho_star.entries)
-    for (l, k), phi in terms.items():
-        out = out + (gamma ** l) * (t ** k) * (phi @ base)
-    mat = unvec(out)
-    mat = (mat + mat.conj().T) / 2
-    return DensityMatrix(mat, check=False)
+    series = np.eye(h.dim**2)
+    for (l, k), phi in expansion_terms(h, noise, order).items():
+        series += (gamma**l) * (t**k) * phi
+    return apply_channel(SuperOperator(series), rho_star)

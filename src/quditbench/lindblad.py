@@ -4,15 +4,16 @@ The generator of
 
     drho/dt = -i[H, rho] + sum_k gamma_k (L_k rho L_k^dag - 1/2 {L_k^dag L_k, rho})
 
-is spelled out column-stacked, vec(X)[i + d*j] = X[i, j] with vec(A X B) =
-(B^T kron A) vec(X), by ``commutator_superoperator`` and ``dissipator``.
-It preserves Hermiticity, as does every channel built here, so a
+preserves Hermiticity, as does every channel built here, so a
 ``SuperOperator`` holds the real d^2 x d^2 matrix acting on the coordinates
 r_ab = Tr(G_ab rho) = Re rho_ab + Im rho_ab (index a d + b) in the
 orthonormal Hermitian basis G_ab = ((1 + i) E_ab + (1 - i) E_ba) / 2,
 G_aa = E_aa: the coherence-vector form (Alicki & Lendi, LNP 286, 1987).
-Each G_ab touches two entries, so ``real_form`` and ``apply_channel``
-change basis by index arithmetic.  Only this module spells out a layout.
+It is the only layout this module hands out (``hamiltonian_generator``
+for -i[H, .], ``dissipator``); each is written column-stacked inside,
+vec(X)[i + d*j] = X[i, j], and taken to it by ``_real_form``.  Each G_ab
+touches two entries, so ``_real_form`` and ``apply_channel`` change basis
+by index arithmetic.
 
 ``dissipator_spectrum`` alone decides, from the operators, how the spectrum
 of a purely dissipative generator is found: entrywise for diagonal L_k
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
-    HERMITICITY_ATOL, POSITIVITY_ATOL, TRACE_ATOL, NoiseModel, Operator, frozen_matrix, is_diagonal,
-    nonnegative_values,
+    HERMITICITY_ATOL, POSITIVITY_ATOL, TRACE_ATOL, NoiseModel, Operator, freeze_square, frozen_matrix,
+    is_diagonal, nonnegative_values,
 )
 
 # Dense superoperators above this Hilbert dimension are impractical
@@ -48,16 +49,6 @@ _PS_BLOCKS = np.array(
     [[_TAYLOR_COEFFS[4 * j + i] if 4 * j + i <= _TAYLOR_DEGREE else 0.0 for i in (1, 2, 3)] for j in range(5)]
 )
 _PS_UNITS = np.array(_TAYLOR_COEFFS[4::4])[:, None]
-
-
-def vec(mat: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization; leading axes of a (..., d, d) stack are a batch."""
-    return np.swapaxes(mat, -1, -2).reshape(*np.shape(mat)[:-2], -1)
-
-
-def unvec(v: np.ndarray) -> np.ndarray:
-    d = round(np.sqrt(v.size))
-    return np.asarray(v).reshape((d, d), order="F")
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,10 +103,9 @@ class SuperOperator:
     def __post_init__(self) -> None:
         if np.iscomplexobj(self.matrix):
             raise ValueError("superoperator must be a real matrix in the Hermitian basis")
-        arr = np.ascontiguousarray(frozen_matrix(self.matrix, "superoperator").real)
+        arr = freeze_square(np.array(self.matrix, dtype=float, order="C"), "superoperator")
         if math.isqrt(arr.shape[0]) ** 2 != arr.shape[0]:
             raise ValueError(f"superoperator must be a d^2 x d^2 matrix, got {arr.shape}")
-        arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 
     @property
@@ -123,18 +113,17 @@ class SuperOperator:
         return math.isqrt(self.matrix.shape[0])
 
 
-def real_form(s: np.ndarray) -> np.ndarray:
-    """Real part of B^dag S B for a column-stacked d^2 x d^2 matrix S (leading
-    axes a batch), B the unitary whose column a d + b is vec(G_ab).
-
-    B = ((1 - i) 1 + (1 + i) P) / 2, with P the permutation a d + b <-> b d + a,
-    so B^dag S B = (S + P S P + i (S P - P S)) / 2, real if S preserves
-    Hermiticity: gathers, O(d^4)."""
+def _real_form(s: np.ndarray) -> np.ndarray:
+    """B^dag S B for a column-stacked d^2 x d^2 matrix S (leading axes a
+    batch) that preserves Hermiticity, B the unitary whose column a d + b is
+    vec(G_ab): with P the permutation a d + b <-> b d + a, B = ((1 - i) 1 +
+    (1 + i) P) / 2 and P S P = conj(S), so B^dag S B = Re S - Im(S P), one
+    gather, O(d^4).  A complex collapse operator's products preserve
+    Hermiticity only to rounding, which moves the result by as much."""
     n = s.shape[-1]
     d = math.isqrt(n)
     perm = np.arange(n).reshape(d, d).T.ravel()
-    swapped = s[..., perm, :]
-    return 0.5 * (s.real + swapped.real[..., perm] - s.imag[..., perm] + swapped.imag)
+    return s.real - s.imag[..., perm]
 
 
 def real_coordinates(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -154,14 +143,15 @@ def unitary_superoperator(u: Operator) -> SuperOperator:
     return SuperOperator((w.real + w.imag.transpose(0, 1, 3, 2)).reshape(d * d, d * d))
 
 
-def commutator_superoperator(h: np.ndarray) -> np.ndarray:
-    """X -> [H, X] column-stacked, 1 kron H - H^T kron 1; leading axes of h are a batch."""
+def hamiltonian_generator(h: np.ndarray) -> np.ndarray:
+    """Real form of X -> -i [H, X] for a Hermitian H, from the column-stacked
+    -i (1 kron H - H^T kron 1); leading axes of h are a batch."""
     eye = np.eye(h.shape[-1])
-    return np.kron(eye, h) - np.kron(np.swapaxes(h, -1, -2), eye)
+    return _real_form(-1j * (np.kron(eye, h) - np.kron(np.swapaxes(h, -1, -2), eye)))
 
 
 def dissipator(noise: NoiseModel) -> np.ndarray:
-    """Dissipator part of the generator (rates included), column-stacked;
+    """Dissipator part of the generator (rates included) in the real form;
     every dense generator goes through it, so it holds the dimension ceiling."""
     d = noise.dim
     if d > MAX_HILBERT_DIM:
@@ -175,13 +165,13 @@ def dissipator(noise: NoiseModel) -> np.ndarray:
             np.kron(l.conj(), l)
             - 0.5 * (np.kron(eye, ldl) + np.kron(ldl.T, eye))
         )
-    return out
+    return _real_form(out)
 
 
 def dissipator_spectrum(noise: NoiseModel) -> np.ndarray:
-    """The d^2 eigenvalues of ``dissipator(noise)``; a real array when the
-    closed form below gives them and every l^k is real (J_z, site
-    dephasing, J_x, J_+), complex otherwise.
+    """The d^2 eigenvalues of ``dissipator(noise)``: real when every l^k
+    below is real (J_z, site dephasing, J_x, J_+) or ``eigvals`` finds all
+    of them real, complex otherwise.
 
     Diagonal collapse operators L_k = diag(l^k) make the dissipator diagonal:
     the channel is the Schur multiplier rho_ij -> rho_ij exp(z_ij t) with
@@ -189,7 +179,8 @@ def dissipator_spectrum(noise: NoiseModel) -> np.ndarray:
         z_ij = sum_k gamma_k (l_i^k conj(l_j^k) - (|l_i^k|^2 + |l_j^k|^2) / 2),
 
     evaluated as -|l_i - l_j|^2 / 2 + i Im(l_i conj(l_j)), so Re z <= 0 and
-    z_ii = 0 hold exactly; the result is vec(z), the dissipator diagonal.
+    z_ii = 0 hold exactly; the result is z.T.ravel(), the diagonal of the
+    column-stacked dissipator.
     The l^k come from ``Operator.as_diagonal``: held by a diagonal-built
     L_k, read off the entries of a dense one that is exactly diagonal.  A
     single Hermitian collapse operator L = V diag(l) V^dag gives a dissipator
@@ -204,7 +195,7 @@ def dissipator_spectrum(noise: NoiseModel) -> np.ndarray:
     -(e_i + e_j) / 2, with e_i = sum_k gamma_k sum_{m != i} |L^k_mi|^2.
     These three routes build no generator and have no dimension ceiling.
     Any other noise (J_+ with J_-, several non-diagonal terms, a nearly
-    Hermitian L) takes one ``eigvals`` of ``dissipator(noise)``.
+    Hermitian L) takes one ``eigvals`` of the real ``dissipator(noise)``.
     """
     d = noise.dim
     gamma, op = noise.terms[0]
@@ -228,7 +219,7 @@ def dissipator_spectrum(noise: NoiseModel) -> np.ndarray:
         z.real -= 0.5 * gamma * np.abs(l[:, None] - l[None, :]) ** 2
         if np.iscomplexobj(z):
             z.imag += gamma * (np.outer(l.imag, l.real) - np.outer(l.real, l.imag))
-    return vec(z)
+    return z.T.reshape(-1)
 
 
 def _is_weighted_shift(noise: NoiseModel) -> bool:
@@ -257,7 +248,7 @@ def liouvillian(h: Operator, noise: NoiseModel) -> SuperOperator:
     if noise.dim != d:
         raise ValueError(f"noise dimension {noise.dim} != Hamiltonian dimension {d}")
     diss = dissipator(noise)
-    return SuperOperator(real_form(-1j * commutator_superoperator(h.entries) + diss))
+    return SuperOperator(diss + hamiltonian_generator(h.entries))
 
 
 def propagate(gen: SuperOperator, t: float) -> SuperOperator:

@@ -35,8 +35,12 @@ def require_dimension(value, name: str = "dimension") -> None:
 
 def frozen_matrix(entries, what: str) -> np.ndarray:
     """Read-only complex copy of ``entries``, which must form a finite,
-    non-empty square matrix."""
-    arr = np.array(entries, dtype=complex)
+    non-empty square matrix (``freeze_square``)."""
+    return freeze_square(np.array(entries, dtype=complex), what)
+
+
+def freeze_square(arr: np.ndarray, what: str) -> np.ndarray:
+    """``arr`` made read-only; raises unless a finite, non-empty square matrix."""
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
         raise ValueError(f"{what} must be a non-empty square matrix, got shape {arr.shape}")
     if not np.isfinite(arr).all():

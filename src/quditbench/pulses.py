@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .lindblad import SuperOperator, commutator_superoperator, dissipator, expm, real_form
+from .lindblad import SuperOperator, dissipator, expm, hamiltonian_generator
 from .operators import (
     NoiseModel, Operator, finite_values, nonnegative_values, require_dimension, require_unitary,
 )
@@ -72,9 +72,9 @@ def ladder_controls(d: int) -> np.ndarray:
 
 @functools.cache
 def _real_controls(d: int) -> np.ndarray:
-    """The generators -i [H_k, .] of ``ladder_controls(d)`` as one read-only
-    stack of ``lindblad.real_form`` matrices, cached alike."""
-    stack = real_form(-1j * commutator_superoperator(ladder_controls(d)))
+    """The real generators -i [H_k, .] of ``ladder_controls(d)`` as one
+    read-only stack (``lindblad.hamiltonian_generator``), cached alike."""
+    stack = hamiltonian_generator(ladder_controls(d))
     stack.setflags(write=False)
     return stack
 
@@ -91,7 +91,7 @@ def _gauge_tables(d: int) -> tuple[np.ndarray, ...]:
     to the eigenvectors (y_i, z_i) / sqrt(2), (y_i, -z_i) / sqrt(2) and,
     for odd d, (y_last, 0).  ``spread``: the singular values s to the matching
     eigenvalues, s @ spread = (s, -s, 0 for odd d).  ``table``:
-    Tr(G H_k) = vec-row(G) @ table[:, k] for the ladder controls, the
+    Tr(G H_k) = G.reshape(-1) @ table[:, k] for the ladder controls, the
     (d^2, 2(d-1)) control trace table."""
     controls = ladder_controls(d)
     rows = np.array([(k + 1) // 2 for k in range(d - 1)])
@@ -317,7 +317,7 @@ def schedule_to_propagator(
     dt = schedule.slot_duration
     amps = schedule.amplitudes
     controls = _real_controls(d)
-    unit = real_form(dissipator(noise)) * dt
+    unit = dissipator(noise) * dt
     n_slots, k = len(amps), d * d
     per_stack = max(1, CHANNEL_STACK_BYTES // (8 * k * k))
     rows = min(scales.size, per_stack)

@@ -2,17 +2,18 @@
 
 Each one computes its result by a route of its own (fixed-step RK4, the
 Uhlmann formula, one ``expm`` or ``expm_frechet`` per pulse slot, complex
-column-stacked generators and channels taken to the library's real form by
-the dense Hermitian basis, a Kraus set summed as conjugation superoperators,
-a long-double gate channel, dense site operators by ``np.kron``, ...), so
-agreement with the library is evidence that both are right.  Nothing in
-``quditbench`` calls them.
+column-stacked generators written here by ``np.kron`` and taken to the
+library's real form by the dense Hermitian basis, a Kraus set summed as
+conjugation superoperators, a long-double gate channel, dense site operators
+by ``np.kron``, ...), so agreement with the library is evidence that both
+are right.  Nothing in ``quditbench`` calls them, and they build no
+generator with it.
 """
 
 import numpy as np
 from scipy.linalg import expm, expm_frechet
 
-from quditbench.lindblad import DensityMatrix, SuperOperator, commutator_superoperator, dissipator, vec
+from quditbench.lindblad import DensityMatrix, SuperOperator
 from quditbench.operators import PURITY_ATOL, Operator, is_integer, require_dimension
 from quditbench.pulses import ladder_controls
 
@@ -23,6 +24,38 @@ RK4_STEP_BOUND = 0.01
 STATE_HERMITICITY_ATOL = 1e-10
 STATE_TRACE_ATOL = 1e-6
 STATE_POSITIVITY_ATOL = 1e-6
+
+
+def vec(mat: np.ndarray) -> np.ndarray:
+    """Column-stacking vectorization, vec(X)[i + d j] = X[i, j], so that
+    vec(A X B) = (B^T kron A) vec(X); leading axes of a (..., d, d) stack are
+    a batch."""
+    return np.swapaxes(mat, -1, -2).reshape(*np.shape(mat)[:-2], -1)
+
+
+def unvec(v: np.ndarray) -> np.ndarray:
+    """The d x d matrix whose column-stacked vector is ``v``."""
+    d = round(np.sqrt(v.size))
+    return np.asarray(v).reshape((d, d), order="F")
+
+
+def commutator(h: np.ndarray) -> np.ndarray:
+    """X -> [H, X] column-stacked, 1 kron H - H^T kron 1; leading axes of h
+    are a batch."""
+    eye = np.eye(h.shape[-1])
+    return np.kron(eye, h) - np.kron(np.swapaxes(h, -1, -2), eye)
+
+
+def column_stacked_dissipator(noise, dtype=complex) -> np.ndarray:
+    """sum_k gamma_k (conj(L_k) kron L_k - (1 kron K_k + K_k^T kron 1) / 2),
+    K_k = L_k^dag L_k, column-stacked, computed in ``dtype``."""
+    eye = np.eye(noise.dim, dtype=dtype)
+    out = 0
+    for gamma, op in noise.terms:
+        l = op.entries.astype(dtype)
+        ldl = l.conj().T @ l
+        out = out + gamma * (np.kron(l.conj(), l) - (np.kron(eye, ldl) + np.kron(ldl.T, eye)) / 2)
+    return out
 
 
 def hermitian_basis(d: int) -> np.ndarray:
@@ -56,7 +89,7 @@ def expm_propagate(h: Operator, noise, t: float) -> SuperOperator:
     """Channel exp(G t) from scipy's complex ``expm`` of the column-stacked
     generator G = -i [H, .] + dissipator(noise); reference for the library's
     real ``liouvillian`` and ``propagate``."""
-    gen = -1j * commutator_superoperator(h.entries) + dissipator(noise)
+    gen = -1j * commutator(h.entries) + column_stacked_dissipator(noise)
     return real_superoperator(expm(gen * t))
 
 
@@ -202,7 +235,7 @@ def complex_schedule_channel(schedule, noise) -> SuperOperator:
     rate scales."""
     d = noise.dim
     hs = np.tensordot(schedule.amplitudes, ladder_controls(d), axes=(1, 0))
-    gens = -1j * commutator_superoperator(hs) + dissipator(noise)
+    gens = -1j * commutator(hs) + column_stacked_dissipator(noise)
     total = np.eye(d * d, dtype=complex)
     for slot in expm(gens * schedule.slot_duration):
         total = slot @ total
@@ -231,15 +264,10 @@ def long_double_gate_agis(schedule, noise, scales, target: Operator) -> np.ndarr
     d = noise.dim
     b = hermitian_basis(d).astype(cld)
     bdag = b.conj().T
-    eye = np.eye(d, dtype=cld)
-    diss = np.zeros((d * d, d * d), dtype=cld)
-    for gamma, op in noise.terms:
-        l = op.entries.astype(cld)
-        ldl = l.conj().T @ l
-        diss += ld(gamma) * (np.kron(l.conj(), l) - (np.kron(eye, ldl) + np.kron(ldl.T, eye)) / 2)
+    diss = column_stacked_dissipator(noise, cld)
     hs = np.tensordot(schedule.amplitudes.astype(ld), ladder_controls(d).astype(cld), axes=(1, 0))
     dt = ld(schedule.slot_duration)
-    drift = (bdag @ (-1j * commutator_superoperator(hs)) @ b).real * dt
+    drift = (bdag @ (-1j * commutator(hs)) @ b).real * dt
     unit = (bdag @ diss @ b).real * dt
     u = target.entries.astype(cld)
     ru = (bdag @ np.kron(u.conj(), u) @ b).real

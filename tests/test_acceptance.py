@@ -42,11 +42,12 @@ from quditbench import (
     propagate,
     relative_deviation,
     spin_plus,
+    spin_xy,
     spin_z,
 )
 from quditbench.channels import expansion_terms
+from quditbench.lindblad import SuperOperator
 from quditbench.experiments import ExperimentSpec, run_experiment
-from quditbench.lindblad import vec
 from quditbench.platforms import load_records
 from quditbench.pulses import infidelity_and_gradient
 
@@ -159,19 +160,19 @@ def test_criterion_07_perturbative_series():
     noise = NoiseModel.single(1.0, spin_z(d))
     rho = DensityMatrix.pure(np.arange(1, d + 1.0))
 
-    # term-by-term: the recursion coefficients against directly iterated
-    # dissipator applications D^k[rho]/k!
-    def diss(mat):
-        l = spin_z(d).entries
-        ldl = l.conj().T @ l
-        return l @ mat @ l.conj().T - 0.5 * (ldl @ mat + mat @ ldl)
-
-    terms = expansion_terms(_zero(d), noise, order=3)
+    # term-by-term: the recursion coefficients, applied as channels, against
+    # directly iterated dissipator applications D^k[rho]/k!, for J_z (whose
+    # dissipator is diagonal) and J_x
     term_err = 0.0
-    power = rho.entries.copy()
-    for k in range(1, 4):
-        power = diss(power) / k
-        term_err = max(term_err, np.abs(terms[(k, k)] @ vec(rho.entries) - vec(power)).max())
+    for op in (spin_z(d), spin_xy(d)[0]):
+        l = op.entries
+        ldl = l.conj().T @ l
+        terms = expansion_terms(_zero(d), NoiseModel.single(1.0, op), order=3)
+        power = rho.entries.copy()
+        for k in range(1, 4):
+            power = (l @ power @ l.conj().T - 0.5 * (ldl @ power + power @ ldl)) / k
+            applied = apply_channel(SuperOperator(terms[(k, k)]), rho).entries
+            term_err = max(term_err, np.abs(applied - power).max())
 
     # truncation exponents
     gen = _dephasing_gen(d)

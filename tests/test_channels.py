@@ -15,7 +15,7 @@ from quditbench import (
     spin_z,
 )
 from quditbench.channels import KrausSet, expansion_terms
-from quditbench.lindblad import vec
+from quditbench.lindblad import SuperOperator
 
 from oracles import embed_site, kraus_superoperator
 
@@ -166,23 +166,21 @@ def test_expansion_first_order_is_perturbation_matrix():
 
 
 def test_expansion_matches_taylor_series_for_h_zero():
-    # with H = 0 the recursion must produce D^k / k! term by term
+    # with H = 0 the recursion must produce D^k / k! term by term, applied as
+    # a channel: J_z has a diagonal dissipator, J_x does not
     d = 3
-    noise = NoiseModel.single(1.0, spin_z(d))
-    terms = expansion_terms(zero_h(d), noise, order=3)
     rho = DensityMatrix.pure(np.arange(1, d + 1.0))
-
-    def diss(mat):
-        l = spin_z(d).entries
+    for op in (spin_z(d), spin_xy(d)[0]):
+        terms = expansion_terms(zero_h(d), NoiseModel.single(1.0, op), order=3)
+        l = op.entries
         ldl = l.conj().T @ l
-        return l @ mat @ l.conj().T - 0.5 * (ldl @ mat + mat @ ldl)
-
-    power = rho.entries.copy()
-    for k in range(1, 4):
-        power = diss(power) / k
-        assert np.abs((terms[(k, k)] @ vec(rho.entries)) - vec(power)).max() < 1e-13
-        for l_idx in range(1, k):
-            assert np.abs(terms[(l_idx, k)]).max() < 1e-15
+        power = rho.entries.copy()
+        for k in range(1, 4):
+            power = (l @ power @ l.conj().T - 0.5 * (ldl @ power + power @ ldl)) / k
+            applied = apply_channel(SuperOperator(terms[(k, k)]), rho).entries
+            assert np.abs(applied - power).max() < 1e-13
+            for l_idx in range(1, k):
+                assert np.abs(terms[(l_idx, k)]).max() < 1e-15
 
 
 def test_expansion_truncation_exponent():

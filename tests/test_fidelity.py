@@ -32,7 +32,7 @@ from quditbench import (
 from quditbench.fitting import fit_slope
 from quditbench.lindblad import SuperOperator
 
-from oracles import column_stacked, kraus_superoperator, real_superoperator, state_fidelity
+from oracles import column_stacked, kraus_superoperator, real_superoperator, state_fidelity, vec
 
 
 def zero_h(d):
@@ -373,7 +373,6 @@ def _agi_monte_carlo_two_products(channel, target_gate, n_samples, sampler):
     column-stacked S and S_U = conj(U) kron U, drawn in the same chunks as
     agi_monte_carlo."""
     from quditbench.fidelity import MONTE_CARLO_CHUNK
-    from quditbench.lindblad import vec
 
     su = np.kron(target_gate.entries.conj(), target_gate.entries)
     s = column_stacked(channel)

@@ -729,7 +729,10 @@ def test_package_exports_names_not_submodules():
         assert not isinstance(getattr(quditbench, name), types.ModuleType), name
     removed = {
         "fidelity": ("agi_dephasing", "haar_unitary", "state_fidelity"),
-        "lindblad": ("choi_matrix", "dephasing_exponents", "rk4_propagate"),
+        "lindblad": (
+            "choi_matrix", "dephasing_exponents", "rk4_propagate", "vec", "unvec", "commutator_superoperator",
+            "real_form",
+        ),
         "pulses": ("gate_infidelity", "schedule_unitary"),
         "platforms": ("serialize_records",),
         "experiments": ("agi_curve_kraus",),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy import linalg
+from scipy.optimize import linear_sum_assignment
 
 from quditbench import (
     DensityMatrix,
@@ -14,18 +16,20 @@ from quditbench import (
     spin_z,
     unitary_superoperator,
 )
-from quditbench.lindblad import (
-    SuperOperator,
-    commutator_superoperator,
-    dissipator,
-    real_coordinates,
-    real_form,
+from quditbench.lindblad import SuperOperator, dissipator, hamiltonian_generator, real_coordinates
+from quditbench.pulses import ladder_controls
+
+from oracles import (
+    choi_matrix,
+    column_stacked,
+    column_stacked_dissipator,
+    commutator,
+    expm_propagate,
+    hermitian_basis,
+    rk4_propagate,
     unvec,
     vec,
 )
-from quditbench.pulses import ladder_controls
-
-from oracles import choi_matrix, column_stacked, expm_propagate, hermitian_basis, rk4_propagate
 
 
 def zero_h(d):
@@ -50,16 +54,19 @@ def test_vec_roundtrip_column_stacking():
         assert np.array_equal(vs[k], vec(stack[k]))
 
 
-def test_commutator_superoperator_batched():
+def test_hamiltonian_generator_batched():
     rng = np.random.default_rng(4)
     d = 3
-    hs = rng.standard_normal((4, d, d)) + 1j * rng.standard_normal((4, d, d))
-    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    batched = commutator_superoperator(hs)
-    assert batched.shape == (4, d * d, d * d)
+    a = rng.standard_normal((4, d, d)) + 1j * rng.standard_normal((4, d, d))
+    hs = (a + np.swapaxes(a, -1, -2).conj()) / 2
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    x = DensityMatrix(z + z.conj().T, check=False)
+    batched = hamiltonian_generator(hs)
+    assert batched.dtype == np.float64 and batched.shape == (4, d * d, d * d)
     for k, h in enumerate(hs):
-        assert np.array_equal(batched[k], commutator_superoperator(h))
-        assert np.allclose(batched[k] @ vec(x), vec(h @ x - x @ h), atol=1e-13)
+        assert np.array_equal(batched[k], hamiltonian_generator(h))
+        out = apply_channel(SuperOperator(batched[k]), x).entries
+        assert np.allclose(out, -1j * (h @ x.entries - x.entries @ h), atol=1e-13)
 
 
 def test_hermitian_basis_is_unitary_and_hermitian():
@@ -87,28 +94,26 @@ def test_hermitian_basis_is_unitary_and_hermitian():
 
 
 def test_generators_are_real_in_the_hermitian_basis():
-    # -i[H, .] and every dissipator preserve Hermiticity, so B^dag G B is
-    # real: the imaginary parts are rounding only; real_form's gathers give
-    # its real part, batched or not, and for any complex matrix
-    rng = np.random.default_rng(13)
+    # -i[H, .] and every dissipator preserve Hermiticity, so B^dag G B of the
+    # column-stacked G is real: the imaginary parts are rounding only; the
+    # library's generators are its real part, batched or not
     for d in (1, 2, 3, 4, 5):
         b = hermitian_basis(d)
         bdag = b.conj().T
         if d >= 2:
-            ad = -1j * commutator_superoperator(ladder_controls(d))
+            ad = -1j * commutator(ladder_controls(d))
             assert np.abs((bdag @ ad @ b).imag).max() <= 1e-15, d
-            assert np.abs(real_form(ad) - (bdag @ ad @ b).real).max() <= 1e-15, d
-        generic = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
-        assert np.abs(real_form(generic) - (bdag @ generic @ b).real).max() <= 1e-14, d
+            assert np.abs(hamiltonian_generator(ladder_controls(d)) - (bdag @ ad @ b).real).max() <= 1e-15, d
         for noise in (
             NoiseModel.single(1.0, spin_z(d)),
             NoiseModel.single(1.0, spin_xy(d)[0]),
             NoiseModel.single(1.0, spin_plus(d)),
             NoiseModel(((0.3, spin_z(d)), (0.1, spin_plus(d)))),
+            NoiseModel.single(1.0, Operator(sum(op.entries for op in (*spin_xy(d), spin_z(d))))),
         ):
-            diss = dissipator(noise)
+            diss = column_stacked_dissipator(noise)
             assert np.abs((bdag @ diss @ b).imag).max() <= 1e-15, d
-            assert np.abs(real_form(diss) - (bdag @ diss @ b).real).max() <= 1e-14, d
+            assert np.abs(dissipator(noise) - (bdag @ diss @ b).real).max() <= 1e-14, d
 
 
 def test_density_matrix_validation():
@@ -310,6 +315,25 @@ def test_apply_channel_basics():
         SuperOperator(np.eye(4, dtype=complex))
 
 
+def test_superoperator_holds_one_real_copy():
+    import tracemalloc
+
+    rng = np.random.default_rng(47)
+    for d in (6, 12):
+        m = rng.standard_normal((d * d, d * d))
+        tracemalloc.start()
+        try:
+            channel = SuperOperator(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * m.nbytes, (d, peak / m.nbytes)
+        held = channel.matrix
+        assert held.dtype == np.float64 and not held.flags.writeable and held.flags.c_contiguous
+        assert np.array_equal(held, m) and not np.shares_memory(held, m)
+        assert SuperOperator(np.asfortranarray(m)).matrix.flags.c_contiguous
+
+
 def test_apply_channel_matches_column_stacked_product():
     # a generic real matrix is a generic Hermiticity-preserving map: applied
     # through the real coordinates against vec(rho') = S vec(rho)
@@ -375,7 +399,7 @@ def test_dissipator_spectrum_of_diagonal_noise_is_the_dissipator_diagonal():
     l = Operator(np.diag(rng.standard_normal(d) + 1j * rng.standard_normal(d)))
     noise = NoiseModel(((0.3, spin_z(d)), (1.7, l)))
     z = dissipator_spectrum(noise)
-    diss = dissipator(noise)
+    diss = column_stacked_dissipator(noise)
     assert np.count_nonzero(diss - np.diag(np.diag(diss))) == 0
     assert np.abs(z - np.diag(diss)).max() < 1e-14
     assert np.all(z.real <= 0) and np.all(unvec(z).diagonal() == 0)
@@ -399,7 +423,9 @@ def test_dissipator_spectrum_routes_by_noise_structure():
             closed = dissipator_spectrum(NoiseModel.single(0.6, eig))
             assert np.array_equal(dissipator_spectrum(NoiseModel.single(0.6, op)), closed)
         # anything else, Hermitian to 1e-14 included: one eigvals of the
-        # column-stacked dissipator
+        # real dissipator, whose spectrum is the column-stacked one's, each
+        # eigenvalue to 1e-14 relative times its condition number 1/|y^dag x|
+        # (J_y with J_+ at d = 12 reaches 1.4e4)
         near = herm.copy()
         near[0, 1] += 1e-14
         for noise in (
@@ -407,8 +433,12 @@ def test_dissipator_spectrum_routes_by_noise_structure():
             NoiseModel(((1.0, spin_z(d)), (0.1, jy))),
             NoiseModel(((0.7, jy), (1.9, spin_plus(d)))),
         ):
-            dense = np.linalg.eigvals(dissipator(noise))
-            assert np.array_equal(dissipator_spectrum(noise), dense)
+            z = dissipator_spectrum(noise)
+            assert np.array_equal(z, np.linalg.eigvals(dissipator(noise)))
+            stacked, left, right = linalg.eig(column_stacked_dissipator(noise), left=True, right=True)
+            kappa = 1 / np.abs(np.einsum("ij,ij->j", left.conj(), right))
+            rows, cols = linear_sum_assignment(np.abs(z[:, None] - stacked[None, :]))
+            assert np.all(np.abs(z[rows] - stacked[cols]) <= 1e-14 * np.abs(z).max() * kappa[cols]), d
 
 
 def _spectrum_and_dense_calls(noise, monkeypatch):
@@ -437,7 +467,7 @@ def test_dissipator_spectrum_of_weighted_shifts_is_the_dissipator_diagonal(monke
         ):
             z, dense_calls = _spectrum_and_dense_calls(noise, monkeypatch)
             assert dense_calls == 0
-            diss = dissipator(noise)
+            diss = column_stacked_dissipator(noise)
             eig = np.linalg.eigvals(diss)
             scale = np.abs(eig).max()
             assert np.abs(z - np.diag(diss)).max() <= 1e-14 * scale, d
