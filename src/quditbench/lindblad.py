@@ -9,11 +9,15 @@ preserves Hermiticity, as does every channel built here, so a
 r_ab = Tr(G_ab rho) = Re rho_ab + Im rho_ab (index a d + b) in the
 orthonormal Hermitian basis G_ab = ((1 + i) E_ab + (1 - i) E_ba) / 2,
 G_aa = E_aa: the coherence-vector form (Alicki & Lendi, LNP 286, 1987).
-It is the only layout this module hands out (``hamiltonian_generator``
-for -i[H, .], ``dissipator``); each is written column-stacked inside,
-vec(X)[i + d*j] = X[i, j], and taken to it by ``_real_form``.  Each G_ab
-touches two entries, so ``_real_form`` and ``apply_channel`` change basis
-by index arithmetic.
+It is the only layout this module hands out: ``_gksl`` writes each one
+(``unitary_superoperator``, ``hamiltonian_generator``, ``dissipator``) by
+index arithmetic as the GKSL map X -> K X + X K^dag + sum_j gamma_j L_j X
+L_j^dag, Hermiticity preserving for any K, with entry (a d + b, c d + e)
+
+    Re K_ac d_be + d_ac Re K_be + Im K_ae d_bc - d_ae Im K_bc
+    + sum_j gamma_j [Re(L_ac conj L_be) + Im(L_ae conj L_bc)]
+
+(d_xy the Kronecker delta).
 
 ``dissipator_spectrum`` alone decides, from the operators, how the spectrum
 of a purely dissipative generator is found: entrywise for diagonal L_k
@@ -113,17 +117,30 @@ class SuperOperator:
         return math.isqrt(self.matrix.shape[0])
 
 
-def _real_form(s: np.ndarray) -> np.ndarray:
-    """B^dag S B for a column-stacked d^2 x d^2 matrix S (leading axes a
-    batch) that preserves Hermiticity, B the unitary whose column a d + b is
-    vec(G_ab): with P the permutation a d + b <-> b d + a, B = ((1 - i) 1 +
-    (1 + i) P) / 2 and P S P = conj(S), so B^dag S B = Re S - Im(S P), one
-    gather, O(d^4).  A complex collapse operator's products preserve
-    Hermiticity only to rounding, which moves the result by as much."""
-    n = s.shape[-1]
-    d = math.isqrt(n)
-    perm = np.arange(n).reshape(d, d).T.ravel()
-    return s.real - s.imag[..., perm]
+def _gksl(d: int, k: np.ndarray | None, jumps: list[tuple[float, np.ndarray]]) -> np.ndarray:
+    """Real form of the GKSL map (module docstring) for the (gamma_j, L_j)
+    pairs ``jumps``; no K term for k None, leading axes of k a batch.  K goes
+    in through diagonal views of the (..., d, d, d, d) result, each jump as
+    two real (d^2, 2) @ (2, d^2) products of its imaginary, then real parts:
+    a fused multiply-add BLAS then rounds as NumPy's complex product does.
+    Raises above ``MAX_HILBERT_DIM`` before any d^4 allocation."""
+    if d > MAX_HILBERT_DIM:
+        raise ValueError(f"dimension ceiling exceeded: d={d} > {MAX_HILBERT_DIM}")
+    out = np.zeros((*(() if k is None else k.shape[:-2]), d, d, d, d))
+    if k is not None:  # the four K terms of the formula, in order
+        for spec, part in (
+            ("...abcb->...acb", k.real[..., None]),
+            ("...abae->...abe", k.real[..., None, :, :]),
+            ("...abbe->...abe", k.imag[..., :, None, :]),
+            ("...abca->...abc", -k.imag[..., None, :, :]),
+        ):
+            np.einsum(spec, out)[...] += part
+    for gamma, l in jumps:
+        parts = np.array([l.imag, l.real, -l.imag]).reshape(3, d * d)
+        left = gamma * parts[:2].T
+        for right, axes in ((parts[:2], (0, 2, 1, 3)), (parts[1:], (0, 2, 3, 1))):
+            out += (left @ right).reshape(d, d, d, d).transpose(axes)
+    return out.reshape(*out.shape[:-4], d * d, d * d)
 
 
 def real_coordinates(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -134,38 +151,22 @@ def real_coordinates(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def unitary_superoperator(u: Operator) -> SuperOperator:
-    """Conjugation channel rho -> U rho U^dag (U need not be unitary): entry
-    (a d + b, c d + e) is Tr(G_ab U G_ce U^dag) = Re(U_ac conj U_be) +
-    Im(U_ae conj U_bc)."""
-    m = u.entries
-    d = u.dim
-    w = m[:, None, :, None] * m.conj()[None, :, None, :]
-    return SuperOperator((w.real + w.imag.transpose(0, 1, 3, 2)).reshape(d * d, d * d))
+    """Conjugation channel rho -> U rho U^dag (U need not be unitary): one
+    jump U and no K (``_gksl``)."""
+    return SuperOperator(_gksl(u.dim, None, [(1.0, u.entries)]))
 
 
 def hamiltonian_generator(h: np.ndarray) -> np.ndarray:
-    """Real form of X -> -i [H, X] for a Hermitian H, from the column-stacked
-    -i (1 kron H - H^T kron 1); leading axes of h are a batch."""
-    eye = np.eye(h.shape[-1])
-    return _real_form(-1j * (np.kron(eye, h) - np.kron(np.swapaxes(h, -1, -2), eye)))
+    """Real form of X -> -i [H, X] for a Hermitian H: K = -i H and no jumps
+    (``_gksl``); leading axes of h are a batch."""
+    return _gksl(h.shape[-1], -1j * h, [])
 
 
 def dissipator(noise: NoiseModel) -> np.ndarray:
-    """Dissipator part of the generator (rates included) in the real form;
-    every dense generator goes through it, so it holds the dimension ceiling."""
-    d = noise.dim
-    if d > MAX_HILBERT_DIM:
-        raise ValueError(f"dimension ceiling exceeded: d={d} > {MAX_HILBERT_DIM}")
-    eye = np.eye(d)
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for gamma, op in noise.terms:
-        l = op.entries
-        ldl = l.conj().T @ l
-        out += gamma * (
-            np.kron(l.conj(), l)
-            - 0.5 * (np.kron(eye, ldl) + np.kron(ldl.T, eye))
-        )
-    return _real_form(out)
+    """Dissipator part of the generator (rates included) in the real form:
+    K = -1/2 sum_j gamma_j L_j^dag L_j and the noise terms as jumps (``_gksl``)."""
+    jumps = [(gamma, op.entries) for gamma, op in noise.terms]
+    return _gksl(noise.dim, -0.5 * sum(gamma * (l.conj().T @ l) for gamma, l in jumps), jumps)
 
 
 def dissipator_spectrum(noise: NoiseModel) -> np.ndarray:
@@ -237,18 +238,13 @@ def _off_diagonal_column_norms(entries: np.ndarray) -> np.ndarray:
 
 
 def liouvillian(h: Operator, noise: NoiseModel) -> SuperOperator:
-    """Generator of the master equation for Hamiltonian ``h`` and a noise model.
-
-    Raises if ``h`` is not Hermitian or dimensions do not match.  The dissipator
-    is built first, so its dimension ceiling fires before any d^4 allocation.
-    """
-    d = h.dim
+    """Generator ``dissipator(noise) + hamiltonian_generator(h)`` of the master
+    equation; raises if ``h`` is not Hermitian or dimensions do not match."""
     if np.abs(h.entries - h.entries.conj().T).max() > HERMITICITY_ATOL:
         raise ValueError("Hamiltonian must be Hermitian within 1e-12")
-    if noise.dim != d:
-        raise ValueError(f"noise dimension {noise.dim} != Hamiltonian dimension {d}")
-    diss = dissipator(noise)
-    return SuperOperator(diss + hamiltonian_generator(h.entries))
+    if noise.dim != h.dim:
+        raise ValueError(f"noise dimension {noise.dim} != Hamiltonian dimension {h.dim}")
+    return SuperOperator(dissipator(noise) + hamiltonian_generator(h.entries))
 
 
 def propagate(gen: SuperOperator, t: float) -> SuperOperator:

@@ -731,7 +731,7 @@ def test_package_exports_names_not_submodules():
         "fidelity": ("agi_dephasing", "haar_unitary", "state_fidelity"),
         "lindblad": (
             "choi_matrix", "dephasing_exponents", "rk4_propagate", "vec", "unvec", "commutator_superoperator",
-            "real_form",
+            "real_form", "_real_form",
         ),
         "pulses": ("gate_infidelity", "schedule_unitary"),
         "platforms": ("serialize_records",),

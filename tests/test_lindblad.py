@@ -94,9 +94,11 @@ def test_hermitian_basis_is_unitary_and_hermitian():
 
 
 def test_generators_are_real_in_the_hermitian_basis():
-    # -i[H, .] and every dissipator preserve Hermiticity, so B^dag G B of the
-    # column-stacked G is real: the imaginary parts are rounding only; the
-    # library's generators are its real part, batched or not
+    # -i[H, .], every dissipator and every conjugation preserve Hermiticity,
+    # so B^dag S B of the column-stacked S is real: the imaginary parts are
+    # rounding only; the library's superoperators are its real part, batched
+    # or not
+    rng = np.random.default_rng(53)
     for d in (1, 2, 3, 4, 5):
         b = hermitian_basis(d)
         bdag = b.conj().T
@@ -104,16 +106,30 @@ def test_generators_are_real_in_the_hermitian_basis():
             ad = -1j * commutator(ladder_controls(d))
             assert np.abs((bdag @ ad @ b).imag).max() <= 1e-15, d
             assert np.abs(hamiltonian_generator(ladder_controls(d)) - (bdag @ ad @ b).real).max() <= 1e-15, d
-        for noise in (
-            NoiseModel.single(1.0, spin_z(d)),
-            NoiseModel.single(1.0, spin_xy(d)[0]),
-            NoiseModel.single(1.0, spin_plus(d)),
-            NoiseModel(((0.3, spin_z(d)), (0.1, spin_plus(d)))),
-            NoiseModel.single(1.0, Operator(sum(op.entries for op in (*spin_xy(d), spin_z(d))))),
-        ):
-            diss = column_stacked_dissipator(noise)
-            assert np.abs((bdag @ diss @ b).imag).max() <= 1e-15, d
-            assert np.abs(dissipator(noise) - (bdag @ diss @ b).real).max() <= 1e-14, d
+        # random operators at unit spectral norm, the scale the bounds are set for
+        z = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
+        a, l, m = z / np.linalg.norm(z, 2, axis=(1, 2))[:, None, None]
+        h = Operator((a + a.conj().T) / 2)
+        cases = [
+            (dissipator(noise), column_stacked_dissipator(noise), 1e-14)
+            for noise in (
+                NoiseModel.single(1.0, spin_z(d)),
+                NoiseModel.single(1.0, spin_xy(d)[0]),
+                NoiseModel.single(1.0, spin_plus(d)),
+                NoiseModel(((0.3, spin_z(d)), (0.1, spin_plus(d)))),
+                NoiseModel.single(1.0, Operator(sum(op.entries for op in (*spin_xy(d), spin_z(d))))),
+                NoiseModel.single(0.7, Operator(l)),
+            )
+        ]
+        two_terms = NoiseModel(((0.3, Operator(l)), (1.1, spin_z(d))))
+        gen = -1j * commutator(h.entries) + column_stacked_dissipator(two_terms)
+        cases.append((liouvillian(h, two_terms).matrix, gen, 1e-14))
+        # U need not be unitary: X -> M X M^dag is column-stacked conj(M) kron M
+        cases.append((unitary_superoperator(Operator(m)).matrix, np.kron(m.conj(), m), 1e-15))
+        for got, stacked, tol in cases:
+            oracle = bdag @ stacked @ b
+            assert np.abs(oracle.imag).max() <= 1e-15, d
+            assert np.abs(got - oracle.real).max() <= tol, d
 
 
 def test_density_matrix_validation():
@@ -334,6 +350,22 @@ def test_superoperator_holds_one_real_copy():
         assert SuperOperator(np.asfortranarray(m)).matrix.flags.c_contiguous
 
 
+def test_dissipator_holds_few_copies_of_its_result():
+    import tracemalloc
+
+    from quditbench.experiments import collapse_model
+
+    for d in (12, 24):
+        noise = collapse_model("JxJyJz", d)
+        tracemalloc.start()
+        try:
+            diss = dissipator(noise)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * diss.nbytes, (d, peak / diss.nbytes)
+
+
 def test_apply_channel_matches_column_stacked_product():
     # a generic real matrix is a generic Hermiticity-preserving map: applied
     # through the real coordinates against vec(rho') = S vec(rho)
@@ -384,11 +416,17 @@ def jplus_jminus(d):
 def test_dimension_ceiling():
     with pytest.raises(ValueError, match="dimension ceiling exceeded"):
         liouvillian(zero_h(129), NoiseModel.single(0.0, spin_z(129)))
-    # every dense generator goes through dissipator, which holds the ceiling
+    # every real superoperator is written by one builder, which holds the
+    # ceiling ahead of any d^4 allocation
     jplus = NoiseModel.single(1.0, spin_plus(129))
-    for build in (dissipator, lambda noise: liouvillian(zero_h(129), noise)):
+    for build in (
+        lambda: dissipator(jplus),
+        lambda: liouvillian(zero_h(129), jplus),
+        lambda: hamiltonian_generator(np.zeros((129, 129))),
+        lambda: unitary_superoperator(Operator(np.eye(129))),
+    ):
         with pytest.raises(ValueError, match="dimension ceiling exceeded"):
-            build(jplus)
+            build()
     with pytest.raises(ValueError, match="dimension ceiling exceeded"):
         dissipator_spectrum(jplus_jminus(129))
 
