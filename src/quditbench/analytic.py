@@ -28,13 +28,15 @@ def c_general(collapse: Operator) -> float:
     operator; reduces to Tr(L^dag L)/(d+1) for traceless L.  It is also the
     Haar average of ``fidelity.collapse_variance`` over pure states (degree-2
     Weingarten integrals), the fluctuation-dissipation form of the slope.
-    Tr(L^dag L) is the O(d^2) sum of |L_ij|^2.
+    Tr(L^dag L) = sum |L_ij|^2 is read as in ``fidelity.agi_first_order``:
+    O(d), with no d x d matrix, for a diagonal L (``Operator.as_diagonal``).
 
     Cached per operator (operators are immutable): a slope scan and every
     check of it ask for the slope of the same cached collapse model."""
     d = collapse.dim
-    l = collapse.entries
-    return float((np.vdot(l, l).real - abs(np.trace(l)) ** 2 / d) / (d + 1))
+    l = collapse.as_diagonal()
+    l = collapse.entries if l is None else l
+    return float((np.vdot(l, l).real - abs(collapse.trace()) ** 2 / d) / (d + 1))
 
 
 def c_qubits_dephasing(n: int) -> float:

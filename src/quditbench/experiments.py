@@ -431,8 +431,10 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
 
     When ``spec.output_path`` is set, the row table goes there as CSV and the
     summary next to it with a .json suffix; a path that cannot take a file
-    raises ``ValueError`` before any work starts.
+    raises ``ValueError`` before any work starts, as does a ``workers``
+    count that is not an integer >= 1.
     """
+    require_dimension(workers, "workers")
     if spec.output_path is not None:
         check_output_path(spec.output_path)
     result = EXPERIMENTS[spec.name].run(spec, workers)

@@ -128,7 +128,7 @@ def collapse_variance(target: DensityMatrix, collapse: Operator) -> float:
     if target.dim != collapse.dim:
         raise ValueError(f"dimension mismatch {target.dim} != {collapse.dim}")
     if target.purity() < 1 - PURITY_ATOL:
-        raise ValueError("target state must be pure (purity within 1e-10 of 1)")
+        raise ValueError(f"target state must be pure (purity within {PURITY_ATOL} of 1)")
     l = collapse.entries
     expect_ldl = np.real(np.trace(target.entries @ l.conj().T @ l))
     expect_l = np.trace(target.entries @ l)
@@ -194,13 +194,9 @@ def agi_first_order(noise: NoiseModel, gamma_t_grid) -> np.ndarray:
     s = t = 0.0
     for gamma, op in noise.terms:
         l = op.as_diagonal()
-        if l is None:
-            l = op.entries
-            trace = np.trace(l)
-        else:
-            trace = l.sum()
+        l = op.entries if l is None else l
         s += gamma * np.vdot(l, l).real
-        t += gamma * abs(trace) ** 2
+        t += gamma * abs(op.trace()) ** 2
     # + 0.0 turns a -0.0 at gamma_t = 0 into +0.0
     return (x * (d * s - t) - (x * s) ** 2 / 4) / (d * (d + 1)) + 0.0
 
@@ -229,8 +225,7 @@ def agi_exact(channel, target_gate: Operator):
     F_bar = (d F_p + 1) / (d + 1); a float for one channel, an array for a
     sequence of them (``process_fidelity``)."""
     d = target_gate.dim
-    agi = 1.0 - (d * process_fidelity(channel, target_gate) + 1.0) / (d + 1.0)
-    return float(agi) if isinstance(channel, SuperOperator) else agi
+    return 1.0 - (d * process_fidelity(channel, target_gate) + 1.0) / (d + 1.0)
 
 
 def agi_curve(noise: NoiseModel, gamma_t_grid) -> np.ndarray:

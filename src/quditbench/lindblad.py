@@ -20,11 +20,12 @@ L_j^dag, Hermiticity preserving for any K, with entry (a d + b, c d + e)
 (d_xy the Kronecker delta).
 
 ``dissipator_spectrum`` alone decides, from the operators, how the spectrum
-of a purely dissipative generator is found: entrywise for diagonal L_k
-(read through ``Operator.as_diagonal``, with no d x d matrix for a
-diagonal-built one), by a d x d ``eigvalsh`` for one L == L^dag, entrywise
-again for weighted shifts (triangular L_k of one orientation with diagonal
-L_k^dag L_k: J_+, J_-), and by ``eigvals(dissipator)`` otherwise.
+of a purely dissipative generator is found: a closed form or
+``eigvals(dissipator)``.  The closed form takes diagonal L_k (read through
+``Operator.as_diagonal``, with no d x d matrix for a diagonal-built one),
+weighted shifts among them (triangular L_k of one orientation with diagonal
+L_k^dag L_k: J_+, J_-), and one non-diagonal L == L^dag after a d x d
+``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -72,11 +73,11 @@ class DensityMatrix:
         arr = frozen_matrix(self.entries, "density matrix")
         if self.check:
             if np.abs(arr - arr.conj().T).max() > HERMITICITY_ATOL:
-                raise ValueError("density matrix is not Hermitian within 1e-12")
+                raise ValueError(f"density matrix is not Hermitian within {HERMITICITY_ATOL}")
             if abs(np.trace(arr) - 1.0) > TRACE_ATOL:
-                raise ValueError(f"density matrix trace {np.trace(arr)} is not 1 within 1e-12")
+                raise ValueError(f"density matrix trace {np.trace(arr)} is not 1 within {TRACE_ATOL}")
             if np.linalg.eigvalsh((arr + arr.conj().T) / 2).min() < -POSITIVITY_ATOL:
-                raise ValueError("density matrix has eigenvalue below -1e-10")
+                raise ValueError(f"density matrix has eigenvalue below {-POSITIVITY_ATOL}")
         object.__setattr__(self, "entries", arr)
 
     @property
@@ -174,47 +175,44 @@ def dissipator_spectrum(noise: NoiseModel) -> np.ndarray:
     below is real (J_z, site dephasing, J_x, J_+) or ``eigvals`` finds all
     of them real, complex otherwise.
 
-    Diagonal collapse operators L_k = diag(l^k) make the dissipator diagonal:
-    the channel is the Schur multiplier rho_ij -> rho_ij exp(z_ij t) with
+    The closed form: when every L_k = diag(l^k) + (strictly triangular
+    part), all triangular in one orientation, has L_k^dag L_k = diag(n^k)
+    exactly diagonal, the dissipator is triangular, its spectrum its diagonal
 
-        z_ij = sum_k gamma_k (l_i^k conj(l_j^k) - (|l_i^k|^2 + |l_j^k|^2) / 2),
+        z_ij = sum_k gamma_k (l_i^k conj(l_j^k) - (n_i^k + n_j^k) / 2),
 
-    evaluated as -|l_i - l_j|^2 / 2 + i Im(l_i conj(l_j)), so Re z <= 0 and
-    z_ii = 0 hold exactly; the result is z.T.ravel(), the diagonal of the
-    column-stacked dissipator.
-    The l^k come from ``Operator.as_diagonal``: held by a diagonal-built
-    L_k, read off the entries of a dense one that is exactly diagonal.  A
-    single Hermitian collapse operator L = V diag(l) V^dag gives a dissipator
-    unitarily equivalent (by conj(V) kron V) to that of diag(l), so the same
-    expression runs on one d x d ``eigvalsh`` (J_x, J_x + J_y + J_z);
-    ``eigvalsh`` reads one triangle, so this needs L == L^dag exactly.
-    Weighted shifts (J_+, J_-, ladder operators, and sums of them with
-    diagonal terms) are triangular L_k, all in one orientation, with
-    L_k^dag L_k = diag(n^k) exactly diagonal: the dissipator is then
-    triangular and its spectrum its diagonal, the same expression with
-    |l_i^k|^2 replaced by the squared column norm n_i^k: z_ij gains
-    -(e_i + e_j) / 2, with e_i = sum_k gamma_k sum_{m != i} |L^k_mi|^2.
-    These three routes build no generator and have no dimension ceiling.
-    Any other noise (J_+ with J_-, several non-diagonal terms, a nearly
-    Hermitian L) takes one ``eigvals`` of the real ``dissipator(noise)``.
+    evaluated as sum_k gamma_k (-|l_i^k - l_j^k|^2 / 2 + i Im(l_i^k
+    conj(l_j^k))) - (e_i + e_j) / 2, e_i = sum_k gamma_k sum_{m != i}
+    |L^k_mi|^2, so Re z <= 0 holds exactly, as does z_ii = 0 for diagonal
+    L_k (e = 0, the Schur multiplier rho_ij -> rho_ij exp(z_ij t) of
+    dephasing); the result is z.T.ravel(), the diagonal of the
+    column-stacked dissipator.  The l^k come from ``Operator.as_diagonal``
+    (no d x d matrix for a diagonal-built L_k), and e from the entries of
+    the L_k that are not diagonal (J_+, J_-, ladder operators, and sums of
+    them with diagonal terms), built only when there are some.  A single
+    non-diagonal L == L^dag exactly (J_x, J_x + J_y + J_z; ``eigvalsh``
+    reads one triangle) has a dissipator unitarily equivalent to that of
+    diag(eigvalsh(L)), which takes the closed form.  A matrix both
+    triangular and Hermitian is diagonal, so no operator fits two readings.
+    The closed form builds no generator and has no dimension ceiling.  Any
+    other noise (J_+ with J_-, several non-diagonal terms that are not
+    weighted shifts, a nearly Hermitian L) takes one ``eigvals`` of the
+    real ``dissipator(noise)``.
     """
     d = noise.dim
-    gamma, op = noise.terms[0]
-    shift = None
-    diagonals = [term.as_diagonal() for _, term in noise.terms]
-    if all(l is not None for l in diagonals):
-        terms = [(g, l) for (g, _), l in zip(noise.terms, diagonals)]
-    elif len(noise) == 1 and np.array_equal(op.entries, op.entries.conj().T):
-        terms = [(gamma, np.linalg.eigvalsh(op.entries))]
-    elif _is_weighted_shift(noise):
-        terms = [(gamma, np.diag(op.entries)) for gamma, op in noise.terms]
-        shift = sum(gamma * _off_diagonal_column_norms(op.entries) for gamma, op in noise.terms)
+    diagonals = [op.as_diagonal() for _, op in noise.terms]
+    dense = [(gamma, op.entries) for (gamma, op), l in zip(noise.terms, diagonals) if l is None]
+    if len(dense) == len(noise) == 1 and np.array_equal(dense[0][1], dense[0][1].conj().T):
+        terms, dense = [(dense[0][0], np.linalg.eigvalsh(dense[0][1]))], []
+    elif _is_weighted_shift([l for _, l in dense]):
+        terms = [(gamma, np.diag(op.entries) if l is None else l) for (gamma, op), l in zip(noise.terms, diagonals)]
     else:
         return np.linalg.eigvals(dissipator(noise))
     if not any(l.imag.any() for _, l in terms):
         terms = [(gamma, l.real) for gamma, l in terms]
     z = np.zeros((d, d), dtype=np.result_type(*(l for _, l in terms)))
-    if shift is not None:
+    if dense:
+        shift = sum(gamma * _off_diagonal_column_norms(l) for gamma, l in dense)
         z.real = -0.5 * np.add.outer(shift, shift)
     for gamma, l in terms:
         z.real -= 0.5 * gamma * np.abs(l[:, None] - l[None, :]) ** 2
@@ -223,16 +221,16 @@ def dissipator_spectrum(noise: NoiseModel) -> np.ndarray:
     return z.T.reshape(-1)
 
 
-def _is_weighted_shift(noise: NoiseModel) -> bool:
-    """Every L_k triangular in one common orientation, every L_k^dag L_k diagonal."""
-    ops = [op.entries for _, op in noise.terms]
+def _is_weighted_shift(ops: list[np.ndarray]) -> bool:
+    """Every matrix triangular in one common orientation, every L^dag L
+    diagonal; true for an empty list."""
     upper = not any(np.tril(l, -1).any() for l in ops)
     lower = not any(np.triu(l, 1).any() for l in ops)
     return (upper or lower) and all(is_diagonal(l.conj().T @ l) for l in ops)
 
 
 def _off_diagonal_column_norms(entries: np.ndarray) -> np.ndarray:
-    """e_i = sum_{m != i} |L_mi|^2, exactly 0 for a diagonal L."""
+    """e_i = sum_{m != i} |L_mi|^2."""
     off = entries - np.diag(np.diag(entries))
     return (off.real**2 + off.imag**2).sum(axis=0)
 
@@ -241,7 +239,7 @@ def liouvillian(h: Operator, noise: NoiseModel) -> SuperOperator:
     """Generator ``dissipator(noise) + hamiltonian_generator(h)`` of the master
     equation; raises if ``h`` is not Hermitian or dimensions do not match."""
     if np.abs(h.entries - h.entries.conj().T).max() > HERMITICITY_ATOL:
-        raise ValueError("Hamiltonian must be Hermitian within 1e-12")
+        raise ValueError(f"Hamiltonian must be Hermitian within {HERMITICITY_ATOL}")
     if noise.dim != h.dim:
         raise ValueError(f"noise dimension {noise.dim} != Hamiltonian dimension {h.dim}")
     return SuperOperator(dissipator(noise) + hamiltonian_generator(h.entries))

@@ -56,8 +56,9 @@ def ladder_controls(d: int) -> np.ndarray:
     """The 2(d-1) ladder controls of a d-level qudit as one read-only
     (2(d-1), d, d) stack: one pair per adjacent-level transition.
 
-    Cached, so the GRAPE kernel looks it up on every call; sharing is safe
-    because the array is read-only."""
+    Cached, so every caller shares one stack: ``_gauge_tables`` (the GRAPE
+    kernel's tables), ``_real_controls`` and ``schedule_to_propagator``;
+    sharing is safe because the array is read-only."""
     require_dimension(d)
     if d < 2:
         raise ValueError("ladder controls need d >= 2")

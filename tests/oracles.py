@@ -7,14 +7,18 @@ library's real form by the dense Hermitian basis, a Kraus set summed as
 conjugation superoperators, a long-double gate channel, dense site operators
 by ``np.kron``, ...), so agreement with the library is evidence that both
 are right.  Nothing in ``quditbench`` calls them, and they build no
-generator with it.
+generator with it, except the helpers at the end, which the test modules
+share: ``zero_h``, the J_z dephasing generator and channel, and
+``dense_agi_curve``, the library's dense route that every fast route of it
+is compared with.
 """
 
 import numpy as np
 from scipy.linalg import expm, expm_frechet
 
-from quditbench.lindblad import DensityMatrix, SuperOperator
-from quditbench.operators import PURITY_ATOL, Operator, is_integer, require_dimension
+from quditbench.fidelity import agi_exact
+from quditbench.lindblad import DensityMatrix, SuperOperator, liouvillian, propagate
+from quditbench.operators import PURITY_ATOL, NoiseModel, Operator, identity, is_integer, require_dimension, spin_z
 from quditbench.pulses import ladder_controls
 
 # rk4_propagate takes steps h with ||L|| h <= this bound.
@@ -288,3 +292,22 @@ def long_double_gate_agis(schedule, noise, scales, target: Operator) -> np.ndarr
         fp = (ru * total).sum() / ld(d * d)
         agis.append(1 - (d * fp + 1) / ld(d + 1))
     return np.array(agis, dtype=ld)
+
+
+def zero_h(d):
+    return Operator(np.zeros((d, d)))
+
+
+def dephasing_generator(d, gamma=1.0):
+    return liouvillian(zero_h(d), NoiseModel.single(gamma, spin_z(d)))
+
+
+def dephasing_channel(d, gamma_t):
+    return propagate(dephasing_generator(d), gamma_t)
+
+
+def dense_agi_curve(noise, grid):
+    """The dense oracle: one expm of the generator per point, then agi_exact."""
+    d = noise.dim
+    gen = liouvillian(zero_h(d), noise)
+    return np.array([agi_exact(propagate(gen, gt), identity(d)) for gt in grid])

@@ -51,18 +51,12 @@ from quditbench.experiments import ExperimentSpec, run_experiment
 from quditbench.platforms import load_records
 from quditbench.pulses import infidelity_and_gradient
 
+from oracles import dephasing_generator, zero_h
+
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
     print(f"[criterion {criterion:2d}] {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok, detail
-
-
-def _zero(d):
-    return Operator(np.zeros((d, d)))
-
-
-def _dephasing_gen(d):
-    return liouvillian(_zero(d), NoiseModel.single(1.0, spin_z(d)))
 
 
 def test_criterion_01_qudit_slope_law():
@@ -70,7 +64,7 @@ def test_criterion_01_qudit_slope_law():
     grid = np.linspace(0.0, 1e-4, 11)
     worst_err, worst_r2 = 0.0, 0.0
     for d in (2, 4, 6, 8, 10, 12):
-        gen = _dephasing_gen(d)
+        gen = dephasing_generator(d)
         agis = [agi_exact(propagate(gen, gt), identity(d)) for gt in grid]
         fit = fit_slope(grid, agis)
         err = abs(relative_deviation(fit.slope_c, c_qudit_dephasing(d)))
@@ -86,7 +80,7 @@ def test_criterion_02_multiqubit_slope_law():
     grid = np.linspace(0.0, 1e-4, 11)
     worst_err, worst_r2 = 0.0, 0.0
     for n in (1, 2, 3, 4, 5):
-        gen = liouvillian(_zero(2**n), NoiseModel.site_dephasing(n))
+        gen = liouvillian(zero_h(2**n), NoiseModel.site_dephasing(n))
         agis = [agi_exact(propagate(gen, gt), identity(2**n)) for gt in grid]
         fit = fit_slope(grid, agis)
         err = abs(relative_deviation(fit.slope_c, c_qubits_dephasing(n)))
@@ -143,7 +137,7 @@ def test_criterion_06_kraus_residual_order():
     slopes = {}
     for d in (2, 4, 8):
         rho = DensityMatrix.pure(HaarSampler(d, seed=d).states(1)[0])
-        gen = _dephasing_gen(d)
+        gen = dephasing_generator(d)
         res = []
         for gt in grid:
             exact = apply_channel(propagate(gen, gt), rho)
@@ -167,7 +161,7 @@ def test_criterion_07_perturbative_series():
     for op in (spin_z(d), spin_xy(d)[0]):
         l = op.entries
         ldl = l.conj().T @ l
-        terms = expansion_terms(_zero(d), NoiseModel.single(1.0, op), order=3)
+        terms = expansion_terms(zero_h(d), NoiseModel.single(1.0, op), order=3)
         power = rho.entries.copy()
         for k in range(1, 4):
             power = (l @ power @ l.conj().T - 0.5 * (ldl @ power + power @ ldl)) / k
@@ -175,14 +169,14 @@ def test_criterion_07_perturbative_series():
             term_err = max(term_err, np.abs(applied - power).max())
 
     # truncation exponents
-    gen = _dephasing_gen(d)
+    gen = dephasing_generator(d)
     grid = np.logspace(-3, -1.2, 7)
     exps = {}
     for order in (1, 2, 3):
         res = []
         for gt in grid:
             exact = apply_channel(propagate(gen, gt), rho)
-            approx = perturbative_expansion(rho, _zero(d), noise, 1.0, gt, order)
+            approx = perturbative_expansion(rho, zero_h(d), noise, 1.0, gt, order)
             res.append(np.abs(exact.entries - approx.entries).max())
         exps[order] = np.polyfit(np.log(grid), np.log(res), 1)[0]
     ok = term_err < 1e-12 and all(abs(exps[o] - (o + 1)) <= 0.05 for o in exps)
@@ -192,7 +186,7 @@ def test_criterion_07_perturbative_series():
 
 def test_criterion_08_deviation_growth():
     def dev(d, gt):
-        agi = agi_exact(propagate(_dephasing_gen(d), gt), identity(d))
+        agi = agi_exact(propagate(dephasing_generator(d), gt), identity(d))
         return relative_deviation(agi, c_qudit_dephasing(d) * gt)
 
     at_1e2 = {d: dev(d, 1e-2) for d in (4, 8, 12)}

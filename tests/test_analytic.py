@@ -6,6 +6,7 @@ import pytest
 from quditbench import (
     NoiseModel,
     Operator,
+    agi_first_order,
     c_general,
     c_qubits_dephasing,
     c_qudit_dephasing,
@@ -39,6 +40,27 @@ def test_c_general_reductions():
     # bit-flip direction matches pure dephasing
     jx, _ = spin_xy(7)
     assert abs(c_general(jx) - c_qudit_dephasing(7)) < 1e-11
+
+
+def test_first_order_reads_build_no_matrix():
+    import tracemalloc
+
+    # J_z holds its d numbers and J_+ its matrix: neither read builds a d x d
+    # array (J_z's matrix is 16 MiB at d = 2^10; checking J_+ for a diagonal
+    # by subtracting it took two 4 MiB temporaries at d = 2^9)
+    x = 1e-9
+    for op, ratio in ((spin_z(2**10), 1), (spin_plus(2**9), 2)):
+        tracemalloc.start()
+        try:
+            slope = c_general(op)
+            curve = agi_first_order(NoiseModel.single(1.0, op), [x])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20, (op.dim, peak)
+        assert abs(slope - ratio * c_qudit_dephasing(op.dim)) <= 1e-14 * slope
+        # the second-order term is x Tr(L^dag L) / (4 d) of the first, < 3e-5 here
+        assert abs(curve[0] / (x * slope) - 1.0) <= 3e-5
 
 
 def test_c_qubits_dephasing_values():

@@ -17,11 +17,7 @@ from quditbench import (
 from quditbench.channels import KrausSet, expansion_terms
 from quditbench.lindblad import SuperOperator
 
-from oracles import embed_site, kraus_superoperator
-
-
-def zero_h(d):
-    return Operator(np.zeros((d, d)))
+from oracles import embed_site, kraus_superoperator, zero_h
 
 
 def random_collapse(d, seed):

@@ -32,15 +32,16 @@ from quditbench import (
 from quditbench.fitting import fit_slope
 from quditbench.lindblad import SuperOperator
 
-from oracles import column_stacked, kraus_superoperator, real_superoperator, state_fidelity, vec
-
-
-def zero_h(d):
-    return Operator(np.zeros((d, d)))
-
-
-def dephasing_channel(d, gamma_t):
-    return propagate(liouvillian(zero_h(d), NoiseModel.single(1.0, spin_z(d))), gamma_t)
+from oracles import (
+    column_stacked,
+    dense_agi_curve,
+    dephasing_channel,
+    kraus_superoperator,
+    real_superoperator,
+    state_fidelity,
+    vec,
+    zero_h,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -521,12 +522,6 @@ def test_agi_monte_carlo_validation():
         agi_monte_carlo(SuperOperator(np.eye(4)), identity(3), 10, HaarSampler(2, seed=0))
 
 
-def _dense_agis(noise, grid):
-    d = noise.dim
-    gen = liouvillian(zero_h(d), noise)
-    return np.array([agi_exact(propagate(gen, gt), identity(d)) for gt in grid])
-
-
 def _random_diagonal(rng, d):
     return Operator(np.diag(rng.standard_normal(d) + 1j * rng.standard_normal(d)))
 
@@ -573,7 +568,7 @@ def test_agi_dephasing_matches_dense_oracle():
     models.append(NoiseModel(unequal))
     for noise in models:
         fast = agi_curve(noise, grid)
-        dense = _dense_agis(noise, grid)
+        dense = dense_agi_curve(noise, grid)
         assert fast[0] == 0.0
         assert np.abs(fast[1:] / dense[1:] - 1.0).max() <= 1e-10
 

@@ -24,6 +24,8 @@ from quditbench.platforms import (
     platform_report,
 )
 
+from oracles import dense_agi_curve
+
 GATE_GRID = (1e-5, 1e-3, 9)
 
 
@@ -251,21 +253,11 @@ def test_critical_curve_dephasing_builds_no_dense_operator(tmp_path):
     assert any(line.startswith("warning: n=14: fitted slopes") for line in out), out
 
 
-def _dense_agi_curve(noise, grid):
-    """The dense oracle: one expm of the generator per point, then agi_exact."""
-    import numpy as np
-    from quditbench import Operator, agi_exact, identity, liouvillian, propagate
-
-    d = noise.dim
-    gen = liouvillian(Operator(np.zeros((d, d))), noise)
-    return np.array([agi_exact(propagate(gen, gt), identity(d)) for gt in grid])
-
-
 def _assert_matches_dense(noise, grid, rtol=1e-10):
     import numpy as np
     from quditbench import agi_curve
 
-    fast, dense = agi_curve(noise, grid), _dense_agi_curve(noise, grid)
+    fast, dense = agi_curve(noise, grid), dense_agi_curve(noise, grid)
     nonzero = grid > 0
     assert np.all(fast[~nonzero] == 0.0)
     assert np.abs(fast[nonzero] / dense[nonzero] - 1.0).max() <= rtol, noise.dim
@@ -299,7 +291,7 @@ def test_agi_curve_routes_by_noise_structure():
         assert abs(slope / c_general(op) - 1.0) <= 1e-4
     # diagonal noise reads its spectrum off the Schur-multiplier exponents
     jz = collapse_model("Jz", 3)
-    assert not np.array_equal(agi_curve(jz, grid), _dense_agi_curve(jz, grid))
+    assert not np.array_equal(agi_curve(jz, grid), dense_agi_curve(jz, grid))
     _assert_matches_dense(jz, grid)
 
 
@@ -469,6 +461,19 @@ def test_gate_dependence_pool_is_capped_at_item_count(monkeypatch):
     assert pooled.rows == _cue_gates((2,), n_gates=2, seed=13).rows
     _cue_gates((2,), n_gates=1, seed=13, workers=64)
     assert started == [2], "a single work item runs without a pool"
+
+
+def test_run_experiment_rejects_bad_workers_before_any_work(monkeypatch):
+    import quditbench.experiments as exp
+
+    def reached(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(exp, "ProcessPoolExecutor", reached)
+    monkeypatch.setattr(exp, "_gate_workitem", reached)
+    for bad in (0, -3, True, 2.5, "2"):
+        with pytest.raises(ValueError, match="workers"):
+            _cue_gates((2,), n_gates=2, seed=13, workers=bad)
 
 
 def test_gate_dependence_rows_do_not_depend_on_other_dims():

@@ -24,20 +24,14 @@ from oracles import (
     column_stacked,
     column_stacked_dissipator,
     commutator,
+    dephasing_generator,
     expm_propagate,
     hermitian_basis,
     rk4_propagate,
     unvec,
     vec,
+    zero_h,
 )
-
-
-def zero_h(d):
-    return Operator(np.zeros((d, d)))
-
-
-def dephasing_generator(d, gamma=1.0):
-    return liouvillian(zero_h(d), NoiseModel.single(gamma, spin_z(d)))
 
 
 def test_vec_roundtrip_column_stacking():
