@@ -16,8 +16,8 @@ Five routes are provided and cross-checked against each other:
   once the spectrum is known, and free of cancellation,
 * ``agi_monte_carlo`` -- direct Haar-measure sampling (independent oracle).
   Each input's d^2 real coordinates come straight off its Gaussian draws: a
-  block costs one triangular product with T = triu(M + M^T), M = R_U^T R,
-  formed once per call.  Draws stream in blocks of ``MONTE_CARLO_BLOCK``: a
+  block costs one product with S = (M + M^T)/2, M = R_U^T R, formed once
+  per call.  Draws stream in blocks of ``MONTE_CARLO_BLOCK``: a
   call holds the real parts of one ``MONTE_CARLO_CHUNK`` (n d reals) and
   one block's temporaries.
 """
@@ -28,7 +28,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import dtrmm
 
 from .lindblad import (
     DensityMatrix,
@@ -47,7 +46,7 @@ MONTE_CARLO_CHUNK = 20_000
 # States per block inside a chunk.  Each block draws its imaginary parts just
 # before use, continuing the chunk's stream, so the block changes no draw and
 # no output bit.  It bounds every temporary: the block's draws (48 kB each at
-# d = 12), their real coordinates r and T r^T (0.6 MB each).  At 2 000 these
+# d = 12), their real coordinates r and r S (0.6 MB each).  At 2 000 these
 # are 2.3 MB each and come as fresh pages every block: the benchmark's four
 # 20 000-sample oracles (d = 6, 8, 10, 12) took ~10 000 minor page faults at
 # 2 000, ~2 400 at 1 000 and 700-800 from 500 down to 125, and ran fastest
@@ -272,9 +271,8 @@ def agi_monte_carlo(
     read straight off the draws p and q: with r the real coordinates of
     (p + i q)(p + i q)^dag (``lindblad.real_coordinates``), the fidelity is
     r^T M r / (|p|^2 + |q|^2)^2, M = R_U^T R with R_U the target's
-    conjugation channel.  r^T M r = r^T T r with T the upper triangle of
-    M + M^T and diagonal M_kk: formed once, and applied to each block by the
-    triangular product ``dtrmm``, half the flops of r @ M.
+    conjugation channel, and r^T M r = r^T S r with the symmetric part
+    S = (M + M^T)/2, formed once and applied to each block as r @ S.
     """
     require_dimension(n_samples, "sample count")
     if n_samples < 2:
@@ -285,10 +283,9 @@ def agi_monte_carlo(
         raise ValueError("sampler dimension must match the channel")
     require_unitary(target_gate)
     m = unitary_superoperator(target_gate).matrix.T @ channel.matrix
-    # Fortran order, as dtrmm reads it; the loop keeps no other d^2 x d^2 matrix
-    tri = np.asfortranarray(np.triu(m + m.T))
-    np.fill_diagonal(tri, m.diagonal())
-    del m
+    sym = m + m.T
+    sym *= 0.5
+    del m  # the loop keeps no other d^2 x d^2 matrix
     samples = np.empty(n_samples)
     done = 0
     while done < n_samples:
@@ -296,7 +293,7 @@ def agi_monte_carlo(
         for p, q in sampler._state_blocks(n, MONTE_CARLO_BLOCK):
             r = real_coordinates(p, q)
             norm2 = np.einsum("ni,ni->n", p, p) + np.einsum("ni,ni->n", q, q)
-            fid = np.einsum("kn,nk->n", dtrmm(1.0, tri, r.T), r) / (norm2 * norm2)
+            fid = np.einsum("nk,nk->n", r @ sym, r) / (norm2 * norm2)
             samples[done : done + len(r)] = 1.0 - fid
             done += len(r)
     return float(samples.mean()), float(samples.std(ddof=1) / np.sqrt(n_samples))

@@ -223,16 +223,26 @@ def dissipator_spectrum(noise: NoiseModel) -> np.ndarray:
 
 def _is_weighted_shift(ops: list[np.ndarray]) -> bool:
     """Every matrix triangular in one common orientation, every L^dag L
-    diagonal; true for an empty list."""
-    upper = not any(np.tril(l, -1).any() for l in ops)
-    lower = not any(np.triu(l, 1).any() for l in ops)
-    return (upper or lower) and all(is_diagonal(l.conj().T @ l) for l in ops)
+    diagonal; true for an empty list.
+
+    Both are read off the nonzero pattern, O(d^2): a matrix with at most
+    one nonzero per row has columns of disjoint support, so every
+    off-diagonal entry of L^dag L is a sum of exact zeros.  Only a matrix
+    whose columns overlap takes the O(d^3) product."""
+    support = [l != 0 for l in ops]
+    upper = not any(np.tril(s, -1).any() for s in support)
+    lower = not any(np.triu(s, 1).any() for s in support)
+    return (upper or lower) and all(
+        s.sum(axis=1).max() <= 1 or is_diagonal(l.conj().T @ l) for l, s in zip(ops, support)
+    )
 
 
 def _off_diagonal_column_norms(entries: np.ndarray) -> np.ndarray:
     """e_i = sum_{m != i} |L_mi|^2."""
-    off = entries - np.diag(np.diag(entries))
-    return (off.real**2 + off.imag**2).sum(axis=0)
+    sq = entries.real**2
+    sq += entries.imag**2
+    np.fill_diagonal(sq, 0.0)
+    return sq.sum(axis=0)
 
 
 def liouvillian(h: Operator, noise: NoiseModel) -> SuperOperator:

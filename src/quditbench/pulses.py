@@ -31,14 +31,14 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
+from ._lbfgs import lbfgs
 from .lindblad import SuperOperator, dissipator, expm, hamiltonian_generator
 from .operators import (
     NoiseModel, Operator, finite_values, nonnegative_values, require_dimension, require_unitary,
 )
 
-# grape_optimize: L-BFGS-B runs per target (the first plus restarts) and the
+# grape_optimize: L-BFGS runs per target (the first plus restarts) and the
 # iteration cap of each run.
 GRAPE_RUNS = 3
 GRAPE_MAX_ITERS = 500
@@ -231,11 +231,12 @@ def grape_optimize(
     """Optimize piecewise-constant amplitudes so the composed propagator
     matches the target gate.
 
-    Quasi-Newton (L-BFGS-B) ascent on the gate fidelity with exact
-    gradients; amplitudes start small and random, [-0.1, 0.1]/slot_duration,
-    seeded.  Stops once ``goal_infidelity`` is reached; otherwise restarts
-    from fresh random amplitudes, ``GRAPE_RUNS`` runs in all, and returns the
-    best run with ``converged=False``.
+    Quasi-Newton descent on the gate infidelity with exact gradients
+    (``_lbfgs.lbfgs``, the unconstrained path of L-BFGS-B); amplitudes
+    start small and random, [-0.1, 0.1]/slot_duration, seeded.  Stops once
+    ``goal_infidelity`` is reached; otherwise restarts from fresh random
+    amplitudes, ``GRAPE_RUNS`` runs in all, and returns the best run with
+    ``converged=False``.
     """
     require_dimension(n_slots, "n_slots")
     if not (np.isfinite(total_time) and total_time > 0):
@@ -249,36 +250,20 @@ def grape_optimize(
     rng = np.random.default_rng(seed)
     shape = (n_slots, len(ladder_controls(target.dim)))
 
+    def objective(xflat):
+        infid, grad = infidelity_and_gradient(xflat.reshape(shape), tgt, dt)
+        return infid, grad.ravel()
+
     best_amps = None
     best_inf = np.inf
     total_iters = 0
     for _ in range(GRAPE_RUNS):
         x0 = rng.uniform(-0.1, 0.1, size=shape) / dt
-
-        last = {"inf": np.inf}
-
-        def objective(xflat):
-            infid, grad = infidelity_and_gradient(xflat.reshape(shape), tgt, dt)
-            last["inf"] = infid
-            return infid, grad.ravel()
-
-        def callback(_xk):
-            if last["inf"] <= goal_infidelity:
-                raise StopIteration
-
-        res = minimize(
-            objective,
-            x0.ravel(),
-            jac=True,
-            method="L-BFGS-B",
-            callback=callback,
-            options={"maxiter": GRAPE_MAX_ITERS, "ftol": 1e-18, "gtol": 1e-14},
-        )
-        total_iters += int(res.nit)
-        infid = float(res.fun)
+        x, infid, iterations = lbfgs(objective, x0.ravel(), lambda _x, f: f <= goal_infidelity, GRAPE_MAX_ITERS)
+        total_iters += iterations
         if infid < best_inf:
             best_inf = infid
-            best_amps = res.x.reshape(shape).copy()
+            best_amps = x.reshape(shape)
         if best_inf <= goal_infidelity:
             break
 

@@ -425,9 +425,9 @@ def _agi_monte_carlo_quadratic_form(channel, target_gate, n_samples, sampler):
     return samples.mean(), samples.std(ddof=1) / np.sqrt(n_samples)
 
 
-def test_agi_monte_carlo_triangular_form_matches_full_quadratic_form():
-    # r^T T r with T = triu(M + M^T), diagonal M_kk, against r^T M r with the
-    # full M = R_U^T R on the coordinates of the normalized states
+def test_agi_monte_carlo_symmetric_form_matches_full_quadratic_form():
+    # r^T S r with S = (M + M^T)/2 against r^T M r with the full
+    # M = R_U^T R on the coordinates of the normalized states
     d, n = 4, 1_001
     rng = np.random.default_rng(19)
     channel = SuperOperator(rng.standard_normal((d * d, d * d)))
@@ -436,6 +436,42 @@ def test_agi_monte_carlo_triangular_form_matches_full_quadratic_form():
     ref_mean, ref_se = _agi_monte_carlo_quadratic_form(channel, target, n, HaarSampler(d, seed=21))
     assert abs(mean / ref_mean - 1.0) <= 1e-13
     assert abs(se / ref_se - 1.0) <= 1e-13
+
+
+def _agi_monte_carlo_dtrmm(channel, target_gate, n_samples, sampler):
+    """Reference: the same draws and blocks as agi_monte_carlo, with r^T M r
+    as BLAS's triangular product ``dtrmm`` of T = triu(M + M^T), diagonal
+    M_kk, with r^T."""
+    from scipy.linalg.blas import dtrmm
+
+    from quditbench.fidelity import MONTE_CARLO_BLOCK, MONTE_CARLO_CHUNK
+    from quditbench.lindblad import real_coordinates
+
+    m = unitary_superoperator(target_gate).matrix.T @ channel.matrix
+    tri = np.asfortranarray(np.triu(m + m.T))
+    np.fill_diagonal(tri, m.diagonal())
+    samples = []
+    for done in range(0, n_samples, MONTE_CARLO_CHUNK):
+        for p, q in sampler._state_blocks(min(MONTE_CARLO_CHUNK, n_samples - done), MONTE_CARLO_BLOCK):
+            r = real_coordinates(p, q)
+            norm2 = np.einsum("ni,ni->n", p, p) + np.einsum("ni,ni->n", q, q)
+            samples.append(1.0 - np.einsum("kn,nk->n", dtrmm(1.0, tri, r.T), r) / (norm2 * norm2))
+    samples = np.concatenate(samples)
+    return samples.mean(), samples.std(ddof=1) / np.sqrt(n_samples)
+
+
+def test_agi_monte_carlo_matches_the_triangular_blas_route():
+    from quditbench.experiments import collapse_model
+    from quditbench.fidelity import MONTE_CARLO_BLOCK, MONTE_CARLO_CHUNK
+
+    n = MONTE_CARLO_CHUNK + MONTE_CARLO_BLOCK + 3  # crosses a chunk, ragged last block
+    for d in (6, 12):
+        channel = propagate(liouvillian(zero_h(d), collapse_model("JxJyJz", d)), 1e-3)
+        target = Operator(HaarSampler(d, seed=26).unitary())
+        mean, se = agi_monte_carlo(channel, target, n, HaarSampler(d, seed=27))
+        ref_mean, ref_se = _agi_monte_carlo_dtrmm(channel, target, n, HaarSampler(d, seed=27))
+        assert abs(mean / ref_mean - 1.0) <= 1e-13, d
+        assert abs(se / ref_se - 1.0) <= 1e-13, d
 
 
 def test_agi_monte_carlo_on_raw_draws_matches_normalised_states():

@@ -514,6 +514,40 @@ def test_dissipator_spectrum_of_weighted_shifts_is_the_dissipator_diagonal(monke
             assert np.array_equal(z, np.linalg.eigvals(dissipator(noise)))
 
 
+def test_weighted_shift_scan_decides_as_the_product(monkeypatch):
+    # the nonzero-pattern scan gives the spectra that the dense L^dag L rule
+    # gives, bit for bit: J_+, J_-, complex-weighted ladders and a sum of
+    # them, d = 1..40, and an upper-triangular L whose columns overlap yet
+    # are orthogonal, which only the product decides
+    import quditbench.lindblad as lindblad
+    from quditbench.operators import is_diagonal
+
+    def product_rule(ops):
+        upper = not any(np.tril(l, -1).any() for l in ops)
+        lower = not any(np.triu(l, 1).any() for l in ops)
+        return (upper or lower) and all(is_diagonal(l.conj().T @ l) for l in ops)
+
+    rng = np.random.default_rng(31)
+    overlapping = np.zeros((4, 4))
+    overlapping[:2, 2] = 1.0
+    overlapping[:2, 3] = (1.0, -1.0)
+    models = [NoiseModel.single(1.0, Operator(overlapping))]
+    for d in range(1, 41):
+        jp = spin_plus(d)
+        w = rng.standard_normal(d - 1) + 1j * rng.standard_normal(d - 1)
+        models += [
+            NoiseModel.single(1.0, jp),
+            NoiseModel.single(0.4, Operator(jp.entries.conj().T)),
+            NoiseModel.single(1.3, Operator(np.diag(w, k=-1))),
+            NoiseModel(((0.3, jp), (0.2, Operator(np.diag(w, k=1))))),
+        ]
+    assert all(lindblad._is_weighted_shift([op.entries for _, op in m.terms]) for m in models)
+    scanned = [dissipator_spectrum(m) for m in models]
+    monkeypatch.setattr(lindblad, "_is_weighted_shift", product_rule)
+    for m, z in zip(models, scanned):
+        assert np.array_equal(dissipator_spectrum(m), z)
+
+
 def test_weighted_shift_spectrum_runs_past_the_ceiling():
     import tracemalloc
 
