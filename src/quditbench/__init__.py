@@ -38,6 +38,7 @@ from .pulses import (
     GrapeResult,
     PulseSchedule,
     grape_optimize,
+    grape_optimize_many,
     ladder_controls,
     schedule_to_propagator,
 )

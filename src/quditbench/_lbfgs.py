@@ -1,13 +1,16 @@
 """Limited-memory BFGS for GRAPE: the unconstrained path of L-BFGS-B.
 
-``lbfgs`` takes the steps that L-BFGS-B (Byrd, Lu, Nocedal & Zhu, SIAM J.
-Sci. Comput. 16, 1190 (1995)) takes when no variable is bounded: the
-quasi-Newton direction from the last ``MEMORY`` pairs (s, y), with the
+``lbfgs_steps`` takes the steps that L-BFGS-B (Byrd, Lu, Nocedal & Zhu,
+SIAM J. Sci. Comput. 16, 1190 (1995)) takes when no variable is bounded:
+the quasi-Newton direction from the last ``MEMORY`` pairs (s, y), with the
 initial inverse Hessian s^T y / y^T y of the newest pair, found here by the
 two-loop recursion; a first step of 1/|d| and 1 after it; and the
 Moré-Thuente line search (ACM TOMS 20, 286 (1994)), whose ``_dcstep`` is
 MINPACK-2's safeguarded cubic/quadratic step.  Its stopping tests are those
-GRAPE ran L-BFGS-B with (``ftol = 1e-18``, ``gtol = 1e-14``).
+GRAPE ran L-BFGS-B with (``ftol = 1e-18``, ``gtol = 1e-14``).  It is a
+generator that yields the points to evaluate, so that GRAPE can step many
+runs in lockstep, one batched objective call per round; ``lbfgs`` drives
+it on one objective.
 """
 
 from __future__ import annotations
@@ -26,15 +29,38 @@ EPS = np.finfo(float).eps
 
 
 def lbfgs(fun, x, callback, max_iter):
-    """Minimize ``fun`` from ``x``; ``fun(x)`` returns (f, gradient).
+    """Minimize ``fun`` from ``x``; ``fun(x)`` returns (f, gradient).  The
+    one-problem driver of ``lbfgs_steps``: returns (x, f, iterations)."""
+    steps = lbfgs_steps(x, callback, max_iter)
+    try:
+        point = next(steps)
+        while True:
+            point = steps.send(fun(point))
+    except StopIteration as stop:
+        return stop.value
+
+
+def lbfgs_steps(x, callback, max_iter):
+    """L-BFGS from ``x`` as a generator: it yields each point to evaluate,
+    is sent (f, gradient) there, and returns (x, f, iterations), so a
+    caller can evaluate many runs' points in one batched call.
 
     After each iteration ``callback(x, f)`` sees the new iterate and ends the
     run by returning true; ``max_iter`` iterations end it too.  A failed line
     search restores the iterate and empties the memory, or ends the run if
-    the memory is empty already.  Returns (x, f, iterations).
+    the memory is empty already.  A point equal to the last one evaluated is
+    not yielded again: its (f, gradient) is reused, as scipy's wrapper does.
     """
-    f, g = fun(x)
-    f = np.float64(f)
+    last = None  # (point, f, gradient) of the last evaluation
+
+    def evaluate(point):
+        nonlocal last
+        if last is None or not np.array_equal(point, last[0]):
+            f, grad = yield point
+            last = point, np.float64(f), grad
+        return last[1:]
+
+    f, g = yield from evaluate(x)
     pairs = deque(maxlen=MEMORY)  # (s, y, 1 / s^T y), oldest first
     scale = 1.0
     iterations = 0
@@ -55,7 +81,7 @@ def lbfgs(fun, x, callback, max_iter):
         d = z - x
         gd_old = g @ d
         stp = 1.0 if iterations else min(1.0 / np.linalg.norm(d), STPMAX)
-        found = _line_search(fun, x, z, f, gd_old, d, stp)
+        found = yield from _line_search(evaluate, x, z, f, gd_old, d, stp)
         if found is None:
             if not pairs:
                 return x, f, iterations
@@ -75,10 +101,11 @@ def lbfgs(fun, x, callback, max_iter):
         x, f, g = x_new, f_new, g_new
 
 
-def _line_search(fun, x, z, f0, ginit, d, stp):
+def _line_search(evaluate, x, z, f0, ginit, d, stp):
     """Moré-Thuente search along ``d`` from ``x`` (``z`` = x + d) with
     f(0) = ``f0``, f'(0) = ``ginit``, first trial ``stp``: MINPACK-2's
-    ``dcsrch``, whose warnings accept the step as convergence does.
+    ``dcsrch``, whose warnings accept the step as convergence does.  A
+    generator over ``evaluate``'s points, as ``lbfgs_steps`` is.
     Returns (stp, x + stp d, f, gradient, f'(stp)), or None when f'(0) >= 0
     or ``MAX_EVALS`` evaluations bring neither."""
     if not ginit < 0:
@@ -92,8 +119,7 @@ def _line_search(fun, x, z, f0, ginit, d, stp):
     stmin, stmax = 0.0, 5.0 * stp
     for _ in range(MAX_EVALS):
         point = z if stp == 1.0 else stp * d + x
-        f, grad = fun(point)
-        f = np.float64(f)
+        f, grad = yield from evaluate(point)
         g = grad @ d
         ftest = f0 + stp * gtest
         if stage1 and f <= ftest and g >= 0:

@@ -407,11 +407,13 @@ def test_gate_dependence_flags_failures(monkeypatch):
     from quditbench import GrapeResult, PulseSchedule
     import numpy as np
 
-    def stub(target, n_slots, total_time, goal_infidelity, seed, **kw):
-        sched = PulseSchedule(total_time / n_slots, np.zeros((n_slots, 2 * (target.dim - 1))))
-        return GrapeResult(sched, 0.5, False, 1)
+    def stub(targets, n_slots, total_time, goal_infidelity, seeds, **kw):
+        return [
+            GrapeResult(PulseSchedule(total_time / n_slots, np.zeros((n_slots, 2 * (t.dim - 1)))), 0.5, False, 1)
+            for t in targets
+        ]
 
-    monkeypatch.setattr(exp, "grape_optimize", stub)
+    monkeypatch.setattr(exp, "grape_optimize_many", stub)
     res = _cue_gates((2,), n_gates=3, seed=0)
     assert res.summary["n_failures"] == 3
     assert all(not row["grape_converged"] for row in res.rows)
@@ -435,6 +437,8 @@ def test_gate_dependence_worker_pool_matches_serial():
 
 
 def test_gate_dependence_pool_is_capped_at_item_count(monkeypatch):
+    import concurrent.futures
+
     import quditbench.experiments as exp
 
     started = []
@@ -454,26 +458,46 @@ def test_gate_dependence_pool_is_capped_at_item_count(monkeypatch):
             return map(fn, items)
 
     chunks = []
-    monkeypatch.setattr(exp, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    serial = _cue_gates((2,), n_gates=2, seed=13)
+    _cue_gates((2,), n_gates=2, seed=13, workers=64)
+    assert started == [], "two d = 2 gates make one batch, which runs without a pool"
+    monkeypatch.setattr(exp, "grape_batch_size", lambda d, n_slots: 1)
     pooled = _cue_gates((2,), n_gates=2, seed=13, workers=64)
     assert started == [2]
-    assert chunks == [1], "each started worker gets one of the two gates"
-    assert pooled.rows == _cue_gates((2,), n_gates=2, seed=13).rows
+    assert chunks == [1], "each started worker gets one of the two batches"
+    assert pooled.rows == serial.rows
     _cue_gates((2,), n_gates=1, seed=13, workers=64)
-    assert started == [2], "a single work item runs without a pool"
+    assert started == [2], "a single batch runs without a pool"
 
 
 def test_run_experiment_rejects_bad_workers_before_any_work(monkeypatch):
+    import concurrent.futures
+
     import quditbench.experiments as exp
 
     def reached(*args, **kwargs):
         raise AssertionError("work started")
 
-    monkeypatch.setattr(exp, "ProcessPoolExecutor", reached)
-    monkeypatch.setattr(exp, "_gate_workitem", reached)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", reached)
+    monkeypatch.setattr(exp, "_gate_batch", reached)
     for bad in (0, -3, True, 2.5, "2"):
         with pytest.raises(ValueError, match="workers"):
             _cue_gates((2,), n_gates=2, seed=13, workers=bad)
+
+
+def test_gate_rows_do_not_depend_on_batches_or_workers(monkeypatch):
+    # nine gates per dimension: the default bound splits d = 4 into 8 + 1,
+    # and three workers take the batches in a different split
+    import quditbench.experiments as exp
+
+    spec = ExperimentSpec("gate-dependence", (2, 3, 4), GATE_GRID, gates="cue", n_gates=9, seed=3)
+    reference = exp._gate_rows(spec, workers=1)
+    assert exp._gate_rows(spec, workers=3) == reference
+    for size in (1, spec.n_gates):
+        monkeypatch.setattr(exp, "grape_batch_size", lambda d, n_slots: size)
+        for workers in (1, 3):
+            assert exp._gate_rows(spec, workers) == reference, (size, workers)
 
 
 def test_gate_dependence_rows_do_not_depend_on_other_dims():

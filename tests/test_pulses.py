@@ -155,19 +155,64 @@ def test_grape_cue_gate_regression():
 def test_grape_unreachable_target_keeps_the_best_of_three_runs(monkeypatch):
     # two slots cannot reach a CUE gate at d = 3: every run ends unconverged
     runs = []
-    real_lbfgs = pulses.lbfgs
+    real_steps = pulses.lbfgs_steps
 
-    def recording_lbfgs(*args):
-        runs.append(real_lbfgs(*args))  # (x, f, iterations)
+    def recording_steps(*args):
+        runs.append((yield from real_steps(*args)))  # (x, f, iterations)
         return runs[-1]
 
-    monkeypatch.setattr(pulses, "lbfgs", recording_lbfgs)
+    monkeypatch.setattr(pulses, "lbfgs_steps", recording_steps)
     target = Operator(HaarSampler(3, seed=5).unitary())
     res = grape_optimize(target, n_slots=2, total_time=1.0, goal_infidelity=1e-300)
     assert len(runs) == 3
     assert res.converged is False
     assert res.infidelity == min(float(f) for _, f, _ in runs)
     assert res.iterations == sum(iterations for _, _, iterations in runs)
+
+
+def test_batched_objective_equals_each_solo_call():
+    # a schedule's value and gradient do not depend on the batch it is in
+    rng = np.random.default_rng(21)
+    for d in (2, 3, 4, 5):
+        for n_slots in (1, 5, 8 * d):
+            amps = rng.uniform(-3, 3, size=(7, n_slots, 2 * (d - 1)))
+            targets = np.stack([HaarSampler(d, seed=10 * d + k).unitary() for k in range(7)])
+            solo = [infidelity_and_gradient(a, t, 0.3) for a, t in zip(amps, targets)]
+            assert all(isinstance(f, float) for f, _ in solo)
+            for size in (1, 3, 7):
+                for lo in range(0, 7, size):
+                    infid, grad = infidelity_and_gradient(amps[lo : lo + size], targets[lo : lo + size], 0.3)
+                    assert infid.shape == (len(grad),) and grad.shape[1:] == amps.shape[1:]
+                    for k, (f, g) in enumerate(solo[lo : lo + size]):
+                        assert infid[k] == f and np.array_equal(grad[k], g), (d, n_slots, size, lo + k)
+
+
+def test_grape_optimize_many_equals_solo_runs():
+    # at d = 3 with two slots the identity converges within a few iterations
+    # while the CUE gates run all three restarts unconverged, so the batch
+    # shrinks as targets finish
+    targets = [identity(3), *(Operator(HaarSampler(3, seed=s).unitary()) for s in (5, 6)), identity(3)]
+    seeds = [0, 1, 2, 3]
+    many = pulses.grape_optimize_many(targets, 2, 1.0, 1e-8, seeds)
+    assert [res.converged for res in many] == [True, False, False, True]
+    for target, seed, res in zip(targets, seeds, many):
+        solo = grape_optimize(target, n_slots=2, total_time=1.0, goal_infidelity=1e-8, seed=seed)
+        assert np.array_equal(res.schedule.amplitudes, solo.schedule.amplitudes)
+        assert res.schedule.slot_duration == solo.schedule.slot_duration
+        assert (res.infidelity, res.converged, res.iterations) == (solo.infidelity, solo.converged, solo.iterations)
+    assert pulses.grape_optimize_many([], 2, 1.0, 1e-8, []) == []
+    with pytest.raises(ValueError, match="seeds"):
+        pulses.grape_optimize_many(targets, 2, 1.0, 1e-8, seeds[:3])
+    with pytest.raises(ValueError, match="one dimension"):
+        pulses.grape_optimize_many([identity(2), identity(3)], 2, 1.0, 1e-8, [0, 1])
+
+
+def test_grape_batch_size_keeps_the_slot_stack_within_the_bound():
+    # at the gate-dependence slot count 8 d: 64 / 18 / 8 / 4 / 2 / 1 gates
+    sizes = [pulses.grape_batch_size(d, 8 * d) for d in (2, 3, 4, 5, 6, 8)]
+    assert sizes == [64, 18, 8, 4, 2, 1]
+    for d, size in zip((2, 3, 4, 5, 6), sizes):
+        assert 16 * size * 8 * d**3 <= pulses.STACK_BYTES < 16 * (size + 1) * 8 * d**3
 
 
 def test_grape_validation():
@@ -233,7 +278,7 @@ def test_schedule_propagator_matches_slot_products(monkeypatch):
     # generator per stack.
     rng = np.random.default_rng(22)
     scales = (0.0, 1e-4, 0.1, 1.0, 3.0)
-    stack_sizes = (pulses.CHANNEL_STACK_BYTES, 4096, 1)
+    stack_sizes = (pulses.STACK_BYTES, 4096, 1)
     for d in (2, 3, 4, 5):
         n_controls = 2 * (d - 1)
         small = rng.uniform(-2, 2, size=(3 * d, n_controls))
@@ -255,7 +300,7 @@ def test_schedule_propagator_matches_slot_products(monkeypatch):
                     for s in scales
                 ]
                 for stack_bytes in stack_sizes:
-                    monkeypatch.setattr(pulses, "CHANNEL_STACK_BYTES", stack_bytes)
+                    monkeypatch.setattr(pulses, "STACK_BYTES", stack_bytes)
                     channels = schedule_to_propagator(sched, noise, scales)
                     assert len(channels) == len(scales)
                     for s, got, want in zip(scales, channels, expected):
@@ -359,13 +404,13 @@ def test_schedule_propagator_scales_are_independent(monkeypatch):
     # stack, and one matrix per stack
     rng = np.random.default_rng(3)
     scales = (0.0, 1e-5, 0.5, 2.0)
-    default = pulses.CHANNEL_STACK_BYTES
+    default = pulses.STACK_BYTES
     for d in (2, 3, 4):
         n_controls = 2 * (d - 1)
         sched = PulseSchedule(0.1, rng.uniform(-2, 2, size=(3 * d, n_controls)))
         noise = NoiseModel(((0.3, spin_z(d)), (0.1, spin_plus(d))))
         for stack_bytes in (default, *(n * 8 * d**4 for n in (4 * 3 * d - 1, 6, 3, 1))):
-            monkeypatch.setattr(pulses, "CHANNEL_STACK_BYTES", stack_bytes)
+            monkeypatch.setattr(pulses, "STACK_BYTES", stack_bytes)
             for s, many in zip(scales, schedule_to_propagator(sched, noise, scales)):
                 (one,) = schedule_to_propagator(sched, noise, [s])
                 assert np.abs(many.matrix - one.matrix).max() <= 1e-15, (d, s, stack_bytes)
@@ -376,10 +421,10 @@ def test_gate_rows_match_the_complex_route(monkeypatch):
     # grid point, the route the work item took before the real product
     seen = []
 
-    def recording_grape(target, **kwargs):
-        res = grape_optimize(target, **kwargs)
-        seen.append((target, res))
-        return res
+    def recording_grape(targets, **kwargs):
+        results = pulses.grape_optimize_many(targets, **kwargs)
+        seen.extend(zip(targets, results))
+        return results
 
     agis = []
 
@@ -388,7 +433,7 @@ def test_gate_rows_match_the_complex_route(monkeypatch):
         agis.extend(out)
         return out
 
-    monkeypatch.setattr(experiments, "grape_optimize", recording_grape)
+    monkeypatch.setattr(experiments, "grape_optimize_many", recording_grape)
     monkeypatch.setattr(experiments, "agi_exact", recording_agi)
     spec = replace(default_spec("gate-dependence", seed=7), dims=(2, 3, 4), gates="cue", n_gates=2)
     grid = spec.grid()
