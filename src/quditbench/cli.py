@@ -4,8 +4,8 @@ Every experiment subcommand takes --seed, --out and --scale {desk,paper};
 desk scale keeps runtimes suitable for a laptop or CI, paper scale restores
 the full published parameter ranges (the gate-dependence experiment at paper
 scale is cluster-sized).  ``platforms`` takes --out, --data and --reference.
-Bad input, an --out that is a directory or lies in a missing one included,
-ends in a usage error (exit 2) before any work starts.
+Bad input, an --out or .json summary path that is a directory or lies in a
+missing one included, ends in a usage error (exit 2) before any work starts.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .experiments import (
     EXPERIMENTS,
     ExperimentSpec,
     check_output_path,
+    check_outputs,
     default_spec,
     run_experiment,
     write_csv,
@@ -156,7 +157,7 @@ def main(argv=None) -> int:
     # bad input from outside the program ends in a usage error, not a traceback
     try:
         if args.output_path is not None:
-            check_output_path(args.output_path)
+            (check_output_path if args.command == "platforms" else check_outputs)(args.output_path)
         if args.command == "platforms":
             return _run_platforms(args)
         spec = _spec(args)

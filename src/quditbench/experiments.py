@@ -440,13 +440,13 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
     """Run a named experiment; deterministic under (spec, seed).
 
     When ``spec.output_path`` is set, the row table goes there as CSV and the
-    summary next to it with a .json suffix; a path that cannot take a file
-    raises ``ValueError`` before any work starts, as does a ``workers``
+    summary next to it with a .json suffix; if either cannot take a file,
+    ``ValueError`` is raised before any work starts, as for a ``workers``
     count that is not an integer >= 1.
     """
     require_dimension(workers, "workers")
     if spec.output_path is not None:
-        check_output_path(spec.output_path)
+        check_outputs(spec.output_path)
     result = EXPERIMENTS[spec.name].run(spec, workers)
     header = {"name": spec.name, "seed": spec.seed, "scale": spec.scale}
     result = replace(result, summary={**header, **result.summary})
@@ -476,6 +476,12 @@ def check_output_path(path) -> None:
         raise ValueError(f"output directory {parent!r} does not exist")
     if os.path.isdir(out):
         raise ValueError(f"output path {out!r} is a directory, not a file")
+
+
+def check_outputs(path) -> None:
+    """``check_output_path`` for a CSV path and for its .json summary."""
+    check_output_path(path)
+    check_output_path(Path(path).with_suffix(".json"))
 
 
 def write_csv(fieldnames, rows, path) -> None:

@@ -17,9 +17,9 @@ Five routes are provided and cross-checked against each other:
 * ``agi_monte_carlo`` -- direct Haar-measure sampling (independent oracle).
   Each input's d^2 real coordinates come straight off its Gaussian draws: a
   block costs one product with S = (M + M^T)/2, M = R_U^T R, formed once
-  per call.  Draws stream in blocks of ``MONTE_CARLO_BLOCK``: a
-  call holds the real parts of one ``MONTE_CARLO_CHUNK`` (n d reals) and
-  one block's temporaries.
+  per call.  Every reader of a sampler's states takes them in the one draw
+  order of ``HaarSampler._state_blocks``; an estimator holds the real parts
+  of one ``MONTE_CARLO_CHUNK`` (n d reals) and one block's temporaries.
 """
 
 from __future__ import annotations
@@ -38,10 +38,10 @@ from .lindblad import (
 )
 from .operators import PURITY_ATOL, NoiseModel, Operator, nonnegative_values, require_dimension, require_unitary
 
-# Input states per Monte Carlo batch.  Each batch draws its real parts, then
-# its imaginary parts, so the chunk fixes the RNG draw order: another value
-# gives other samples under the same seed.  A batch holds its n x d real
-# parts (1.9 MB at d = 12) until its last block is drawn.
+# Input states per chunk of ``HaarSampler._state_blocks``.  A chunk draws its
+# real parts, then its imaginary parts, so the chunk fixes the draws of every
+# reader: another value gives other states under the same seed.  It holds its
+# n x d real parts (1.9 MB at d = 12) until its last block is drawn.
 MONTE_CARLO_CHUNK = 20_000
 # States per block inside a chunk.  Each block draws its imaginary parts just
 # before use, continuing the chunk's stream, so the block changes no draw and
@@ -93,21 +93,22 @@ class HaarSampler:
         """n Haar (Fubini-Study) random pure state vectors, shape (n, d).
 
         A normalized complex standard-Gaussian vector has exactly the
-        distribution of the first column of a Haar unitary.  The real parts
-        of all n states are drawn first, then their imaginary parts.
+        distribution of the first column of a Haar unitary.  The states are
+        the normalized rows of the draws of ``_state_blocks``, concatenated.
         """
         require_dimension(n, "sample count")
-        return _unit_states(*next(self._state_blocks(n, n)))
+        return _unit_states(*map(np.concatenate, zip(*self._state_blocks(n, n))))
 
     def _state_blocks(self, n: int, block: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """The draws (p, q) of ``states(n)``, whose states are the normalized
-        rows of p + i q, in blocks of ``block`` rows (the last one ragged):
-        the n x d real parts are drawn at once, each block's imaginary parts
-        only when the block is requested."""
-        real = self._rng.standard_normal((n, self.dim))
-        for start in range(0, n, block):
-            part = real[start : start + block]
-            yield part, self._rng.standard_normal(part.shape)
+        """The draws (p, q) of n states, the normalized rows of p + i q, in
+        blocks of at most ``block`` rows that never span two chunks: each
+        ``MONTE_CARLO_CHUNK`` of states draws its real parts at once, each
+        block its imaginary parts only when the block is requested."""
+        for start in range(0, n, MONTE_CARLO_CHUNK):
+            real = self._rng.standard_normal((min(MONTE_CARLO_CHUNK, n - start), self.dim))
+            for row in range(0, len(real), block):
+                part = real[row : row + block]
+                yield part, self._rng.standard_normal(part.shape)
 
 
 def _unit_states(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -140,8 +141,8 @@ def haar_variance_monte_carlo(
     """Monte Carlo estimate of the Haar-averaged collapse variance.
 
     Returns (mean, standard error of the mean); oracle for the closed form
-    ``analytic.c_general``.  The samples are one chunk of ``states``, read
-    in blocks of ``MONTE_CARLO_BLOCK``.
+    ``analytic.c_general``.  The samples are those of ``sampler.states``,
+    read in blocks of ``MONTE_CARLO_BLOCK``.
     """
     if sampler.dim != collapse.dim:
         raise ValueError("sampler dimension must match the operator")
@@ -288,12 +289,10 @@ def agi_monte_carlo(
     del m  # the loop keeps no other d^2 x d^2 matrix
     samples = np.empty(n_samples)
     done = 0
-    while done < n_samples:
-        n = min(MONTE_CARLO_CHUNK, n_samples - done)
-        for p, q in sampler._state_blocks(n, MONTE_CARLO_BLOCK):
-            r = real_coordinates(p, q)
-            norm2 = np.einsum("ni,ni->n", p, p) + np.einsum("ni,ni->n", q, q)
-            fid = np.einsum("nk,nk->n", r @ sym, r) / (norm2 * norm2)
-            samples[done : done + len(r)] = 1.0 - fid
-            done += len(r)
+    for p, q in sampler._state_blocks(n_samples, MONTE_CARLO_BLOCK):
+        r = real_coordinates(p, q)
+        norm2 = np.einsum("ni,ni->n", p, p) + np.einsum("ni,ni->n", q, q)
+        fid = np.einsum("nk,nk->n", r @ sym, r) / (norm2 * norm2)
+        samples[done : done + len(r)] = 1.0 - fid
+        done += len(r)
     return float(samples.mean()), float(samples.std(ddof=1) / np.sqrt(n_samples))

@@ -371,19 +371,13 @@ def test_agi_monte_carlo_cross_checks_exact():
 
 def _agi_monte_carlo_two_products(channel, target_gate, n_samples, sampler):
     """Reference: Re <S_U v, S v> per sample, v = vec(|psi><psi|), with the
-    column-stacked S and S_U = conj(U) kron U, drawn in the same chunks as
-    agi_monte_carlo."""
-    from quditbench.fidelity import MONTE_CARLO_CHUNK
-
+    column-stacked S and S_U = conj(U) kron U, on the states of
+    ``sampler.states``."""
     su = np.kron(target_gate.entries.conj(), target_gate.entries)
     s = column_stacked(channel)
-    samples = []
-    for done in range(0, n_samples, MONTE_CARLO_CHUNK):
-        psi = sampler.states(min(MONTE_CARLO_CHUNK, n_samples - done))
-        vecs = vec(psi[:, :, None] * psi.conj()[:, None, :]).T
-        fid = np.einsum("kn,kn->n", (su @ vecs).conj(), s @ vecs).real
-        samples.append(1.0 - fid)
-    samples = np.concatenate(samples)
+    psi = sampler.states(n_samples)
+    vecs = vec(psi[:, :, None] * psi.conj()[:, None, :]).T
+    samples = 1.0 - np.einsum("kn,kn->n", (su @ vecs).conj(), s @ vecs).real
     return samples.mean(), samples.std(ddof=1) / np.sqrt(n_samples)
 
 
@@ -410,18 +404,13 @@ def test_agi_monte_carlo_matches_two_product_reference():
 
 def _agi_monte_carlo_quadratic_form(channel, target_gate, n_samples, sampler):
     """Reference: r^T M r per sample with the full M = R_U^T R and r the
-    real coordinates of the normalized states of ``sampler.states``, drawn
-    in the same chunks as agi_monte_carlo."""
-    from quditbench.fidelity import MONTE_CARLO_CHUNK
+    real coordinates of the normalized states of ``sampler.states``."""
     from quditbench.lindblad import real_coordinates
 
     m = unitary_superoperator(target_gate).matrix.T @ channel.matrix
-    samples = []
-    for done in range(0, n_samples, MONTE_CARLO_CHUNK):
-        psi = sampler.states(min(MONTE_CARLO_CHUNK, n_samples - done))
-        r = real_coordinates(psi.real, psi.imag)
-        samples.append(1.0 - np.einsum("nk,kl,nl->n", r, m, r))
-    samples = np.concatenate(samples)
+    psi = sampler.states(n_samples)
+    r = real_coordinates(psi.real, psi.imag)
+    samples = 1.0 - np.einsum("nk,kl,nl->n", r, m, r)
     return samples.mean(), samples.std(ddof=1) / np.sqrt(n_samples)
 
 
@@ -444,18 +433,17 @@ def _agi_monte_carlo_dtrmm(channel, target_gate, n_samples, sampler):
     M_kk, with r^T."""
     from scipy.linalg.blas import dtrmm
 
-    from quditbench.fidelity import MONTE_CARLO_BLOCK, MONTE_CARLO_CHUNK
+    from quditbench.fidelity import MONTE_CARLO_BLOCK
     from quditbench.lindblad import real_coordinates
 
     m = unitary_superoperator(target_gate).matrix.T @ channel.matrix
     tri = np.asfortranarray(np.triu(m + m.T))
     np.fill_diagonal(tri, m.diagonal())
     samples = []
-    for done in range(0, n_samples, MONTE_CARLO_CHUNK):
-        for p, q in sampler._state_blocks(min(MONTE_CARLO_CHUNK, n_samples - done), MONTE_CARLO_BLOCK):
-            r = real_coordinates(p, q)
-            norm2 = np.einsum("ni,ni->n", p, p) + np.einsum("ni,ni->n", q, q)
-            samples.append(1.0 - np.einsum("kn,nk->n", dtrmm(1.0, tri, r.T), r) / (norm2 * norm2))
+    for p, q in sampler._state_blocks(n_samples, MONTE_CARLO_BLOCK):
+        r = real_coordinates(p, q)
+        norm2 = np.einsum("ni,ni->n", p, p) + np.einsum("ni,ni->n", q, q)
+        samples.append(1.0 - np.einsum("kn,nk->n", dtrmm(1.0, tri, r.T), r) / (norm2 * norm2))
     samples = np.concatenate(samples)
     return samples.mean(), samples.std(ddof=1) / np.sqrt(n_samples)
 
@@ -507,17 +495,41 @@ def test_agi_monte_carlo_does_not_depend_on_the_block(monkeypatch):
         assert abs(se / results[0][1] - 1.0) <= 1e-15
 
 
+def _haar_variance_on_states(collapse, psi):
+    """Reference: (mean, SE) of the collapse variance over the rows of psi,
+    all at once."""
+    lpsi = psi @ collapse.entries.T
+    samples = np.einsum("ni,ni->n", lpsi.conj(), lpsi).real - np.abs(np.einsum("ni,ni->n", psi.conj(), lpsi)) ** 2
+    return float(samples.mean()), float(samples.std(ddof=1) / np.sqrt(len(psi)))
+
+
 def test_haar_variance_monte_carlo_matches_all_at_once():
     from quditbench.fidelity import MONTE_CARLO_BLOCK
 
     d = 4
     n = 2 * MONTE_CARLO_BLOCK + 3  # ragged last block
     collapse = Operator(spin_plus(d).entries + 0.3j * spin_z(d).entries)
-    psi = HaarSampler(d, seed=17).states(n)
-    lpsi = psi @ collapse.entries.T
-    samples = np.einsum("ni,ni->n", lpsi.conj(), lpsi).real - np.abs(np.einsum("ni,ni->n", psi.conj(), lpsi)) ** 2
-    reference = (float(samples.mean()), float(samples.std(ddof=1) / np.sqrt(n)))
+    reference = _haar_variance_on_states(collapse, HaarSampler(d, seed=17).states(n))
     assert haar_variance_monte_carlo(collapse, n, HaarSampler(d, seed=17)) == reference
+
+
+def test_monte_carlo_estimators_read_the_states_past_a_chunk():
+    # one draw order: past a chunk boundary, each estimator's i-th input is
+    # still the i-th state of HaarSampler.states under the same seed
+    from quditbench.experiments import collapse_model
+    from quditbench.fidelity import MONTE_CARLO_BLOCK, MONTE_CARLO_CHUNK
+
+    d, n = 3, MONTE_CARLO_CHUNK + MONTE_CARLO_BLOCK + 3
+    noise = collapse_model("JxJyJz", d)
+    channel = propagate(liouvillian(zero_h(d), noise), 1e-2)
+    target = Operator(HaarSampler(d, seed=13).unitary())
+    mean, se = agi_monte_carlo(channel, target, n, HaarSampler(d, seed=14))
+    ref_mean, ref_se = _agi_monte_carlo_quadratic_form(channel, target, n, HaarSampler(d, seed=14))
+    assert abs(mean / ref_mean - 1.0) <= 1e-13
+    assert abs(se / ref_se - 1.0) <= 1e-13
+    collapse = noise.terms[0][1]
+    reference = _haar_variance_on_states(collapse, HaarSampler(d, seed=14).states(n))
+    assert haar_variance_monte_carlo(collapse, n, HaarSampler(d, seed=14)) == reference
 
 
 def test_agi_monte_carlo_memory_is_bounded_by_the_block():

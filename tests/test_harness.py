@@ -94,6 +94,26 @@ def test_run_experiment_rejects_output_paths_that_cannot_take_a_file(tmp_path, m
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv", "x.json"]
 
 
+def test_a_summary_path_that_is_a_directory_is_rejected_before_any_work(tmp_path, monkeypatch, capsys):
+    # the .json summary beside the CSV is checked with it, not after the run
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "r.json").mkdir()
+    entry = EXPERIMENTS["slopes-qudit"]
+    runs = []
+    monkeypatch.setitem(EXPERIMENTS, "slopes-qudit", replace(entry, run=lambda spec, workers: runs.append(spec)))
+    with pytest.raises(ValueError, match="'r.json' is a directory"):
+        run_experiment(ExperimentSpec("slopes-qudit", (2,), (0.0, 1e-4, 11), output_path="r.csv"))
+    for out in ("r.csv", "r", str(tmp_path / "r.csv")):
+        with pytest.raises(SystemExit) as exc:
+            main(["slopes-qudit", "--out", out])
+        assert exc.value.code == 2, out
+        assert "r.json' is a directory" in capsys.readouterr().err, out
+    assert runs == [] and [p.name for p in tmp_path.iterdir()] == ["r.json"]
+    # platforms writes no summary: a directory named like one is no obstacle
+    assert main(["platforms", "--out", "r.csv"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv", "r.json"]
+
+
 SMALL = (0.0, 1e-4, 11)
 EVEN_TO_12, EVEN_TO_22 = (2, 4, 6, 8, 10, 12), (2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22)
 # (name, scale) -> (dims, gamma_t_grid, gates, n_gates)
