@@ -3,7 +3,8 @@
 The bundled data file lists published qubit and qudit platforms with their
 T2 and gate times.  Unknown entries stay unknown ("unknown" in the file,
 ``None`` in memory); they are never imputed.  An unlimited T2 is recorded
-as "inf" and forces the figure of merit tau = gate_time / T2 to zero.
+as "inf" and forces the figure of merit tau = gate_time / T2 to zero; a
+known T2 must be positive, so tau is always defined.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ class PlatformRecord:
         for v in (self.t2, self.gate_time):
             if v is not None and not v >= 0:
                 raise ValueError(f"times must be non-negative numbers, got {v}")
+        if self.t2 is not None and not self.t2 > 0:
+            raise ValueError(f"T2 must be positive, got {self.t2}")
 
     @property
     def tau(self) -> float | None:
@@ -49,7 +52,7 @@ class PlatformRecord:
 
 def _parse_time(text: str) -> float | None:
     """A time field: None for "unknown", else the float ("inf" included);
-    ``PlatformRecord`` rejects NaN and negative times."""
+    ``PlatformRecord`` rejects NaN and negative times and a zero T2."""
     text = text.strip()
     return None if text == _UNKNOWN else float(text)
 

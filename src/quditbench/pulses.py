@@ -17,11 +17,23 @@ exp(-i H_j dt) follow from them, their prefix products from a doubling scan
 of ceil(log2 n) batched products, each suffix from the gate itself,
 X_n ... X_{j+1} = U P_j^dag, and the derivatives from the Daleckii-Krein
 divided differences of exp(-i dt x), in the closed sinc form that holds at
-every eigenvalue gap, so there is no degeneracy threshold.  The objective
-takes leading batch axes, and ``grape_optimize_many`` runs the L-BFGS of
-many targets of one dimension in lockstep, one batched objective call per
-round: small-d GRAPE costs per call, not per flop, and each target's result
-is the same bit for bit as its own ``grape_optimize``.
+every eigenvalue gap, so there is no degeneracy threshold.  The gradient
+with respect to the ladder controls needs only the first off-diagonals of
+each slot's G_j, read as row dot-products, so G_j is never formed.  The
+objective takes leading batch axes, and ``grape_optimize_many`` runs the
+L-BFGS of many targets of one dimension in lockstep, one batched objective
+call per round: small-d GRAPE costs per call, not per flop, and each
+target's result is the same bit for bit as its own ``grape_optimize``.
+
+The objective multiplies complex d x d slot matrices in their real form:
+the 2d x 2d real matrix with the block [[Re a, -Im a], [Im a, Re a]] in
+place of each entry a.  Products and adjoints carry over, R(AB) = R(A) R(B)
+and R(A^dag) = R(A)^T, and NumPy multiplies a stack of real 2d x 2d
+matrices several times faster than the complex d x d ones at d <= 4.  Read
+as complex numbers, rows 2r and 2r + 1 of R(A) are conj(A)[r] and
+i conj(A)[r], so R(A) is written from conj(A) and read back from its even
+rows, and a real matrix Q acts on it from the left as one product with its
+(d, 4d) reshape.
 
 The noisy channel of a schedule, for a whole grid of noise-rate scales at
 once, exponentiates the real (scale, slot) generators by ``lindblad.expm``
@@ -32,6 +44,7 @@ slots in order, batched over the scales.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,13 +61,16 @@ GRAPE_RUNS = 3
 GRAPE_MAX_ITERS = 500
 
 # The most bytes of one stack of matrices: of the slot generators
-# schedule_to_propagator hands to lindblad.expm, and of the complex slot
-# matrices of a grape_optimize_many batch (grape_batch_size).  Stacks this
-# small stay in cache and in reused heap memory (a 2 MiB stack of one
+# schedule_to_propagator hands to lindblad.expm, of the complex slot
+# matrices of a grape_optimize_many batch (grape_batch_size), and of the
+# real slot matrices of one run of slots in infidelity_and_gradient.  Stacks
+# this small stay in cache and in reused heap memory (a 2 MiB stack of one
 # scale's slots at d = 8 faults in fresh pages on every call), yet at
 # d <= 3 hold every scale of a gate's grid, so the per-call overhead is paid
 # once per stack rather than once per scale.  Batches of GRAPE targets past
-# it pass glibc's 128 KiB mmap threshold at d = 4 and raise the peak RSS.
+# it pass glibc's 128 KiB mmap threshold at d = 4 and raise the peak RSS; in
+# real form a batch holds up to twice as many bytes, so the objective takes
+# the slots of a batch of 8 d slots per gate in two runs.
 STACK_BYTES = 64 * 1024
 
 
@@ -63,9 +79,9 @@ def ladder_controls(d: int) -> np.ndarray:
     """The 2(d-1) ladder controls of a d-level qudit as one read-only
     (2(d-1), d, d) stack: one pair per adjacent-level transition.
 
-    Cached, so every caller shares one stack: ``_gauge_tables`` (the GRAPE
-    kernel's tables), ``_real_controls`` and ``schedule_to_propagator``;
-    sharing is safe because the array is read-only."""
+    Cached, so every caller shares one stack: ``_real_controls``,
+    ``grape_optimize_many`` and ``schedule_to_propagator``; sharing is safe
+    because the array is read-only."""
     require_dimension(d)
     if d < 2:
         raise ValueError("ladder controls need d >= 2")
@@ -97,11 +113,12 @@ def _gauge_tables(d: int) -> tuple[np.ndarray, ...]:
     d x d matrix whose first ceil(d/2) rows take the SVD factor Y (on the
     even levels) and whose last floor(d/2) rows take Z (on the odd levels)
     to the eigenvectors (y_i, z_i) / sqrt(2), (y_i, -z_i) / sqrt(2) and,
-    for odd d, (y_last, 0).  ``spread``: the singular values s to the matching
-    eigenvalues, s @ spread = (s, -s, 0 for odd d).  ``table``:
-    Tr(G H_k) = G.reshape(-1) @ table[:, k] for the ladder controls, the
-    (d^2, 2(d-1)) control trace table."""
-    controls = ladder_controls(d)
+    for odd d, (y_last, 0).  ``spread``: the singular values s to the
+    matching eigenvalues, s @ spread = (s, -s, 0 for odd d).  ``pair``: the
+    factors (1, i) of the two rows of a real-form row pair, read as complex.
+    ``identity``: the real form of the d x d identity as (d, 2, d) complex
+    numbers.  ``pick``: the (2d, 2) matrix that sums the real and the
+    imaginary parts of a row of real pairs separately."""
     rows = np.array([(k + 1) // 2 for k in range(d - 1)])
     cols = np.array([k // 2 for k in range(d - 1)])
     even, odd = (d + 1) // 2, d // 2
@@ -114,8 +131,10 @@ def _gauge_tables(d: int) -> tuple[np.ndarray, ...]:
     spread = np.zeros((odd, d))
     spread[i, i] = 1.0
     spread[i, odd + i] = -1.0
-    table = np.ascontiguousarray(controls.transpose(0, 2, 1).reshape(len(controls), d * d).T)
-    tables = (rows, cols, mix, spread, table)
+    pair = np.array([1.0, 1j])
+    identity = np.eye(d)[:, None, :] * pair[:, None]
+    pick = np.tile(np.eye(2), (d, 1))
+    tables = (rows, cols, mix, spread, pair, identity, pick)
     for arr in tables:
         arr.setflags(write=False)
     return tables
@@ -173,6 +192,13 @@ def infidelity_and_gradient(
     exp(-i dt x) are -i dt h_a h_b sin(y) / y with y = dt (w_a - w_b) / 2
     (1 at y = 0), exact at every eigenvalue gap, degenerate ones included.
 
+    Every complex slot matrix that enters a product is held in its real
+    form (module docstring), so each batched product is one real matmul,
+    and the real Q_j and Q_j^T act on a real form as one product with its
+    (d, 4d) reshape.  Tr(G_j H_k) needs only G_j[k, k+1] and G_j[k+1, k]
+    for the ladder controls: they are rows of W = Q_j (M_j * lam_j) dotted
+    with rows of Q_j, times the gauge phases, so G_j is never formed.
+
     Raises ``ValueError`` unless ``amps`` has 2(d-1) columns and a slot axis.
     """
     d = target.shape[-1]
@@ -180,51 +206,126 @@ def infidelity_and_gradient(
         raise ValueError(
             f"amps must have 2(d-1) = {2 * (d - 1)} columns for a d = {d} target, got shape {amps.shape}"
         )
+    if target.shape[:-2] != amps.shape[:-2]:
+        amps = np.broadcast_to(amps, (*np.broadcast_shapes(amps.shape[:-2], target.shape[:-2]), *amps.shape[-2:]))
     batch, n_slots = amps.shape[:-2], amps.shape[-2]
     even, odd = (d + 1) // 2, d // 2
-    rows, cols, mix, spread, table = _gauge_tables(d)
+    rows, cols, mix, spread, pair, identity, pick = _gauge_tables(d)
     z = np.ascontiguousarray(amps, dtype=float).view(complex)  # H_j[k, k+1]
-    theta = np.zeros((*batch, n_slots, d))  # minus the phases of Phi_j
-    np.cumsum(np.angle(z), axis=-1, out=theta[..., 1:])
+    modulus = np.abs(z)
+    unit = np.ones_like(z)  # exp(i arg H_j[k, k+1]), 1 where H_j[k, k+1] = 0
+    np.divide(
+        z.view(float).reshape(*z.shape, 2),
+        modulus[..., None],
+        out=unit.view(float).reshape(*z.shape, 2),
+        where=modulus[..., None] > 0.0,
+    )
+    phase = np.ones((*batch, n_slots, d), dtype=complex)  # Phi_j[k] = prod_{l < k} conj(unit[l])
+    np.cumprod(unit.conj(), axis=-1, out=phase[..., 1:])
     bidiagonal = np.zeros((*batch, n_slots, even, odd))
-    bidiagonal[..., rows, cols] = np.abs(z)
+    bidiagonal[..., rows, cols] = modulus
     y, s, zt = np.linalg.svd(bidiagonal)
     q = np.empty((*batch, n_slots, d, d))
     np.matmul(y, mix[:even], out=q[..., 0::2, :])
     np.matmul(zt.swapaxes(-1, -2), mix[even:], out=q[..., 1::2, :])
-    v = np.exp(-1j * theta)[..., None] * q
-    w = s @ spread
-    vdag = v.conj().swapaxes(-1, -2)
-    half = np.exp(-0.5j * dt * w)
+    q2 = np.repeat(q, 2, axis=-1)  # each entry of Q_j twice, against real pairs
+    qt = np.ascontiguousarray(q.swapaxes(-1, -2))
+    w = (0.5 * dt) * (s @ spread)  # dt w_j / 2
+    half = np.exp(-1j * w)
+    conj_half = half.conj()
+    # slots run in groups of at most STACK_BYTES of real slot matrices, so a
+    # call's working set stays near that of the same call in complex form
+    run = max(1, STACK_BYTES // (32 * d * d * math.prod(batch)))
+    runs = [slice(lo, min(lo + run, n_slots)) for lo in range(0, n_slots, run)]
 
-    prefix = (v * (half * half)[..., None, :]) @ vdag
+    # The scan runs over Phi_{j+1}^dag X_j Phi_j = Phi_{j+1}^dag Phi_j Q_j
+    # h_j^2 Q_j^T with Phi_{n+1} = 1, the first times Phi_1^dag, so slot j of
+    # the prefix stack is Phi_{j+1}^dag P_j (P_0 = 1) and slot n is U.  The
+    # conjugate of a factor is Q_j times conj(h_j^2) Q_j^T read as real pairs,
+    # times its row phases: the even rows of the real form, and i times them
+    # the odd rows.
+    step = np.empty((*batch, n_slots + 1, d), dtype=complex)  # conj(Phi_{j+1}^dag Phi_j)
+    step[..., 0, :] = phase[..., 0, :]
+    np.multiply(phase[..., 1:, :], phase[..., :-1, :].conj(), out=step[..., 1:-1, :])
+    step[..., -1, :] = phase[..., -1, :].conj()
+    prefix = np.empty((*batch, n_slots + 1, d, 2, d), dtype=complex)
+    np.multiply(identity, step[..., 0, :, None, None], out=prefix[..., 0, :, :, :])
+    turn = conj_half * conj_half
+    for c in runs:
+        right = qt[..., c, :, :] * turn[..., c, :, None]
+        factor = (q[..., c, :, :] @ right.view(float)).view(complex)
+        del right
+        factor *= step[..., c.start + 1 : c.stop + 1, :, None]
+        out = prefix[..., c.start + 1 : c.stop + 1, :, :, :]
+        out[..., 0, :] = factor
+        np.multiply(factor, 1j, out=out[..., 1, :])
+        del factor, out
+    del step, turn
+    ri = prefix.view(float).reshape(*batch, n_slots + 1, 2 * d, 2 * d)
+    ri[..., 1, :, :] = ri[..., 1, :, :] @ ri[..., 0, :, :]
+    spare = np.empty_like(ri)
+    spare[..., 0, :, :] = ri[..., 0, :, :]
     shift = 1
     while shift < n_slots:
-        prefix[..., shift:, :, :] = prefix[..., shift:, :, :] @ prefix[..., :-shift, :, :]
+        # slots up to 2 shift are final after this step; the spare stack
+        # already holds those up to shift / 2
+        np.matmul(ri[..., shift + 1 :, :, :], ri[..., 1:-shift, :, :], out=spare[..., shift + 1 :, :, :])
+        spare[..., shift // 2 + 1 : shift + 1, :, :] = ri[..., shift // 2 + 1 : shift + 1, :, :]
+        ri, spare = spare, ri
         shift *= 2
-    tdag_u = target.conj().swapaxes(-1, -2) @ prefix[..., -1, :, :]
-    # np.trace and Python's scalar abs: an einsum trace and numpy's
-    # vectorized complex abs each round some overlaps differently
-    overlap = np.trace(tdag_u, axis1=-2, axis2=-1) / d
+    del spare
+    prefix = ri.reshape(*batch, n_slots + 1, d, 4 * d)
+    tdag = np.multiply(target.swapaxes(-1, -2)[..., :, None, :], pair[:, None], order="C").view(float)
+    tdag_u = tdag.reshape(*tdag.shape[:-3], 2 * d, 2 * d) @ ri[..., -1, :, :]
+    # the even rows of a real form, read as complex, are the conjugate; np.trace
+    # and Python's scalar abs: an einsum trace and numpy's vectorized complex
+    # abs each round some overlaps differently
+    overlap = np.trace(tdag_u.view(complex)[..., 0::2, :], axis1=-2, axis2=-1).conj() / d
     infid = np.reshape([1.0 - abs(o) ** 2 for o in np.ravel(overlap)], np.shape(overlap))
 
     # d infid / d u_jk = (-2/d) Re(conj(overlap) Tr(G_j H_k)) with
     # G_j = V_j (M_j * lam_j) V_j^dag, M_j = R_j T^dag U R_j^dag,
-    # R_j = V_j^dag P_{j-1} (P_0 = 1), and lam_j = -i dt h_a conj(h_b)
-    # sin(y) / y: X_j^dag V_j = V_j diag(conj h_j^2) turns the
-    # right factor P_j^dag V_j into R_j^dag diag(conj h_j^2).  The -i dt goes
-    # into the final scalar; Tr(G_j H_k) for all j, k is one (n, d^2) @
-    # (d^2, n_controls) product with the cached control trace table.
-    before = vdag.copy()
-    np.matmul(vdag[..., 1:, :, :], prefix[..., :-1, :, :], out=before[..., 1:, :, :])
-    gap = (0.5 * dt) * (w[..., :, None] - w[..., None, :])
-    sinc = np.ones_like(gap)
-    np.divide(np.sin(gap), gap, out=sinc, where=gap != 0.0)
-    lam = half[..., :, None] * half.conj()[..., None, :] * sinc
-    m = before @ tdag_u[..., None, :, :] @ before.conj().swapaxes(-1, -2)
-    g = v @ (m * lam) @ vdag
-    tr = g.reshape(*g.shape[:-3], n_slots, d * d) @ table
-    grad = np.real(((2j * dt / d) * np.conj(overlap))[..., None, None] * tr)
+    # R_j = V_j^dag P_{j-1} = Q_j^T Phi_j^dag P_{j-1}, that is Q_j^T times slot
+    # j - 1 of the stack, and lam_j = h_a conj(h_b) sin(y) / y; the -i dt goes
+    # into the final scalar.  With E = M_j * lam_j,
+    # G_j[a, b] = Phi_j[a] conj(Phi_j[b]) (Q_j E Q_j^T)[a, b], and
+    # Phi_j[k] conj(Phi_j[k+1]) = exp(i arg H_j[k, k+1]).  read holds, per
+    # slot, conj(Q_j E Q_j^T)[k, k+1] for every k, then [k+1, k], as real pairs.
+    read = np.empty((*batch, n_slots, 2 * d - 2, 2))
+    tdag_u = tdag_u[..., None, :, :]
+    for c in runs:
+        gap = w[..., c, :, None] - w[..., c, None, :]
+        sinc = np.ones_like(gap)
+        np.divide(np.sin(gap), gap, out=sinc, where=gap != 0.0)
+        clam = conj_half[..., c, :, None] * half[..., c, None, :] * sinc  # conj(lam_j)
+        del gap, sinc
+        before = (qt[..., c, :, :] @ prefix[..., c, :, :]).reshape(*batch, -1, 2 * d, 2 * d)
+        after = np.ascontiguousarray(before.swapaxes(-1, -2))
+        m = before[..., 0::2, :] @ tdag_u
+        del before
+        m = m @ after
+        del after
+        m.view(complex)[...] *= clam
+        del clam
+        w_conj = q[..., c, :, :] @ m  # conj(W) as real pairs
+        del m
+        dots = np.empty((*w_conj.shape[:-2], 2, d - 1, 2 * d))
+        np.multiply(w_conj[..., :-1, :], q2[..., c, 1:, :], out=dots[..., 0, :, :])
+        np.multiply(w_conj[..., 1:, :], q2[..., c, :-1, :], out=dots[..., 1, :, :])
+        del w_conj
+        np.matmul(dots.reshape(*dots.shape[:-3], 2 * d - 2, 2 * d), pick, out=read[..., c, :, :])
+        del dots
+    del prefix, ri
+    # g = conj((2i dt / d) conj(overlap) G_j[k, k+1]), then the same of
+    # G_j[k+1, k]: the control pair of transition k takes Re(up + down) and
+    # Im(down - up)
+    g = read.view(complex)[..., 0]
+    g *= np.concatenate([unit.conj(), unit], axis=-1)
+    g *= ((-2j * dt / d) * overlap)[..., None, None]
+    grad = np.empty((*batch, n_slots, d - 1, 2))
+    np.add(g[..., : d - 1].real, g[..., d - 1 :].real, out=grad[..., 0])
+    np.subtract(g[..., d - 1 :].imag, g[..., : d - 1].imag, out=grad[..., 1])
+    grad = grad.reshape(*batch, n_slots, 2 * (d - 1))
     return (infid if infid.ndim else float(infid)), grad
 
 
@@ -239,7 +340,9 @@ class GrapeResult:
 def grape_batch_size(d: int, n_slots: int) -> int:
     """How many targets of dimension d ``grape_optimize_many`` should run in
     one batch: as many as keep the complex (targets, n_slots, d, d) stack of
-    slot matrices within ``STACK_BYTES``, and at least one."""
+    slot matrices within ``STACK_BYTES``, and at least one.  The objective
+    holds them as 128 KiB of real slot matrices at d <= 5 and takes them in
+    runs of slots of at most ``STACK_BYTES``."""
     return max(1, STACK_BYTES // (16 * n_slots * d * d))
 
 

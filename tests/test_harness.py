@@ -599,8 +599,14 @@ def test_platform_record_validation():
     for t2, gate_time in ((float("nan"), 1.0), (1.0, float("nan"))):
         with pytest.raises(ValueError, match="non-negative"):
             PlatformRecord("x", 2, 1, t2, gate_time, "src")
-    # an unlimited T2 stays legal and gives tau = 0
+    # a zero T2 would divide by zero in tau; a zero gate time is legal
+    for t2 in (0.0, -0.0):
+        with pytest.raises(ValueError, match="T2 must be positive"):
+            PlatformRecord("x", 2, 1, t2, 1.0, "src")
+    assert PlatformRecord("x", 2, 1, 1.0, 0.0, "src").tau == 0.0
+    # an unlimited T2 stays legal and gives tau = 0; an unknown one gives None
     assert PlatformRecord("x", 2, 1, float("inf"), 1.0, "src").tau == 0.0
+    assert PlatformRecord("x", 2, 1, None, 1.0, "src").tau is None
 
 
 # ---------------------------------------------------------------------------
@@ -740,12 +746,15 @@ def test_cli_platforms_rejects_bad_input(tmp_path, capsys):
     bad_line.write_text("a | x | 1 | 1e-05 | 6e-08 | ref |\n")
     nan_line = tmp_path / "nan.txt"
     nan_line.write_text("superconducting qubits | 2 | 1 | nan | 6e-08 | ref |\n")
+    zero_t2 = tmp_path / "zero_t2.txt"
+    zero_t2.write_text("transmon qutrit | 3 | 1 | 0 | 6e-08 | ref |\n")
     cases = {
         ("--data", str(tmp_path / "missing.txt")): "No such file or directory",
         ("--data", str(bad_line)): "malformed platform line 'a | x | 1",
         ("--reference", "photonic"): "'photonic qudits' must have a known, positive tau",  # tau 0
         ("--reference", "Rydberg-atom qudit"): "must have a known, positive tau",  # tau unknown
         ("--data", str(nan_line)): "malformed platform line 'superconducting qubits | 2 | 1 | nan",
+        ("--data", str(zero_t2)): "malformed platform line 'transmon qutrit | 3 | 1 | 0 |",
         ("--out", str(tmp_path / "missing" / "p.csv")): "does not exist",
         ("--out", str(tmp_path)): "is a directory",
     }
@@ -756,7 +765,7 @@ def test_cli_platforms_rejects_bad_input(tmp_path, capsys):
         err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("quditbench: error:")]
         assert len(err) == 1, args
         assert err[0].startswith("quditbench: error: platforms: ") and message in err[0], args
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt", "nan.txt"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt", "nan.txt", "zero_t2.txt"]
 
 
 def test_write_helpers(tmp_path):

@@ -171,9 +171,12 @@ def test_grape_unreachable_target_keeps_the_best_of_three_runs(monkeypatch):
 
 
 def test_batched_objective_equals_each_solo_call():
-    # a schedule's value and gradient do not depend on the batch it is in
+    # a schedule's value and gradient do not depend on the batch it is in;
+    # from d = 6 on one gate's slot stack alone fills a grape_batch_size
+    # batch, and from d = 4 on at 8d slots a batch of 7 takes its slots in
+    # more runs than one gate does
     rng = np.random.default_rng(21)
-    for d in (2, 3, 4, 5):
+    for d in (2, 3, 4, 5, 6, 7, 8):
         for n_slots in (1, 5, 8 * d):
             amps = rng.uniform(-3, 3, size=(7, n_slots, 2 * (d - 1)))
             targets = np.stack([HaarSampler(d, seed=10 * d + k).unitary() for k in range(7)])
