@@ -16,6 +16,10 @@ import numpy as np
 from .operators import Operator, is_integer, require_dimension
 
 
+# The integer slopes are cached: every check of a scan asks for the slope of
+# the same dimension again.  The cache is keyed by type as well, so 2.0 or
+# True never reads the entry of 2 or 1 and still fails the integer check.
+@functools.lru_cache(maxsize=None, typed=True)
 def c_qudit_dephasing(d: int) -> float:
     """Slope d(d-1)/12 for a single dephasing qudit (collapse J_z): the
     ensemble law of ``c_qudits_dephasing`` at N = 1."""
@@ -39,6 +43,7 @@ def c_general(collapse: Operator) -> float:
     return float((np.vdot(l, l).real - abs(collapse.trace()) ** 2 / d) / (d + 1))
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def c_qubits_dephasing(n: int) -> float:
     """Slope n 2^n / (4 (2^n + 1)) for n identically dephasing qubits: the
     ensemble law of ``c_qudits_dephasing`` at d = 2, and 0 for n = 0."""

@@ -24,8 +24,9 @@ Five routes are provided and cross-checked against each other:
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,16 +62,21 @@ class HaarSampler:
 
     ``seed`` is an int or a ``np.random.SeedSequence``; an int n draws the
     same stream as ``SeedSequence(n)``, so spawned child sequences seed
-    independent samplers for parallel tasks.
+    independent samplers for parallel tasks.  The bit generator is seeded
+    at the first draw (a seed NumPy rejects raises there), so a sampler
+    costs nothing until an estimator reads from it, and the seeding counts
+    towards that estimator's time.
     """
 
     dim: int
     seed: int | np.random.SeedSequence
-    _rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         require_dimension(self.dim)
-        self._rng = np.random.Generator(np.random.PCG64(self.seed))
+
+    @functools.cached_property
+    def _rng(self) -> np.random.Generator:
+        return np.random.Generator(np.random.PCG64(self.seed))
 
     def unitaries(self, n: int) -> np.ndarray:
         """n Haar-distributed unitaries, shape (n, d, d).

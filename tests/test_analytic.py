@@ -29,6 +29,14 @@ def test_c_qudit_dephasing_values():
     for bad in (2.5, float("nan")):
         with pytest.raises(ValueError, match="integer"):
             c_qudit_dephasing(bad)
+    # a cached slope answers no float or bool equal to its argument
+    assert c_qudit_dephasing(np.int64(2)) == c_qudit_dephasing(2)
+    assert c_qubits_dephasing(np.int64(1)) == c_qubits_dephasing(1)
+    for bad in (2.0, True):
+        with pytest.raises(ValueError, match="integer"):
+            c_qudit_dephasing(bad)
+    with pytest.raises(ValueError, match="integer"):
+        c_qubits_dephasing(1.0)
 
 
 def test_c_general_reductions():
